@@ -1,9 +1,14 @@
 """Command-line pipeline: ingest -> fit -> bias -> engagement -> network -> report.
 
-Every command reads and writes artifacts in one output directory, resolves
-its options from defaults < config file < flags, and records the resolved
-configuration plus input-file digests in run_manifest.json. Identical inputs
-and seed produce byte-identical outputs.
+Every command is one entry of the `STAGES` table: the options it accepts, the
+artifacts it needs in the output directory (checked in order), the artifacts
+it produces, and a `run` function that does only that stage's work. One
+runner does the rest for every command: it resolves options from defaults <
+config file < flags, creates `--out`, stops with exit 3 naming the producing
+stage when a required artifact is absent, runs the stage, and records the
+resolved configuration plus input-file digests in run_manifest.json. The
+argparse subcommands are built from the same table. Identical inputs and seed
+produce byte-identical outputs.
 
 Exit codes: 0 success, 2 input error, 3 missing upstream artifact, 1 internal.
 """
@@ -11,14 +16,15 @@ Exit codes: 0 success, 2 input error, 3 missing upstream artifact, 1 internal.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
 import logging
 import math
 import sys
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 from . import corpus, latent, metrics, network, synth
 from .corpus import EVENT_ORDER, EventType
@@ -54,39 +60,56 @@ def _date(value: str) -> datetime.date:
         raise argparse.ArgumentTypeError(f"expected ISO date, got '{value}'") from None
 
 
-# option name -> (cast for config-file values, default); flag values are cast
-# by argparse itself
+def _format(value: str) -> str:
+    if value not in ("csv", "jsonl"):
+        raise argparse.ArgumentTypeError(
+            f"unknown format '{value}', expected 'csv' or 'jsonl'"
+        )
+    return value
+
+
+# option name -> (cast for flag and config-file values, default, help)
 _OPTIONS: dict[str, tuple] = {
-    "articles": (str, None),
-    "outlets": (str, None),
-    "followers": (str, None),
-    "retweets": (str, None),
-    "from": (_date, None),
-    "to": (_date, None),
-    "format": (str, "csv"),
-    "seed": (int, 0),
-    "chains": (int, 4),
-    "iters": (int, 5000),
-    "burnin": (int, 1000),
-    "proposal_sd": (float, 0.5),
-    "adapt": (_onoff, True),
-    "prior_alpha_sd": (float, 15.0),
-    "prior_x_sd": (float, 1.0),
-    "dump_draws": (_onoff, False),
-    "theta": (float, math.pi / 4),
-    "duration_weighted": (_onoff, False),
-    "strict_threshold": (_onoff, True),
-    "drop_isolates": (_onoff, True),
-    "n_outlets": (int, 12),
-    "clusters": (int, 2),
-    "out": (str, "."),
+    "articles": (str, None, "articles file"),
+    "outlets": (str, None, "outlets file"),
+    "followers": (str, None, "followers file"),
+    "retweets": (str, None, "retweets file"),
+    "from": (_date, None, "keep articles on/after this date"),
+    "to": (_date, None, "keep articles on/before this date"),
+    "format": (_format, "csv", "input format: csv or jsonl"),
+    "seed": (int, 0, "root random seed"),
+    "chains": (int, 4, "MCMC chains per event type"),
+    "iters": (int, 5000, "MCMC iterations per chain"),
+    "burnin": (int, 1000, "burn-in iterations per chain"),
+    "proposal_sd": (float, 0.5, "initial random-walk proposal sd"),
+    "adapt": (_onoff, True, "tune proposal scales during burn-in"),
+    "prior_alpha_sd": (float, 15.0, "prior sd of the intercepts"),
+    "prior_x_sd": (float, 1.0, "prior sd of the stances"),
+    "dump_draws": (_onoff, False, "also write raw draws per event type"),
+    "theta": (float, math.pi / 4, "selection-index line angle in radians"),
+    "duration_weighted": (_onoff, False, "weight follower averages by overlap days"),
+    "strict_threshold": (_onoff, True, "keep edges exactly at the mean weight"),
+    "drop_isolates": (_onoff, True, "drop nodes isolated by thresholding"),
+    "n_outlets": (int, 12, "number of synthetic outlets"),
+    "clusters": (int, 2, "number of planted audience clusters"),
+    "out": (str, ".", "artifact directory"),
 }
 
-_DESTS = {"from": "window_from", "to": "window_to", "format": "file_format"}
+_METAVARS = {_onoff: "on|off", _date: "DATE"}
 
+# input-file options; ingest and simulate write one canonical copy of each
+_INPUT_FILES = ("articles", "outlets", "followers", "retweets")
 
-def _dest(key: str) -> str:
-    return _DESTS.get(key, key)
+_BREAKDOWN_FIELDS = (
+    "category", "sources", "sources_pct", "contents", "contents_pct", "interactions",
+    "interactions_pct",
+)
+_POSTERIOR_FIELDS = ("outlet_id", "event_type", "param", "mean", "sd", "q05", "q95", "rhat", "ess")
+_DRAW_FIELDS = ("chain", "iter", "param_index", "value")
+_BIAS_FIELDS = ("outlet_id", "reliability", *(f.name for f in fields(metrics.BiasRow)[1:]))
+_ENGAGEMENT_FIELDS = (
+    "outlet_id", "event_type", "contents", "interactions", "followers", "engagement"
+)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -110,15 +133,15 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
+def _resolve(args: argparse.Namespace, cfg: dict[str, str], keys: tuple[str, ...]) -> dict:
     """Merge defaults, config file, and flags (flags win) for the given keys."""
     resolved = {}
     for key in keys:
-        cast, default = _OPTIONS[key]
-        value = getattr(args, _dest(key), None)
-        if value is None and key in args.cfg:
+        cast, default, _ = _OPTIONS[key]
+        value = getattr(args, key)
+        if value is None and key in cfg:
             try:
-                value = cast(args.cfg[key])
+                value = cast(cfg[key])
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise InputError(f"bad config value for '{key}': {exc}") from None
         if value is None:
@@ -133,15 +156,6 @@ def _require_input(path_str: str | None, flag: str) -> Path:
     path = Path(path_str)
     if not path.is_file():
         raise InputError(f"input file not found: {path}")
-    return path
-
-
-def _require_stage(out_dir: Path, name: str, stage: str) -> Path:
-    path = out_dir / name
-    if not path.is_file():
-        raise MissingStageError(
-            f"missing artifact '{name}' in {out_dir}; run the '{stage}' stage first"
-        )
     return path
 
 
@@ -172,86 +186,102 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _out_dir(resolved: dict) -> Path:
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_table(path: Path, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _read_table(path: Path) -> list[dict[str, str]]:
+def _load(path: Path, parse, *args):
+    """`parse(stream, *args)` on the file at `path`."""
     with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
+        return parse(handle, *args)
 
 
-# ---------------------------------------------------------------- commands
+def _save(path: Path, write, *args) -> None:
+    """`write(*args, stream)` into the file at `path`."""
+    with open(path, "w", newline="") as handle:
+        write(*args, handle)
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args, ["articles", "outlets", "followers", "retweets", "from", "to", "format", "out"]
-    )
-    out = _out_dir(resolved)
-    fmt = resolved["format"]
-    if fmt not in ("csv", "jsonl"):
-        raise InputError(f"unknown format '{fmt}', expected 'csv' or 'jsonl'")
+def _read_table(path: Path, header: tuple[str, ...]) -> list[dict[str, str]]:
+    """Rows of a CSV artifact whose header must equal `header`."""
+    with open(path, newline="") as handle:
+        return [row for _, row in corpus._iter_rows(handle, "csv", header)]
 
-    articles_path = _require_input(resolved["articles"], "articles")
-    outlets_path = _require_input(resolved["outlets"], "outlets")
-    with open(articles_path) as handle:
-        articles = corpus.parse_articles(handle, fmt)
-    with open(outlets_path) as handle:
-        registry = corpus.parse_outlets(handle, fmt)
-    articles = corpus.filter_articles(articles, resolved["from"], resolved["to"])
 
-    followers: list[corpus.FollowerRecord] = []
-    if resolved["followers"]:
-        with open(_require_input(resolved["followers"], "followers")) as handle:
-            followers = corpus.parse_followers(handle, fmt)
-    retweets: list[corpus.RetweetRecord] = []
-    if resolved["retweets"]:
-        with open(_require_input(resolved["retweets"], "retweets")) as handle:
-            retweets = corpus.parse_retweets(handle, fmt)
+def _write_records(out: Path, articles, outlets, followers, retweets) -> None:
+    """The canonical articles/outlets/followers/retweets files."""
+    _save(out / "articles.csv", corpus.write_articles, articles)
+    _save(out / "outlets.csv", corpus.write_outlets, outlets)
+    _save(out / "followers.csv", corpus.write_followers, followers)
+    _save(out / "retweets.csv", corpus.write_retweets, retweets)
+
+
+def _read_posterior(path: Path) -> dict[EventType, dict[str, metrics.OutletEstimate]]:
+    alpha: dict[tuple[str, str], float] = {}
+    x: dict[tuple[str, str], float] = {}
+    for row in _read_table(path, _POSTERIOR_FIELDS):
+        key = (row["outlet_id"], row["event_type"])
+        if row["param"] == "alpha":
+            alpha[key] = float(row["mean"])
+        elif row["param"] == "x":
+            x[key] = float(row["mean"])
+    estimates: dict[EventType, dict[str, metrics.OutletEstimate]] = {}
+    for event in EVENT_ORDER:
+        per_outlet = {}
+        for (outlet, ev), a in alpha.items():
+            if ev == event.value and (outlet, ev) in x:
+                per_outlet[outlet] = metrics.OutletEstimate(a, x[(outlet, ev)])
+        estimates[event] = per_outlet
+    return estimates
+
+
+def _read_bias(path: Path) -> tuple[list[metrics.BiasRow], dict[str, str]]:
+    """bias.csv as BiasRows, plus each outlet's reliability label."""
+    rows, reliability = [], {}
+    for row in _read_table(path, _BIAS_FIELDS):
+        outlet = row.pop("outlet_id")
+        reliability[outlet] = row.pop("reliability")
+        adverse_lean = row.pop("adverse_lean") == "true"
+        values = {key: float(value) for key, value in row.items()}
+        rows.append(metrics.BiasRow(outlet, **values, adverse_lean=adverse_lean))
+    return rows, reliability
+
+
+def _draw_rows(draws: latent.ChainDraws):
+    """(chain, iter, param_index, value) rows; alphas are 0..n-1, stances n..2n-1."""
+    n = draws.n_outlets
+    for c in range(draws.n_chains):
+        for h in range(draws.n_iterations):
+            for offset, values in ((0, draws.alpha[c, h]), (n, draws.x[c, h])):
+                for i, value in enumerate(values.tolist()):
+                    yield c, h, offset + i, value
+
+
+# ---------------------------------------------------------------- stages
+
+
+def _ingest(opts: dict, out: Path) -> str:
+    optional = ("followers", "retweets")
+    paths = {
+        key: _require_input(opts[key], key)
+        for key in _INPUT_FILES
+        if opts[key] or key not in optional
+    }
+
+    def read(key: str, parse) -> list:
+        return _load(paths[key], parse, opts["format"]) if key in paths else []
+
+    articles = read("articles", corpus.parse_articles)
+    registry = read("outlets", corpus.parse_outlets)
+    articles = corpus.filter_articles(articles, opts["from"], opts["to"])
+    followers = read("followers", corpus.parse_followers)
+    retweets = read("retweets", corpus.parse_retweets)
 
     tensor = corpus.aggregate_counts(articles, registry)
     breakdown = corpus.dataset_breakdown(articles, registry)
 
-    with open(out / "articles.csv", "w", newline="") as handle:
-        corpus.write_articles(articles, handle)
-    with open(out / "outlets.csv", "w", newline="") as handle:
-        corpus.write_outlets(registry, handle)
-    with open(out / "followers.csv", "w", newline="") as handle:
-        corpus.write_followers(followers, handle)
-    with open(out / "retweets.csv", "w", newline="") as handle:
-        corpus.write_retweets(retweets, handle)
-    with open(out / "counts.csv", "w", newline="") as handle:
-        corpus.write_count_tensor(tensor, handle)
-    _write_table(
+    _write_records(out, articles, registry, followers, retweets)
+    _save(out / "counts.csv", corpus.write_count_tensor, tensor)
+    _save(
         out / "breakdown.csv",
-        (
-            "category",
-            "sources",
-            "sources_pct",
-            "contents",
-            "contents_pct",
-            "interactions",
-            "interactions_pct",
-        ),
+        corpus.write_csv,
+        _BREAKDOWN_FIELDS,
         (
             (
                 r.category,
@@ -265,56 +295,26 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             for r in breakdown.rows()
         ),
     )
-    inputs = [articles_path, outlets_path]
-    if resolved["followers"]:
-        inputs.append(Path(resolved["followers"]))
-    if resolved["retweets"]:
-        inputs.append(Path(resolved["retweets"]))
-    _write_manifest(out, "ingest", resolved, inputs)
-    print(
+    return (
         f"ingest: {len(articles)} articles, {len(registry)} outlets, "
         f"{len(followers)} follower records, {len(retweets)} retweet records -> {out}"
     )
-    return EXIT_OK
 
 
-def _chain_config(resolved: dict) -> latent.ChainConfig:
-    return latent.ChainConfig(
-        iterations=resolved["iters"],
-        burn_in=resolved["burnin"],
-        chains=resolved["chains"],
-        seed=resolved["seed"],
-        initial_proposal_sd=resolved["proposal_sd"],
-        adapt=resolved["adapt"],
-    )
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [
-            "seed",
-            "chains",
-            "iters",
-            "burnin",
-            "proposal_sd",
-            "adapt",
-            "prior_alpha_sd",
-            "prior_x_sd",
-            "dump_draws",
-            "out",
-        ],
-    )
-    out = _out_dir(resolved)
-    counts_path = _require_stage(out, "counts.csv", "ingest")
-    with open(counts_path) as handle:
-        tensor = corpus.read_count_tensor(handle)
+def _fit(opts: dict, out: Path) -> str:
+    tensor = _load(out / "counts.csv", corpus.read_count_tensor)
     consts = latent.ModelConstants(
-        prior_sd_alpha=resolved["prior_alpha_sd"], prior_sd_x=resolved["prior_x_sd"]
+        prior_sd_alpha=opts["prior_alpha_sd"], prior_sd_x=opts["prior_x_sd"]
     )
-    config = _chain_config(resolved)
+    config = latent.ChainConfig(
+        iterations=opts["iters"],
+        burn_in=opts["burnin"],
+        chains=opts["chains"],
+        seed=opts["seed"],
+        initial_proposal_sd=opts["proposal_sd"],
+        adapt=opts["adapt"],
+    )
 
-    header = ("outlet_id", "event_type", "param", "mean", "sd", "q05", "q95", "rhat", "ess")
     rows = []
     for event in EVENT_ORDER:
         slice_ = tensor.event_slice(event)
@@ -356,228 +356,105 @@ def cmd_fit(args: argparse.Namespace) -> int:
                         float(stats.ess[i]),
                     )
                 )
-        if resolved["dump_draws"]:
-            dump_path = out / f"draws_{event.value}.csv"
-            with open(dump_path, "w", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(("chain", "iter", "param_index", "value"))
-                n = draws.n_outlets
-                for c in range(draws.n_chains):
-                    for h in range(draws.n_iterations):
-                        for i in range(n):
-                            writer.writerow((c, h, i, repr(float(draws.alpha[c, h, i]))))
-                        for i in range(n):
-                            writer.writerow((c, h, n + i, repr(float(draws.x[c, h, i]))))
-    _write_table(out / "posterior.csv", header, rows)
-    _write_manifest(out, "fit", resolved, [counts_path])
-    print(f"fit: wrote posterior.csv ({len(rows)} rows) -> {out}")
-    return EXIT_OK
+        if opts["dump_draws"]:
+            _save(out / f"draws_{event.value}.csv", corpus.write_csv, _DRAW_FIELDS,
+                  _draw_rows(draws))
+    _save(out / "posterior.csv", corpus.write_csv, _POSTERIOR_FIELDS, rows)
+    return f"fit: wrote posterior.csv ({len(rows)} rows) -> {out}"
 
 
-def _read_posterior(path: Path) -> dict[EventType, dict[str, metrics.OutletEstimate]]:
-    alpha: dict[tuple[str, str], float] = {}
-    x: dict[tuple[str, str], float] = {}
-    for row in _read_table(path):
-        key = (row["outlet_id"], row["event_type"])
-        if row["param"] == "alpha":
-            alpha[key] = float(row["mean"])
-        elif row["param"] == "x":
-            x[key] = float(row["mean"])
-    estimates: dict[EventType, dict[str, metrics.OutletEstimate]] = {}
-    for event in EVENT_ORDER:
-        per_outlet = {}
-        for (outlet, ev), a in alpha.items():
-            if ev == event.value and (outlet, ev) in x:
-                per_outlet[outlet] = metrics.OutletEstimate(a, x[(outlet, ev)])
-        estimates[event] = per_outlet
-    return estimates
-
-
-def _read_registry(out: Path) -> list[corpus.OutletProfile]:
-    path = _require_stage(out, "outlets.csv", "ingest")
-    with open(path) as handle:
-        return corpus.parse_outlets(handle, "csv")
-
-
-def cmd_bias(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["theta", "out"])
-    out = _out_dir(resolved)
-    posterior_path = _require_stage(out, "posterior.csv", "fit")
-    registry = _read_registry(out)
-    estimates = _read_posterior(posterior_path)
+def _bias(opts: dict, out: Path) -> str:
+    registry = _load(out / "outlets.csv", corpus.parse_outlets, "csv")
+    estimates = _read_posterior(out / "posterior.csv")
     for event in EVENT_ORDER:
         if not estimates[event]:
             raise InputError(
                 f"posterior.csv has no rows for event type '{event.value}'; "
                 "cannot build the bias table"
             )
-    table = metrics.build_bias_table(estimates, theta=resolved["theta"])
+    table = metrics.build_bias_table(estimates, theta=opts["theta"])
     reliability = {p.outlet_id: p.reliability.value for p in registry}
-    _write_table(
+    _save(
         out / "bias.csv",
+        corpus.write_csv,
+        _BIAS_FIELDS,
         (
-            "outlet_id",
-            "reliability",
-            "x_adv",
-            "x_neu",
-            "x_pos",
-            "pf_adv",
-            "pf_neu",
-            "pf_pos",
-            "selection_index",
-            "adverse_lean",
-        ),
-        (
-            (
-                row.outlet_id,
-                reliability.get(row.outlet_id, ""),
-                row.x_adv,
-                row.x_neu,
-                row.x_pos,
-                row.pf_adv,
-                row.pf_neu,
-                row.pf_pos,
-                row.selection_index,
-                row.adverse_lean,
-            )
+            (row.outlet_id, reliability.get(row.outlet_id, ""), *astuple(row)[1:-1],
+             corpus.format_flag(row.adverse_lean))
             for row in table
         ),
     )
-    _write_manifest(out, "bias", resolved, [posterior_path, out / "outlets.csv"])
-    print(f"bias: wrote bias.csv ({len(table)} outlets) -> {out}")
-    return EXIT_OK
+    return f"bias: wrote bias.csv ({len(table)} outlets) -> {out}"
 
 
-def _read_bias(path: Path) -> list[metrics.BiasRow]:
-    rows = []
-    for row in _read_table(path):
-        rows.append(
-            metrics.BiasRow(
-                outlet_id=row["outlet_id"],
-                x_adv=float(row["x_adv"]),
-                x_neu=float(row["x_neu"]),
-                x_pos=float(row["x_pos"]),
-                pf_adv=float(row["pf_adv"]),
-                pf_neu=float(row["pf_neu"]),
-                pf_pos=float(row["pf_pos"]),
-                selection_index=float(row["selection_index"]),
-                adverse_lean=row["adverse_lean"] == "true",
-            )
-        )
-    return rows
-
-
-def cmd_engagement(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["from", "to", "duration_weighted", "out"])
-    out = _out_dir(resolved)
-    articles_path = _require_stage(out, "articles.csv", "ingest")
-    followers_path = _require_stage(out, "followers.csv", "ingest")
-    bias_path = _require_stage(out, "bias.csv", "bias")
-    with open(articles_path) as handle:
-        articles = corpus.parse_articles(handle, "csv")
-    with open(followers_path) as handle:
-        followers = corpus.parse_followers(handle, "csv")
-    bias_rows = _read_bias(bias_path)
-
+def _engagement(opts: dict, out: Path) -> str:
     window = None
-    if resolved["from"] is not None and resolved["to"] is not None:
-        window = (resolved["from"], resolved["to"])
-    elif resolved["from"] is not None or resolved["to"] is not None:
+    if opts["from"] is not None and opts["to"] is not None:
+        window = (opts["from"], opts["to"])
+    elif opts["from"] is not None or opts["to"] is not None:
         raise InputError("--from and --to must be given together")
+    articles = _load(out / "articles.csv", corpus.parse_articles, "csv")
+    followers = _load(out / "followers.csv", corpus.parse_followers, "csv")
+    bias_rows, _ = _read_bias(out / "bias.csv")
+
     table = metrics.build_engagement_table(
-        articles, followers, window=window, duration_weighted=resolved["duration_weighted"]
+        articles, followers, window=window, duration_weighted=opts["duration_weighted"]
     )
-    _write_table(
+    _save(
         out / "engagement.csv",
-        ("outlet_id", "event_type", "contents", "interactions", "followers", "engagement"),
+        corpus.write_csv,
+        _ENGAGEMENT_FIELDS,
         (
             (r.outlet_id, r.event.value, r.contents, r.interactions, r.followers, r.engagement)
             for r in table
         ),
     )
-    fits = metrics.engagement_bias_fits(bias_rows, table)
-    _write_json(out / "fits.json", fits)
-    _write_manifest(
-        out, "engagement", resolved, [articles_path, followers_path, bias_path]
-    )
-    print(f"engagement: wrote engagement.csv ({len(table)} rows) and fits.json -> {out}")
-    return EXIT_OK
+    _write_json(out / "fits.json", metrics.engagement_bias_fits(bias_rows, table))
+    return f"engagement: wrote engagement.csv ({len(table)} rows) and fits.json -> {out}"
 
 
-def cmd_network(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["seed", "strict_threshold", "drop_isolates", "out"])
-    out = _out_dir(resolved)
-    retweets_path = _require_stage(out, "retweets.csv", "ingest")
-    bias_path = _require_stage(out, "bias.csv", "bias")
-    registry = _read_registry(out)
-    with open(retweets_path) as handle:
-        retweets = corpus.parse_retweets(handle, "csv")
+def _network(opts: dict, out: Path) -> str:
+    registry = _load(out / "outlets.csv", corpus.parse_outlets, "csv")
+    retweets = _load(out / "retweets.csv", corpus.parse_retweets, "csv")
     if not retweets:
         raise InputError("retweets.csv is empty; cannot build the audience network")
-    bias_rows = _read_bias(bias_path)
+    bias_rows, _ = _read_bias(out / "bias.csv")
 
     matrix = network.build_matrix(retweets)
     reliability = {p.outlet_id: p.reliability for p in registry}
     graph = network.build_graph(matrix, reliability)
     graph = network.threshold_graph(
-        graph,
-        strict=resolved["strict_threshold"],
-        drop_isolated=resolved["drop_isolates"],
+        graph, strict=opts["strict_threshold"], drop_isolated=opts["drop_isolates"]
     )
-    partition = network.louvain(graph, seed=resolved["seed"])
+    partition = network.louvain(graph, seed=opts["seed"])
     graph = network.with_clusters(graph, partition)
     stats = network.cluster_stats(partition, bias_rows, registry)
 
-    with open(out / "edges.csv", "w", newline="") as handle:
-        network.write_edges_csv(graph, handle)
-    with open(out / "graph.graphml", "w") as handle:
-        network.write_graphml(graph, handle)
-    with open(out / "clusters.csv", "w", newline="") as handle:
-        network.write_clusters_csv(partition, handle)
-    with open(out / "cluster_stats.csv", "w", newline="") as handle:
-        network.write_cluster_stats_csv(stats, handle)
-    _write_manifest(
-        out, "network", resolved, [retweets_path, out / "outlets.csv", bias_path]
-    )
-    print(
+    _save(out / "edges.csv", network.write_edges_csv, graph)
+    _save(out / "graph.graphml", network.write_graphml, graph)
+    _save(out / "clusters.csv", network.write_clusters_csv, partition)
+    _save(out / "cluster_stats.csv", network.write_cluster_stats_csv, stats)
+    return (
         f"network: {len(graph.nodes)} nodes, {graph.n_edges} edges, "
         f"{len(stats)} clusters -> {out}"
     )
-    return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["out"])
-    out = _out_dir(resolved)
-    bias_path = _require_stage(out, "bias.csv", "bias")
-    engagement_path = _require_stage(out, "engagement.csv", "engagement")
-    stats_path = _require_stage(out, "cluster_stats.csv", "network")
-    clusters_path = _require_stage(out, "clusters.csv", "network")
-
+def _report(opts: dict, out: Path) -> str:
     clusters = {
-        row["outlet_id"]: int(row["cluster_id"]) for row in _read_table(clusters_path)
+        row["outlet_id"]: int(row["cluster_id"])
+        for row in _read_table(out / "clusters.csv", network.CLUSTER_FIELDS)
     }
+    bias_rows, reliability = _read_bias(out / "bias.csv")
     outlets: dict[str, dict] = {}
-    for row in _read_table(bias_path):
-        outlets[row["outlet_id"]] = {
-            "reliability": row["reliability"],
-            "bias": {
-                key: (row[key] == "true" if key == "adverse_lean" else float(row[key]))
-                for key in (
-                    "x_adv",
-                    "x_neu",
-                    "x_pos",
-                    "pf_adv",
-                    "pf_neu",
-                    "pf_pos",
-                    "selection_index",
-                    "adverse_lean",
-                )
-            },
-            "cluster": clusters.get(row["outlet_id"]),
+    for row in bias_rows:
+        outlets[row.outlet_id] = {
+            "reliability": reliability[row.outlet_id],
+            "bias": {f.name: getattr(row, f.name) for f in fields(row)[1:]},
+            "cluster": clusters.get(row.outlet_id),
             "engagement": {},
         }
-    for row in _read_table(engagement_path):
+    for row in _read_table(out / "engagement.csv", _ENGAGEMENT_FIELDS):
         entry = outlets.get(row["outlet_id"])
         if entry is None:
             continue
@@ -587,70 +464,131 @@ def cmd_report(args: argparse.Namespace) -> int:
             "followers": float(row["followers"]),
             "engagement": float(row["engagement"]),
         }
-    cluster_rows = []
-    for row in _read_table(stats_path):
-        cluster_rows.append(
-            {
-                "cluster_id": int(row["cluster_id"]),
-                "size": int(row["size"]),
-                **{
-                    key: (float(row[key]) if row[key] else None)
-                    for key in (
-                        "frac_questionable",
-                        "mean_x_adv",
-                        "mean_x_pos",
-                        "mean_selection",
-                        "frac_adverse_lean",
-                    )
-                },
-            }
-        )
-    report = {"outlets": outlets, "clusters": cluster_rows}
-    _write_json(out / "report.json", report)
-    _write_manifest(
-        out, "report", resolved, [bias_path, engagement_path, stats_path, clusters_path]
-    )
-    print(f"report: wrote report.json ({len(outlets)} outlets) -> {out}")
-    return EXIT_OK
+    cluster_rows = [
+        {
+            key: (int(value) if key in ("cluster_id", "size") else float(value) if value else None)
+            for key, value in row.items()
+        }
+        for row in _read_table(out / "cluster_stats.csv", network.CLUSTER_STATS_FIELDS)
+    ]
+    _write_json(out / "report.json", {"outlets": outlets, "clusters": cluster_rows})
+    return f"report: wrote report.json ({len(outlets)} outlets) -> {out}"
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["n_outlets", "clusters", "seed", "from", "to", "out"])
-    out = _out_dir(resolved)
+def _simulate(opts: dict, out: Path) -> str:
     window = (
-        resolved["from"] or datetime.date(2020, 1, 1),
-        resolved["to"] or datetime.date(2021, 12, 31),
+        opts["from"] or datetime.date(2020, 1, 1),
+        opts["to"] or datetime.date(2021, 12, 31),
     )
     data = synth.generate(
-        n_outlets=resolved["n_outlets"],
-        n_clusters=resolved["clusters"],
-        seed=resolved["seed"],
-        window=window,
+        n_outlets=opts["n_outlets"], n_clusters=opts["clusters"], seed=opts["seed"], window=window
     )
-    with open(out / "articles.csv", "w", newline="") as handle:
-        corpus.write_articles(data.articles, handle)
-    with open(out / "outlets.csv", "w", newline="") as handle:
-        corpus.write_outlets(data.outlets, handle)
-    with open(out / "followers.csv", "w", newline="") as handle:
-        corpus.write_followers(data.followers, handle)
-    with open(out / "retweets.csv", "w", newline="") as handle:
-        corpus.write_retweets(data.retweets, handle)
+    _write_records(out, data.articles, data.outlets, data.followers, data.retweets)
     _write_json(out / "truth.json", data.truth)
-    _write_manifest(out, "simulate", resolved, [])
-    print(
-        f"simulate: {len(data.articles)} articles across {resolved['n_outlets']} "
-        f"outlets ({resolved['clusters']} planted clusters) -> {out}"
+    return (
+        f"simulate: {len(data.articles)} articles across {opts['n_outlets']} "
+        f"outlets ({opts['clusters']} planted clusters) -> {out}"
     )
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One command: its options besides --config and --out, the artifacts it
+    needs in --out (checked in this order) and produces, and its work.
+
+    `run(options, out_dir)` returns the one-line summary printed on success.
+    """
+
+    help: str
+    options: tuple[str, ...]
+    requires: tuple[str, ...]
+    produces: tuple[str, ...]
+    run: Callable[[dict, Path], str]
+
+
+_RECORD_ARTIFACTS = tuple(f"{key}.csv" for key in _INPUT_FILES)
+
+# pipeline order; where two commands produce an artifact, the first is named
+# as the stage to run when it is missing
+STAGES: dict[str, Stage] = {
+    "ingest": Stage(
+        "validate and canonicalize input files",
+        options=(*_INPUT_FILES, "from", "to", "format"),
+        requires=(),
+        produces=(*_RECORD_ARTIFACTS, "counts.csv", "breakdown.csv"),
+        run=_ingest,
+    ),
+    "fit": Stage(
+        "run the latent-model MCMC per event type",
+        options=("seed", "chains", "iters", "burnin", "proposal_sd", "adapt",
+                 "prior_alpha_sd", "prior_x_sd", "dump_draws"),
+        requires=("counts.csv",),
+        produces=("posterior.csv",),
+        run=_fit,
+    ),
+    "bias": Stage(
+        "build the per-outlet bias table",
+        options=("theta",),
+        requires=("posterior.csv", "outlets.csv"),
+        produces=("bias.csv",),
+        run=_bias,
+    ),
+    "engagement": Stage(
+        "adjusted engagement and regressions",
+        options=("from", "to", "duration_weighted"),
+        requires=("articles.csv", "followers.csv", "bias.csv"),
+        produces=("engagement.csv", "fits.json"),
+        run=_engagement,
+    ),
+    "network": Stage(
+        "audience graph and Louvain clusters",
+        options=("seed", "strict_threshold", "drop_isolates"),
+        requires=("retweets.csv", "bias.csv", "outlets.csv"),
+        produces=("edges.csv", "graph.graphml", "clusters.csv", "cluster_stats.csv"),
+        run=_network,
+    ),
+    "report": Stage(
+        "join stage outputs into report.json",
+        options=(),
+        requires=("bias.csv", "engagement.csv", "cluster_stats.csv", "clusters.csv"),
+        produces=("report.json",),
+        run=_report,
+    ),
+    "simulate": Stage(
+        "write a synthetic corpus with truth.json",
+        options=("n_outlets", "clusters", "seed", "from", "to"),
+        requires=(),
+        produces=(*_RECORD_ARTIFACTS, "truth.json"),
+        run=_simulate,
+    ),
+}
+
+
+def _producer(artifact: str) -> str:
+    return next(name for name, stage in STAGES.items() if artifact in stage.produces)
+
+
+def _run_stage(args: argparse.Namespace) -> int:
+    stage = STAGES[args.command]
+    cfg = _load_config(args.config) if args.config else {}
+    opts = _resolve(args, cfg, (*stage.options, "out"))
+    out = Path(opts["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for artifact in stage.requires:
+        if not (out / artifact).is_file():
+            raise MissingStageError(
+                f"missing artifact '{artifact}' in {out}; "
+                f"run the '{_producer(artifact)}' stage first"
+            )
+    summary = stage.run(opts, out)
+    inputs = [Path(opts[key]) for key in _INPUT_FILES if opts.get(key)]
+    inputs += [out / artifact for artifact in stage.requires]
+    _write_manifest(out, args.command, opts, inputs)
+    print(summary)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
-
-
-def _add_option(parser: argparse.ArgumentParser, key: str, **kwargs) -> None:
-    cast, _ = _OPTIONS[key]
-    flag = "--" + key.replace("_", "-")
-    parser.add_argument(flag, dest=_dest(key), type=cast, default=None, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -661,56 +599,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "article counts, and relate them to engagement and retweet audiences."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--out", type=str, default=None, help="artifact directory")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", parents=[common], help="validate and canonicalize input files")
-    for key in ("articles", "outlets", "followers", "retweets"):
-        _add_option(p, key, help=f"{key} file")
-    _add_option(p, "from", metavar="DATE", help="keep articles on/after this date")
-    _add_option(p, "to", metavar="DATE", help="keep articles on/before this date")
-    _add_option(p, "format", choices=("csv", "jsonl"), help="input format")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("fit", parents=[common], help="run the latent-model MCMC per event type")
-    for key in ("seed", "chains", "iters", "burnin", "proposal_sd",
-                "prior_alpha_sd", "prior_x_sd"):
-        _add_option(p, key)
-    _add_option(p, "adapt", metavar="on|off", help="tune proposal scales during burn-in")
-    _add_option(p, "dump_draws", metavar="on|off", help="also write raw draws per event type")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("bias", parents=[common], help="build the per-outlet bias table")
-    _add_option(p, "theta", help="selection-index line angle in radians")
-    p.set_defaults(func=cmd_bias)
-
-    p = sub.add_parser("engagement", parents=[common], help="adjusted engagement and regressions")
-    _add_option(p, "from", metavar="DATE")
-    _add_option(p, "to", metavar="DATE")
-    _add_option(p, "duration_weighted", metavar="on|off",
-                help="weight follower averages by overlap days")
-    p.set_defaults(func=cmd_engagement)
-
-    p = sub.add_parser("network", parents=[common], help="audience graph and Louvain clusters")
-    _add_option(p, "seed")
-    _add_option(p, "strict_threshold", metavar="on|off",
-                help="keep edges exactly at the mean weight")
-    _add_option(p, "drop_isolates", metavar="on|off",
-                help="drop nodes isolated by thresholding")
-    p.set_defaults(func=cmd_network)
-
-    p = sub.add_parser("report", parents=[common], help="join stage outputs into report.json")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("simulate", parents=[common], help="write a synthetic corpus with truth.json")
-    for key in ("n_outlets", "clusters", "seed"):
-        _add_option(p, key)
-    _add_option(p, "from", metavar="DATE")
-    _add_option(p, "to", metavar="DATE")
-    p.set_defaults(func=cmd_simulate)
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
+        p.add_argument("--config", help="flat key = value config file")
+        for key in (*stage.options, "out"):
+            cast, _, help_text = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=cast, default=None,
+                           metavar=_METAVARS.get(cast), help=help_text)
     return parser
 
 
@@ -718,8 +614,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
-        args.cfg = _load_config(args.config) if args.config else {}
-        return args.func(args)
+        return _run_stage(args)
     except MissingStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_STAGE

@@ -165,6 +165,7 @@ ARTICLE_FIELDS = ("outlet_id", "platform", "date", "narrative", "event", "intera
 OUTLET_FIELDS = ("outlet_id", "name", "reliability", "kind")
 FOLLOWER_FIELDS = ("outlet_id", "platform", "period_start", "period_end", "followers")
 RETWEET_FIELDS = ("user_id", "outlet_id", "count")
+COUNT_FIELDS = ("outlet_id", "narrative", "event", "count")
 
 
 def _parse_enum(cls, value: str, what: str, line: int):
@@ -420,11 +421,26 @@ def dataset_breakdown(
     )
 
 
-def write_articles(records: Iterable[ArticleRecord], stream: TextIO) -> None:
+def format_flag(flag: bool) -> str:
+    """How CSV artifacts spell a bool."""
+    return "true" if flag else "false"
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], stream: TextIO) -> None:
+    """Write one CSV artifact: a header row, then `rows`, RFC 4180-quoted.
+
+    Values are spelled by the csv module: None as empty, numbers by str (the
+    shortest round-trip repr for floats). Bools go through `format_flag` first.
+    """
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(ARTICLE_FIELDS)
-    for r in records:
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def write_articles(records: Iterable[ArticleRecord], stream: TextIO) -> None:
+    write_csv(
+        ARTICLE_FIELDS,
+        (
             (
                 r.outlet_id,
                 r.platform.value,
@@ -433,23 +449,27 @@ def write_articles(records: Iterable[ArticleRecord], stream: TextIO) -> None:
                 r.event.value,
                 r.interactions,
             )
-        )
+            for r in records
+        ),
+        stream,
+    )
 
 
 def write_outlets(records: Iterable[OutletProfile], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(OUTLET_FIELDS)
-    for r in records:
-        writer.writerow(
+    write_csv(
+        OUTLET_FIELDS,
+        (
             (r.outlet_id, r.name, r.reliability.value, r.kind.value if r.kind else "")
-        )
+            for r in records
+        ),
+        stream,
+    )
 
 
 def write_followers(records: Iterable[FollowerRecord], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(FOLLOWER_FIELDS)
-    for r in records:
-        writer.writerow(
+    write_csv(
+        FOLLOWER_FIELDS,
+        (
             (
                 r.outlet_id,
                 r.platform.value,
@@ -457,35 +477,35 @@ def write_followers(records: Iterable[FollowerRecord], stream: TextIO) -> None:
                 r.period_end.isoformat(),
                 r.followers,
             )
-        )
+            for r in records
+        ),
+        stream,
+    )
 
 
 def write_retweets(records: Iterable[RetweetRecord], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RETWEET_FIELDS)
-    for r in records:
-        writer.writerow((r.user_id, r.outlet_id, r.count))
+    write_csv(RETWEET_FIELDS, ((r.user_id, r.outlet_id, r.count) for r in records), stream)
 
 
 def write_count_tensor(tensor: CountTensor, stream: TextIO) -> None:
     """Serialize all N x 3 x 3 cells (zeros included) for exact round-trips."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("outlet_id", "narrative", "event", "count"))
-    for i, outlet in enumerate(tensor.outlets):
-        for j, narrative in enumerate(NARRATIVE_ORDER):
-            for k, event in enumerate(EVENT_ORDER):
-                writer.writerow(
-                    (outlet, narrative.value, event.value, int(tensor.counts[i, j, k]))
-                )
+    write_csv(
+        COUNT_FIELDS,
+        (
+            (outlet, narrative.value, event.value, int(tensor.counts[i, j, k]))
+            for i, outlet in enumerate(tensor.outlets)
+            for j, narrative in enumerate(NARRATIVE_ORDER)
+            for k, event in enumerate(EVENT_ORDER)
+        ),
+        stream,
+    )
 
 
 def read_count_tensor(stream: TextIO) -> CountTensor:
     outlets: list[str] = []
     index: dict[str, int] = {}
     cells: list[tuple[int, int, int, int]] = []
-    for line, row in _iter_rows(
-        stream, "csv", ("outlet_id", "narrative", "event", "count")
-    ):
+    for line, row in _iter_rows(stream, "csv", COUNT_FIELDS):
         outlet = str(row["outlet_id"])
         if outlet not in index:
             index[outlet] = len(outlets)

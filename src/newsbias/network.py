@@ -10,14 +10,14 @@ from __future__ import annotations
 import logging
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence, TextIO
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import OutletProfile, Reliability, RetweetRecord
+from .corpus import OutletProfile, Reliability, RetweetRecord, write_csv
 from .metrics import BiasRow
 
 log = logging.getLogger(__name__)
@@ -117,7 +117,8 @@ def build_graph(
     counts = matrix.counts.astype(np.float64)
     sq_norms = np.asarray(counts.multiply(counts).sum(axis=0)).ravel()
     keep = np.flatnonzero(sq_norms > 0)
-    dropped = [o for j, o in enumerate(matrix.outlets) if j not in set(keep.tolist())]
+    kept = set(keep.tolist())
+    dropped = [o for j, o in enumerate(matrix.outlets) if j not in kept]
     if dropped:
         log.info("dropping %d outlet(s) with no retweets: %s", len(dropped), ", ".join(dropped))
     nodes = tuple(matrix.outlets[j] for j in keep)
@@ -181,7 +182,8 @@ def threshold_graph(
     )
     rel = None
     if graph.reliability is not None:
-        rel = {n: r for n, r in graph.reliability.items() if n in set(kept_nodes)}
+        kept = set(kept_nodes)
+        rel = {n: r for n, r in graph.reliability.items() if n in kept}
     return AudienceGraph(nodes=kept_nodes, edges=kept_edges, reliability=rel)
 
 
@@ -387,46 +389,21 @@ def cluster_stats(
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+EDGE_FIELDS = ("src", "dst", "weight")
+CLUSTER_FIELDS = ("outlet_id", "cluster_id")
+CLUSTER_STATS_FIELDS = tuple(f.name for f in fields(ClusterStatsRow))
 
 
 def write_edges_csv(graph: AudienceGraph, stream: TextIO) -> None:
-    stream.write("src,dst,weight\n")
-    for (u, v) in sorted(graph.edges):
-        stream.write(f"{u},{v},{graph.edges[(u, v)]!r}\n")
+    write_csv(EDGE_FIELDS, ((u, v, graph.edges[(u, v)]) for u, v in sorted(graph.edges)), stream)
 
 
 def write_clusters_csv(partition: Mapping[str, int], stream: TextIO) -> None:
-    stream.write("outlet_id,cluster_id\n")
-    for node in sorted(partition):
-        stream.write(f"{node},{partition[node]}\n")
+    write_csv(CLUSTER_FIELDS, sorted(partition.items()), stream)
 
 
 def write_cluster_stats_csv(rows: Sequence[ClusterStatsRow], stream: TextIO) -> None:
-    stream.write(
-        "cluster_id,size,frac_questionable,mean_x_adv,mean_x_pos,"
-        "mean_selection,frac_adverse_lean\n"
-    )
-    for r in rows:
-        stream.write(
-            ",".join(
-                (
-                    str(r.cluster_id),
-                    str(r.size),
-                    _fmt(r.frac_questionable),
-                    _fmt(r.mean_x_adv),
-                    _fmt(r.mean_x_pos),
-                    _fmt(r.mean_selection),
-                    _fmt(r.frac_adverse_lean),
-                )
-            )
-            + "\n"
-        )
+    write_csv(CLUSTER_STATS_FIELDS, map(astuple, rows), stream)
 
 
 def write_graphml(graph: AudienceGraph, stream: TextIO) -> None:

@@ -1,9 +1,13 @@
+import argparse
 import csv
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from newsbias import cli, corpus
 from newsbias.cli import main
 
 
@@ -16,6 +20,13 @@ def fit_fast(out, seed=3):
                "--chains", 2)
 
 
+def ingest_args(sim: Path, out: Path) -> list:
+    return ["ingest", "--out", out] + [
+        arg for name in ("articles", "outlets", "followers", "retweets")
+        for arg in (f"--{name}", sim / f"{name}.csv")
+    ]
+
+
 @pytest.fixture()
 def pipeline_dirs(tmp_path):
     sim = tmp_path / "sim"
@@ -23,17 +34,7 @@ def pipeline_dirs(tmp_path):
     sim.mkdir()
     out.mkdir()
     assert run("simulate", "--out", sim, "--n-outlets", 10, "--clusters", 2, "--seed", 3) == 0
-    assert (
-        run(
-            "ingest",
-            "--articles", sim / "articles.csv",
-            "--outlets", sim / "outlets.csv",
-            "--followers", sim / "followers.csv",
-            "--retweets", sim / "retweets.csv",
-            "--out", out,
-        )
-        == 0
-    )
+    assert run(*ingest_args(sim, out)) == 0
     return sim, out
 
 
@@ -217,3 +218,108 @@ class TestConfigAndOptions:
         assert manifest["command"] == "fit"
         (digest,) = manifest["inputs"].values()
         assert len(digest) == 64
+
+
+class TestQuoting:
+    def test_outlet_id_with_comma_and_quote_survives_every_stage(self, tmp_path):
+        sim, out = tmp_path / "sim", tmp_path / "run"
+        assert run("simulate", "--out", sim, "--n-outlets", 10, "--clusters", 2, "--seed", 3) == 0
+        odd = 'Outlet, "Inc" 001'
+        for name, parse, write in (
+            ("articles", corpus.parse_articles, corpus.write_articles),
+            ("outlets", corpus.parse_outlets, corpus.write_outlets),
+            ("followers", corpus.parse_followers, corpus.write_followers),
+            ("retweets", corpus.parse_retweets, corpus.write_retweets),
+        ):
+            with open(sim / f"{name}.csv", newline="") as handle:
+                records = parse(handle)
+            records = [
+                dataclasses.replace(r, outlet_id=odd) if r.outlet_id == "o001" else r
+                for r in records
+            ]
+            with open(sim / f"{name}.csv", "w", newline="") as handle:
+                write(records, handle)
+
+        assert run(*ingest_args(sim, out)) == 0
+        assert fit_fast(out) == 0
+        for stage in ("bias", "engagement", "network", "report"):
+            assert run(stage, "--out", out) == 0, stage
+
+        assert odd in {r["outlet_id"] for r in read_rows(out / "clusters.csv")}
+        edges = read_rows(out / "edges.csv")
+        assert any(odd in (e["src"], e["dst"]) for e in edges)
+        report = json.loads((out / "report.json").read_text())
+        assert report["outlets"][odd]["cluster"] is not None
+
+
+# artifact -> stage named in the missing-artifact message, in check order
+REQUIRED = {
+    "ingest": [],
+    "fit": [("counts.csv", "ingest")],
+    "bias": [("posterior.csv", "fit"), ("outlets.csv", "ingest")],
+    "engagement": [("articles.csv", "ingest"), ("followers.csv", "ingest"), ("bias.csv", "bias")],
+    "network": [("retweets.csv", "ingest"), ("bias.csv", "bias"), ("outlets.csv", "ingest")],
+    "report": [
+        ("bias.csv", "bias"),
+        ("engagement.csv", "engagement"),
+        ("cluster_stats.csv", "network"),
+        ("clusters.csv", "network"),
+    ],
+    "simulate": [],
+}
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """Inputs and the artifacts of every pipeline stage."""
+    root = tmp_path_factory.mktemp("full")
+    sim, out = root / "sim", root / "run"
+    assert run("simulate", "--out", sim, "--n-outlets", 10, "--clusters", 2, "--seed", 3) == 0
+    assert run(*ingest_args(sim, out)) == 0
+    assert fit_fast(out) == 0
+    for stage in ("bias", "engagement", "network", "report"):
+        assert run(stage, "--out", out) == 0
+    return sim, out
+
+
+def accepted_options(command: str) -> set[str]:
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        flag[2:].replace("-", "_")
+        for action in sub.choices[command]._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help", "--config")
+    }
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+class TestStageTable:
+    def test_manifest_config_keys_are_the_accepted_options(self, command, full_run, tmp_path):
+        sim, full = full_run
+        out = tmp_path / "run"
+        shutil.copytree(full, out)
+        argv = {
+            "ingest": ingest_args(sim, out),
+            "fit": ["fit", "--out", out, "--iters", 40, "--burnin", 10, "--chains", 2],
+            "simulate": ["simulate", "--out", out, "--n-outlets", 4],
+        }.get(command, [command, "--out", out])
+        assert run(*argv) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["config"]) == accepted_options(command)
+
+    def test_each_missing_artifact_exits_3_naming_its_stage(
+        self, command, full_run, tmp_path, capsys
+    ):
+        _, full = full_run
+        out = tmp_path / "run"
+        shutil.copytree(full, out)
+        required = REQUIRED[command]
+        assert list(cli.STAGES[command].requires) == [name for name, _ in required]
+        for artifact, producer in required:
+            (out / artifact).rename(out / "held")
+            assert run(command, "--out", out) == 3, artifact
+            err = capsys.readouterr().err
+            assert f"'{artifact}'" in err and f"'{producer}' stage" in err, err
+            (out / "held").rename(out / artifact)
