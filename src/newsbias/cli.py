@@ -316,7 +316,7 @@ def _fit(opts: dict, out: Path) -> str:
     )
 
     rows = []
-    for event in EVENT_ORDER:
+    for k, event in enumerate(EVENT_ORDER):
         slice_ = tensor.event_slice(event)
         if slice_.sum() == 0:
             log.warning("no articles for event type '%s'; slice skipped", event.value)
@@ -331,7 +331,7 @@ def _fit(opts: dict, out: Path) -> str:
                 len(zero),
                 ", ".join(zero),
             )
-        draws = latent.run_chain(slice_, config, consts)
+        draws = latent.run_chain(slice_, config, consts, event_index=k)
         summary = latent.posterior_summary(draws, config.burn_in)
         worst = max(float(summary.alpha.rhat.max()), float(summary.x.rhat.max()))
         if worst > 1.05:

@@ -8,10 +8,12 @@ with y_ij ~ Poisson(lambda_ij) and
 where z = (-1, 0, 1) anchors the anti/neutral/pro classes, alpha_i is the
 outlet's baseline publishing intensity and x_i its latent stance. Priors are
 alpha_i ~ N(0, sd_alpha^2) (vague) and x_i ~ N(0, sd_x^2) (soft identification
-constraint). Inference is Metropolis-within-Gibbs: per iteration a random-walk
-Metropolis update of each alpha_i, then of each x_i, against their full
-conditionals. The conditionals factorize by outlet, so each sweep touches
-every parameter exactly once in ascending index order.
+constraint). Inference is Metropolis-within-Gibbs on beta_i = alpha_i +
+log S(x_i), S(x) = sum_j exp(-|x - z_j|), and x_i: the likelihood splits into
+Poisson(y_i. | e^beta_i) x Multinomial(y_i | pi(x_i)), which removes the
+alpha-x ridge, and the Jacobian is 1, so the (alpha, x) posterior is unchanged.
+The conditionals factorize by outlet, so each update moves every outlet of
+every chain in one array step.
 """
 
 from __future__ import annotations
@@ -123,9 +125,13 @@ class ParamSummary:
     n_draws: int
 
 
-def log_intensity(alpha_i: float, x_i: float, z_j: float) -> float:
-    """log lambda = alpha - |x - z|; the 1-D Euclidean distance is |x - z|."""
-    return alpha_i - abs(x_i - z_j)
+def log_intensity(alpha, x, z):
+    """log lambda = alpha - |x - z|; the 1-D Euclidean distance is |x - z|.
+
+    Broadcasts over numpy arrays; the likelihood, the simulator and the
+    sampler all take their log rates from here.
+    """
+    return alpha - np.abs(x - z)
 
 
 def _check_counts(Y_k, n_params: int | None = None) -> np.ndarray:
@@ -145,7 +151,7 @@ def log_likelihood(params: LatentParams, Y_k, consts: ModelConstants) -> float:
     """Poisson log likelihood, log(y!) included so values match pmf oracles."""
     Y = _check_counts(Y_k, params.alpha.shape[0])
     z = np.asarray(consts.stances)
-    loglam = params.alpha[:, None] - np.abs(params.x[:, None] - z[None, :])
+    loglam = log_intensity(params.alpha[:, None], params.x[:, None], z)
     return float(np.sum(Y * loglam - np.exp(loglam) - gammaln(Y + 1.0)))
 
 
@@ -187,10 +193,17 @@ def rwmh_update(
     lp_cur = (
         conditional_logpdf(current_value) if current_logpdf is None else current_logpdf
     )
-    delta = lp_prop - lp_cur
-    if delta >= 0.0 or u < math.exp(delta):
+    if _accept(lp_prop - lp_cur, u):
         return proposal, True
     return current_value, False
+
+
+def _accept(delta, u):
+    """Metropolis rule: accept iff u < exp(min(delta, 0)), u ~ U[0, 1).
+
+    Works elementwise on arrays; a NaN or -inf log ratio is a rejection.
+    """
+    return u < np.exp(np.minimum(delta, 0.0))
 
 
 # Acceptance-rate target and multiplicative step for burn-in proposal tuning.
@@ -203,127 +216,114 @@ _ADAPT_DOWN = 0.9
 _MAX_LOG_INTENSITY = 700.0
 
 
-def _sample_chain(
-    Y: np.ndarray, config: ChainConfig, consts: ModelConstants, chain_index: int
-):
-    n = Y.shape[0]
-    rng = np.random.default_rng(config.seed ^ chain_index)
-    z0, z1, z2 = (float(v) for v in consts.stances)
-    inv2va = 1.0 / (2.0 * consts.prior_sd_alpha**2)
-    inv2vx = 1.0 / (2.0 * consts.prior_sd_x**2)
-    rows = [(float(Y[i, 0]), float(Y[i, 1]), float(Y[i, 2])) for i in range(n)]
-
-    alpha = [0.0] * n
-    x_start = 0.5 if chain_index % 2 == 0 else -0.5
-    x = [x_start] * n
-    sd_a = [config.initial_proposal_sd] * n
-    sd_x = [config.initial_proposal_sd] * n
-    acc_a = [0] * n
-    acc_x = [0] * n
-    win_a = [0] * n
-    win_x = [0] * n
-
-    draws_a = np.empty((config.iterations, n))
-    draws_x = np.empty((config.iterations, n))
-    exp_ = math.exp
-
-    for h in range(1, config.iterations + 1):
-        for i in range(n):
-            y0, y1, y2 = rows[i]
-            xi = x[i]
-            d0 = abs(xi - z0)
-            d1 = abs(xi - z1)
-            d2 = abs(xi - z2)
-
-            def cond_alpha(a, y0=y0, y1=y1, y2=y2, d0=d0, d1=d1, d2=d2):
-                if a > _MAX_LOG_INTENSITY:
-                    return -math.inf
-                l0 = a - d0
-                l1 = a - d1
-                l2 = a - d2
-                return (
-                    y0 * l0
-                    + y1 * l1
-                    + y2 * l2
-                    - (exp_(l0) + exp_(l1) + exp_(l2))
-                    - a * a * inv2va
-                )
-
-            alpha[i], ok = rwmh_update(alpha[i], cond_alpha, sd_a[i], rng)
-            if ok:
-                acc_a[i] += 1
-                win_a[i] += 1
-
-        for i in range(n):
-            y0, y1, y2 = rows[i]
-            ai = alpha[i]
-
-            def cond_x(v, y0=y0, y1=y1, y2=y2, ai=ai):
-                l0 = ai - abs(v - z0)
-                l1 = ai - abs(v - z1)
-                l2 = ai - abs(v - z2)
-                return (
-                    y0 * l0
-                    + y1 * l1
-                    + y2 * l2
-                    - (exp_(l0) + exp_(l1) + exp_(l2))
-                    - v * v * inv2vx
-                )
-
-            x[i], ok = rwmh_update(x[i], cond_x, sd_x[i], rng)
-            if ok:
-                acc_x[i] += 1
-                win_x[i] += 1
-
-        draws_a[h - 1] = alpha
-        draws_x[h - 1] = x
-
-        if config.adapt and h <= config.burn_in and h % _ADAPT_EVERY == 0:
-            for i in range(n):
-                rate = win_a[i] / _ADAPT_EVERY
-                if rate > _ADAPT_TARGET:
-                    sd_a[i] *= _ADAPT_UP
-                elif rate < _ADAPT_TARGET:
-                    sd_a[i] *= _ADAPT_DOWN
-                rate = win_x[i] / _ADAPT_EVERY
-                if rate > _ADAPT_TARGET:
-                    sd_x[i] *= _ADAPT_UP
-                elif rate < _ADAPT_TARGET:
-                    sd_x[i] *= _ADAPT_DOWN
-            win_a = [0] * n
-            win_x = [0] * n
-
-    return draws_a, draws_x, np.array(acc_a), np.array(acc_x)
+def _stance_terms(x: np.ndarray, Y: np.ndarray, totals: np.ndarray, z: np.ndarray):
+    """log S(x) and the multinomial log likelihood sum_j y_j log pi_j(x)."""
+    log_rates = log_intensity(0.0, x[..., None], z)
+    log_s = np.log(np.exp(log_rates).sum(axis=-1))
+    return log_s, (Y * log_rates).sum(axis=-1) - totals * log_s
 
 
-def run_chain(Y_k, config: ChainConfig, consts: ModelConstants) -> ChainDraws:
-    """Run config.chains independent Metropolis-within-Gibbs chains.
+def _log_target(beta, x, log_s, multinomial, totals, consts: ModelConstants):
+    """Per-outlet log posterior in (beta, x), up to a constant.
 
-    Chain c uses an RNG seeded with config.seed XOR c, starts at alpha = 0 and
-    x = +0.5 / -0.5 (alternating by chain index, so multi-chain starts are
-    overdispersed in x), and sweeps alpha_1..alpha_N then x_1..x_N each
-    iteration. During burn-in, per-parameter proposal scales are rescaled
-    every 50 iterations toward a 0.44 acceptance rate (x1.1 if above, x0.9 if
-    below) and frozen afterwards. Identical inputs produce identical draws.
+    -inf where alpha = beta - log S(x) exceeds the log-intensity cap.
+    """
+    alpha = beta - log_s
+    lp = (
+        totals * beta
+        - np.exp(beta)
+        + multinomial
+        - alpha * alpha / (2.0 * consts.prior_sd_alpha**2)
+        - x * x / (2.0 * consts.prior_sd_x**2)
+    )
+    return np.where(alpha > _MAX_LOG_INTENSITY, -np.inf, lp)
+
+
+def run_chain(
+    Y_k, config: ChainConfig, consts: ModelConstants, *, event_index: int = 0
+) -> ChainDraws:
+    """Run config.chains independent Metropolis-within-Gibbs chains on (beta, x).
+
+    Chain c draws from default_rng(SeedSequence([config.seed, event_index, c])),
+    so each (seed, event type, chain) has its own stream. Chains start at
+    alpha = 0 and x = +0.5 / -0.5 (alternating by chain index, so multi-chain
+    starts are overdispersed in x). Each iteration moves every beta, then every
+    x, and records alpha = beta - log S(x). During burn-in, per-parameter
+    proposal scales are rescaled every 50 iterations toward a 0.44 acceptance
+    rate (x1.1 if above, x0.9 if below) and frozen afterwards. accepted_alpha
+    counts accepted beta moves. Identical inputs produce identical draws.
     """
     Y = _check_counts(Y_k)
-    out_a = np.empty((config.chains, config.iterations, Y.shape[0]))
+    n = Y.shape[0]
+    chains, iterations = config.chains, config.iterations
+    z = np.asarray(consts.stances)
+    totals = Y.sum(axis=1)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([config.seed, event_index, c]))
+        for c in range(chains)
+    ]
+
+    x = np.empty((chains, n))
+    x[0::2], x[1::2] = 0.5, -0.5
+    log_s, multinomial = _stance_terms(x, Y, totals, z)
+    beta = log_s.copy()
+    lp = _log_target(beta, x, log_s, multinomial, totals, consts)
+    # index 0 is beta, index 1 is x
+    scale = np.full((2, chains, n), config.initial_proposal_sd)
+    accepted = np.zeros((2, chains, n), dtype=np.int64)
+    window_start = accepted.copy()
+    noise = np.empty((chains, 2, n))
+    uniform = np.empty_like(noise)
+    out_a = np.empty((chains, iterations, n))
     out_x = np.empty_like(out_a)
-    acc_a = np.empty((config.chains, Y.shape[0]), dtype=np.int64)
-    acc_x = np.empty_like(acc_a)
-    for c in range(config.chains):
-        out_a[c], out_x[c], acc_a[c], acc_x[c] = _sample_chain(Y, config, consts, c)
-    return ChainDraws(alpha=out_a, x=out_x, accepted_alpha=acc_a, accepted_x=acc_x)
+
+    # exp(beta) may overflow and log S(x) underflow on far-out proposals;
+    # the resulting inf/NaN log ratios are rejections
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for h in range(iterations):
+            for c, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[c])
+                rng.random(out=uniform[c])
+
+            prop = beta + scale[0] * noise[:, 0]
+            lp_prop = _log_target(prop, x, log_s, multinomial, totals, consts)
+            ok = _accept(lp_prop - lp, uniform[:, 0])
+            beta = np.where(ok, prop, beta)
+            lp = np.where(ok, lp_prop, lp)
+            accepted[0] += ok
+
+            prop = x + scale[1] * noise[:, 1]
+            prop_s, prop_m = _stance_terms(prop, Y, totals, z)
+            lp_prop = _log_target(beta, prop, prop_s, prop_m, totals, consts)
+            ok = _accept(lp_prop - lp, uniform[:, 1])
+            x = np.where(ok, prop, x)
+            log_s = np.where(ok, prop_s, log_s)
+            multinomial = np.where(ok, prop_m, multinomial)
+            lp = np.where(ok, lp_prop, lp)
+            accepted[1] += ok
+
+            out_a[:, h] = beta - log_s
+            out_x[:, h] = x
+
+            if config.adapt and h < config.burn_in and (h + 1) % _ADAPT_EVERY == 0:
+                rate = (accepted - window_start) / _ADAPT_EVERY
+                window_start = accepted.copy()
+                scale[rate > _ADAPT_TARGET] *= _ADAPT_UP
+                scale[rate < _ADAPT_TARGET] *= _ADAPT_DOWN
+
+    return ChainDraws(
+        alpha=out_a, x=out_x, accepted_alpha=accepted[0], accepted_x=accepted[1]
+    )
 
 
-def _autocovariance(seqs: np.ndarray) -> np.ndarray:
-    """Biased per-chain autocovariances via FFT; seqs is (chains, n, N)."""
+def _mean_autocovariance(seqs: np.ndarray) -> np.ndarray:
+    """Chain-averaged biased autocovariances via FFT; seqs is (chains, n, N)."""
     n = seqs.shape[1]
     centered = seqs - seqs.mean(axis=1, keepdims=True)
     m = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(centered, m, axis=1)
-    acov = np.fft.irfft(f * np.conj(f), m, axis=1)[:, :n, :]
-    return acov / n
+    power = (f.real**2 + f.imag**2).mean(axis=0)
+    return np.fft.irfft(power, m, axis=0)[:n] / n
 
 
 def _split_rhat(seqs: np.ndarray) -> np.ndarray:
@@ -347,29 +347,25 @@ def _effective_sample_size(seqs: np.ndarray) -> np.ndarray:
     total = chains * n
     if n < 4:
         return np.full(n_params, float(total))
-    acov = _autocovariance(seqs)
+    mean_acov = _mean_autocovariance(seqs)
     w = seqs.var(axis=1, ddof=1).mean(axis=0)
-    mean_acov = acov.mean(axis=0)
     if chains > 1:
         b_over_n = seqs.mean(axis=1).var(axis=0, ddof=1)
     else:
         b_over_n = np.zeros(n_params)
     var_plus = (n - 1) / n * w + b_over_n
+    mixed = var_plus > 0
+    rho = 1.0 - (w[mixed] - mean_acov[:, mixed]) / var_plus[mixed]
+    # Geyer's initial monotone sequence: the pairs rho_{2k-1} + rho_{2k},
+    # 1 <= k < (n - 1) // 2, each capped by its predecessors, summed up to
+    # the first negative pair
+    end = 2 * ((n - 1) // 2)
+    pairs = rho[1 : end - 1 : 2] + rho[2:end:2]
+    positive = np.logical_and.accumulate(pairs >= 0, axis=0)
+    monotone = np.minimum.accumulate(pairs, axis=0)
+    tau = 1.0 + 2.0 * np.where(positive, monotone, 0.0).sum(axis=0)
     ess = np.full(n_params, float(total))
-    for p in range(n_params):
-        if var_plus[p] <= 0:
-            continue
-        rho = 1.0 - (w[p] - mean_acov[:, p]) / var_plus[p]
-        tau = 1.0
-        prev_pair = np.inf
-        for k in range(1, (n - 1) // 2):
-            pair = rho[2 * k - 1] + rho[2 * k]
-            if pair < 0:
-                break
-            pair = min(pair, prev_pair)
-            prev_pair = pair
-            tau += 2.0 * pair
-        ess[p] = min(float(total), total / tau)
+    ess[mixed] = np.minimum(float(total), total / tau)
     return ess
 
 
@@ -412,8 +408,8 @@ def simulate_counts(
     """Draw an N x 3 count slice from the model at the given parameters."""
     params = LatentParams(np.asarray(alpha_true, float), np.asarray(x_true, float))
     z = np.asarray(consts.stances)
-    lam = np.exp(params.alpha[:, None] - np.abs(params.x[:, None] - z[None, :]))
-    return rng.poisson(lam).astype(np.int64)
+    loglam = log_intensity(params.alpha[:, None], params.x[:, None], z)
+    return rng.poisson(np.exp(loglam)).astype(np.int64)
 
 
 @dataclass(frozen=True)

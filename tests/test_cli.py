@@ -5,6 +5,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newsbias import cli, corpus
@@ -323,3 +324,36 @@ class TestStageTable:
             err = capsys.readouterr().err
             assert f"'{artifact}'" in err and f"'{producer}' stage" in err, err
             (out / "held").rename(out / artifact)
+
+
+class TestStreams:
+    def test_events_and_seeds_draw_from_distinct_streams(self, tmp_path):
+        # equal anti and pro counts make the first alpha move blind to the
+        # +-0.5 stance start, so chains sharing a stream share a first row
+        rows = np.array([[20, 10, 20], [5, 40, 5], [30, 2, 30], [8, 8, 8]])
+        tensor = corpus.CountTensor(
+            tuple(f"o{i}" for i in range(4)), np.repeat(rows[:, :, None], 3, axis=2)
+        )
+        first_rows = {}
+        for seed in (0, 1):
+            out = tmp_path / f"seed{seed}"
+            out.mkdir()
+            with open(out / "counts.csv", "w", newline="") as handle:
+                corpus.write_count_tensor(tensor, handle)
+            assert run("fit", "--out", out, "--seed", seed, "--iters", 60, "--burnin", 10,
+                       "--chains", 4, "--dump-draws", "on") == 0
+            by_event = {}
+            for row in read_rows(out / "posterior.csv"):
+                by_event.setdefault(row["event_type"], []).append(
+                    (row["mean"], row["sd"], row["q05"], row["q95"])
+                )
+            assert len({tuple(v) for v in by_event.values()}) == 3
+            draws = read_rows(out / "draws_adverse.csv")
+            first_rows[seed] = [
+                [r["value"] for r in draws
+                 if r["chain"] == str(c) and r["iter"] == "0" and int(r["param_index"]) < 4]
+                for c in range(4)
+            ]
+        for chain_0 in first_rows[0]:
+            for chain_1 in first_rows[1]:
+                assert chain_0 != chain_1

@@ -202,6 +202,42 @@ class TestRunChain:
         assert np.corrcoef(alpha_true, summary.alpha.mean)[0, 1] > 0.9
         assert np.corrcoef(x_true, summary.x.mean)[0, 1] > 0.9
 
+    def test_c05_fixtures_converge(self):
+        # the acceptance c05 fixtures; sampling (alpha, x) directly crawled
+        # along the alpha - x ridge of outlets with x > 1 (R-hat up to 1.85)
+        for k in range(3):
+            rng = np.random.default_rng(100 + k)
+            alpha_true = rng.uniform(5.2, 6.2, 50)
+            x_true = rng.uniform(-0.9, 0.9, 50)
+            counts = simulate_counts(alpha_true, x_true, CONSTS, rng)
+            config = ChainConfig(iterations=5000, burn_in=1000, chains=4, seed=11 + k)
+            summary = posterior_summary(run_chain(counts, config, CONSTS), config.burn_in)
+            assert max(summary.alpha.rhat.max(), summary.x.rhat.max()) <= 1.05, k
+
+    def test_beta_x_target_is_the_alpha_x_posterior(self):
+        # beta = alpha + log S(x) has Jacobian 1, so target differences at
+        # the mapped points equal log posterior differences
+        rng = np.random.default_rng(8)
+        counts = rng.integers(0, 40, size=(5, 3)).astype(float)
+        totals = counts.sum(axis=1)
+
+        def target(params):
+            log_s, multinomial = latent._stance_terms(
+                params.x, counts, totals, np.asarray(CONSTS.stances)
+            )
+            beta = params.alpha + log_s
+            return latent._log_target(beta, params.x, log_s, multinomial, totals, CONSTS).sum()
+
+        for _ in range(10):
+            p1 = LatentParams(rng.normal(2, 1, 5), rng.normal(0, 1.5, 5))
+            p2 = LatentParams(rng.normal(2, 1, 5), rng.normal(0, 1.5, 5))
+            assert target(p1) - target(p2) == pytest.approx(
+                log_posterior(p1, counts, CONSTS) - log_posterior(p2, counts, CONSTS),
+                abs=1e-9,
+            )
+        capped = LatentParams(np.array([701.0, 0, 0, 0, 0]), np.zeros(5))
+        assert target(capped) == -math.inf
+
     def test_balanced_outlet_has_small_selection_index(self):
         # equal planted propensity for both polar event types must land the
         # outlet near the balance line after independent fits
