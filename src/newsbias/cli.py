@@ -423,6 +423,10 @@ def _network(opts: dict, out: Path) -> str:
     matrix = network.build_matrix(retweets)
     reliability = {p.outlet_id: p.reliability for p in registry}
     graph = network.build_graph(matrix, reliability)
+    if graph.n_edges == 0:
+        raise InputError(
+            "retweets.csv: no two outlets share a retweeter; cannot build the audience network"
+        )
     graph = network.threshold_graph(
         graph, strict=opts["strict_threshold"], drop_isolated=opts["drop_isolates"]
     )

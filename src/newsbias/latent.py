@@ -373,9 +373,11 @@ def _stats(seqs: np.ndarray) -> ParamStats:
     pooled = seqs.reshape(-1, seqs.shape[2])
     q05 = np.quantile(pooled, 0.05, axis=0)
     q95 = np.quantile(pooled, 0.95, axis=0)
-    # interval order is guaranteed; the mean may legitimately fall outside
-    # the central interval for skewed posteriors
-    assert (q05 <= q95).all()
+    # interval order is guaranteed for finite draws, so a violation is a bug
+    # upstream; the mean may legitimately fall outside the central interval
+    # for skewed posteriors
+    if not (q05 <= q95).all():
+        raise RuntimeError("posterior quantiles out of order: the draws are not finite")
     return ParamStats(
         mean=pooled.mean(axis=0),
         sd=pooled.std(axis=0, ddof=1),

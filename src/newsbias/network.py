@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import logging
 import math
-import statistics
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 from xml.sax.saxutils import escape, quoteattr
 
@@ -66,44 +67,88 @@ def cosine_weight(col_h, col_k) -> float:
     return min(1.0, max(0.0, float(h @ k) / math.sqrt(sq_h * sq_k)))
 
 
-@dataclass(frozen=True)
 class AudienceGraph:
-    """Undirected weighted outlet graph; edge keys are (u, v) with u < v."""
+    """Undirected weighted outlet graph stored as edge arrays over `nodes`.
 
-    nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], float]
-    reliability: dict[str, Reliability] | None = None
-    clusters: dict[str, int] | None = None
+    Edge i joins nodes[src[i]] and nodes[dst[i]] with float64 weight[i] in
+    (0, 1]. Its ids are ordered nodes[src[i]] < nodes[dst[i]] and edges are
+    sorted by that id pair, which for sorted nodes (as `build_graph` gives)
+    is row-major upper-triangle order; memory is linear in the edge count.
+    `AudienceGraph(nodes, edges={(u, v): w})` builds and checks a graph from
+    a dict, and `edges` is a read-only view of that form, built on first use
+    for tests and small callers.
+    """
 
-    def __post_init__(self):
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
+    def __init__(
+        self,
+        nodes: Sequence[str],
+        edges: Mapping[tuple[str, str], float] | None = None,
+        reliability: dict[str, Reliability] | None = None,
+        clusters: dict[str, int] | None = None,
+    ):
+        nodes = tuple(nodes)
+        index = {n: i for i, n in enumerate(nodes)}
+        if len(index) != len(nodes):
             raise ValueError("duplicate node ids")
-        for (u, v), w in self.edges.items():
-            if u >= v:
-                raise ValueError(f"edge key ({u!r}, {v!r}) must be ordered u < v")
-            if u not in known or v not in known:
-                raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-            if not 0.0 < w <= 1.0:
-                raise ValueError(f"edge weight {w} outside (0, 1]")
+        edges = edges or {}
+        keys = list(edges)
+        src = np.array([index.get(u, -1) for u, _ in keys], dtype=np.int64)
+        dst = np.array([index.get(v, -1) for _, v in keys], dtype=np.int64)
+        weight = np.array([edges[k] for k in keys], dtype=np.float64)
+        rank = np.empty(len(nodes), dtype=np.int64)
+        rank[sorted(range(len(nodes)), key=nodes.__getitem__)] = np.arange(len(nodes))
+        bad = (src < 0) | (dst < 0)
+        if bad.any():
+            u, v = keys[int(np.argmax(bad))]
+            raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
+        bad = rank[src] >= rank[dst]
+        if bad.any():
+            u, v = keys[int(np.argmax(bad))]
+            raise ValueError(f"edge key ({u!r}, {v!r}) must be ordered u < v")
+        bad = ~((weight > 0.0) & (weight <= 1.0))
+        if bad.any():
+            raise ValueError(f"edge weight {edges[keys[int(np.argmax(bad))]]} outside (0, 1]")
+        order = np.lexsort((rank[dst], rank[src]))
+        self.nodes = nodes
+        self.src, self.dst, self.weight = src[order], dst[order], weight[order]
+        self.reliability = reliability
+        self.clusters = clusters
+
+    @classmethod
+    def _from_arrays(cls, nodes, src, dst, weight, reliability=None, clusters=None):
+        """Graph from edge arrays already in the class's order; not re-checked."""
+        graph = cls.__new__(cls)
+        graph.nodes = nodes
+        graph.src, graph.dst, graph.weight = src, dst, weight
+        graph.reliability = reliability
+        graph.clusters = clusters
+        return graph
+
+    def __repr__(self) -> str:
+        return f"AudienceGraph({len(self.nodes)} nodes, {self.n_edges} edges)"
+
+    @cached_property
+    def edges(self) -> Mapping[tuple[str, str], float]:
+        """Read-only {(u, v): weight} in edge order; one Python object per edge."""
+        names = self.nodes
+        return MappingProxyType({
+            (names[a], names[b]): w
+            for a, b, w in zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())
+        })
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.weight)
 
-    def degrees(self) -> dict[str, int]:
-        deg = {n: 0 for n in self.nodes}
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+    def degrees(self) -> np.ndarray:
+        """Edge count per node, aligned with `nodes`."""
+        n = len(self.nodes)
+        return np.bincount(self.src, minlength=n) + np.bincount(self.dst, minlength=n)
 
-    def strengths(self) -> dict[str, float]:
-        s = {n: 0.0 for n in self.nodes}
-        for (u, v), w in self.edges.items():
-            s[u] += w
-            s[v] += w
-        return s
+    def strengths(self) -> np.ndarray:
+        """Summed edge weight per node, aligned with `nodes`."""
+        n = len(self.nodes)
+        return np.bincount(self.src, self.weight, n) + np.bincount(self.dst, self.weight, n)
 
 
 def build_graph(
@@ -112,30 +157,50 @@ def build_graph(
     """Cosine-similarity graph over outlets whose columns have positive norm.
 
     Zero-weight pairs (disjoint audiences) are omitted as edges; outlets that
-    were never retweeted are omitted as nodes.
+    were never retweeted are omitted as nodes. Weights come from the nonzero
+    upper triangle of the sparse Gram matrix; no dense N x N array is formed.
     """
     counts = matrix.counts.astype(np.float64)
     sq_norms = np.asarray(counts.multiply(counts).sum(axis=0)).ravel()
     keep = np.flatnonzero(sq_norms > 0)
-    kept = set(keep.tolist())
-    dropped = [o for j, o in enumerate(matrix.outlets) if j not in kept]
+    dropped = [matrix.outlets[j] for j in np.flatnonzero(sq_norms <= 0)]
     if dropped:
         log.info("dropping %d outlet(s) with no retweets: %s", len(dropped), ", ".join(dropped))
     nodes = tuple(matrix.outlets[j] for j in keep)
     sub = counts[:, keep]
-    gram = (sub.T @ sub).toarray()
-    weights = gram / np.sqrt(np.outer(sq_norms[keep], sq_norms[keep]))
-    weights = np.clip(weights, 0.0, 1.0)
-    edges: dict[tuple[str, str], float] = {}
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            w = float(weights[a, b])
-            if w > 0.0:
-                edges[(nodes[a], nodes[b])] = w
+    sq = sq_norms[keep]
+    gram = sparse.triu(sub.T @ sub, k=1, format="csr")
+    gram.sort_indices()
+    src = np.repeat(np.arange(len(nodes), dtype=np.int64), np.diff(gram.indptr))
+    dst = gram.indices.astype(np.int64)
+    weight = np.clip(gram.data / np.sqrt(sq[src] * sq[dst]), 0.0, 1.0)
+    positive = weight > 0.0
     rel = dict(reliability) if reliability is not None else None
     if rel is not None:
         rel = {n: rel[n] for n in nodes if n in rel}
-    return AudienceGraph(nodes=nodes, edges=edges, reliability=rel)
+    return AudienceGraph._from_arrays(
+        nodes, src[positive], dst[positive], weight[positive], reliability=rel
+    )
+
+
+def _exact_mean(weights: np.ndarray) -> float:
+    """Correctly rounded mean of floats in [0, 1], equal to `statistics.mean`.
+
+    Each weight is an integer mantissa m < 2**53 times 2**(e - 53) with
+    e <= 1. The mantissas are cut into 18-bit parts and summed per exponent
+    by `np.bincount`; every partial sum is an integer below n * 2**18, so
+    exact in float64 for n < 2**35. The parts then add up as Python ints to
+    the exact sum, and one integer division rounds sum / n once.
+    """
+    mantissa, exponent = np.frexp(weights)
+    mantissa = (mantissa * 2.0**53).astype(np.int64)
+    low = int(exponent.min())
+    exponent -= low
+    total = 0
+    for shift in (0, 18, 36):
+        sums = np.bincount(exponent, (mantissa >> shift) & 0x3FFFF)
+        total += sum(int(s) << (e + shift) for e, s in enumerate(sums.tolist()) if s)
+    return total / (len(weights) << (53 - low))
 
 
 def threshold_graph(
@@ -152,39 +217,39 @@ def threshold_graph(
     cutoff survive); strict=False also removes weight == cutoff. Nodes left
     isolated by edge removal are dropped unless drop_isolated=False.
     """
-    if not graph.edges:
+    if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    degrees = graph.degrees()
-    connected = tuple(n for n in graph.nodes if degrees[n] > 0)
-    n_isolated = len(graph.nodes) - len(connected)
-    # statistics.mean is exact (Fraction arithmetic), so a graph whose edges
-    # all carry the same weight keeps every edge under the strict cutoff
-    mean = cutoff if cutoff is not None else statistics.mean(graph.edges.values())
-    if strict:
-        kept_edges = {e: w for e, w in graph.edges.items() if w >= mean}
-    else:
-        kept_edges = {e: w for e, w in graph.edges.items() if w > mean}
-    touched = {u for u, _ in kept_edges} | {v for _, v in kept_edges}
-    if drop_isolated:
-        kept_nodes = tuple(n for n in connected if n in touched)
-    else:
-        kept_nodes = connected
+    connected = graph.degrees() > 0
+    n_connected = int(connected.sum())
+    # the mean is exact, so a graph whose edges all carry the same weight
+    # keeps every edge under the strict cutoff
+    mean = cutoff if cutoff is not None else _exact_mean(graph.weight)
+    kept_edges = graph.weight >= mean if strict else graph.weight > mean
+    src, dst = graph.src[kept_edges], graph.dst[kept_edges]
+    touched = np.zeros(len(graph.nodes), dtype=bool)
+    touched[src] = True
+    touched[dst] = True
+    kept = touched if drop_isolated else connected
     log.info(
         "threshold: %d nodes (%d isolated removed), mean weight %.6f, "
         "%d of %d edges kept, %d newly isolated node(s) %s",
-        len(connected),
-        n_isolated,
+        n_connected,
+        len(graph.nodes) - n_connected,
         mean,
-        len(kept_edges),
-        len(graph.edges),
-        len(connected) - len(touched & set(connected)),
+        len(src),
+        graph.n_edges,
+        n_connected - int(touched.sum()),
         "removed" if drop_isolated else "kept",
     )
+    kept_nodes = tuple(n for n, k in zip(graph.nodes, kept.tolist()) if k)
     rel = None
     if graph.reliability is not None:
-        kept = set(kept_nodes)
-        rel = {n: r for n, r in graph.reliability.items() if n in kept}
-    return AudienceGraph(nodes=kept_nodes, edges=kept_edges, reliability=rel)
+        names = set(kept_nodes)
+        rel = {n: r for n, r in graph.reliability.items() if n in names}
+    new_index = np.cumsum(kept) - 1
+    return AudienceGraph._from_arrays(
+        kept_nodes, new_index[src], new_index[dst], graph.weight[kept_edges], reliability=rel
+    )
 
 
 def modularity(graph: AudienceGraph, partition: Mapping[str, int]) -> float:
@@ -197,22 +262,15 @@ def modularity(graph: AudienceGraph, partition: Mapping[str, int]) -> float:
         if node not in partition:
             raise ValueError(f"partition does not cover node '{node}'")
     strengths = graph.strengths()
-    two_m = sum(strengths.values())
+    two_m = float(strengths.sum())
     if two_m == 0.0:
         raise ValueError("graph has zero total weight")
-    internal: dict[int, float] = {}
-    k_c: dict[int, float] = {}
-    for node in graph.nodes:
-        c = partition[node]
-        k_c[c] = k_c.get(c, 0.0) + strengths[node]
-    for (u, v), w in graph.edges.items():
-        if partition[u] == partition[v]:
-            c = partition[u]
-            internal[c] = internal.get(c, 0.0) + 2.0 * w
-    q = 0.0
-    for c, kc in k_c.items():
-        q += internal.get(c, 0.0) / two_m - (kc / two_m) ** 2
-    return q
+    ids: dict = {}
+    comm = np.array([ids.setdefault(partition[n], len(ids)) for n in graph.nodes], dtype=np.int64)
+    k_c = np.bincount(comm, strengths, len(ids))
+    inside = comm[graph.src] == comm[graph.dst]
+    internal = np.bincount(comm[graph.src[inside]], 2.0 * graph.weight[inside], len(ids))
+    return float(np.sum(internal / two_m - (k_c / two_m) ** 2))
 
 
 def _local_moves(
@@ -272,11 +330,18 @@ def louvain(graph: AudienceGraph, seed: int = 0) -> dict[str, int]:
         raise ValueError("graph has no nodes")
     rng = np.random.default_rng(seed)
     n = len(graph.nodes)
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
-    for (u, v), w in graph.edges.items():
-        adj[index[u]][index[v]] = w
-        adj[index[v]][index[u]] = w
+    # symmetric CSR with sorted column indices: each node's neighbours in
+    # ascending index order
+    sym = sparse.csr_array(
+        (
+            np.concatenate([graph.weight, graph.weight]),
+            (np.concatenate([graph.src, graph.dst]), np.concatenate([graph.dst, graph.src])),
+        ),
+        shape=(n, n),
+    )
+    sym.sort_indices()
+    bounds, cols, weights = sym.indptr.tolist(), sym.indices.tolist(), sym.data.tolist()
+    adj = [dict(zip(cols[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
     self_loops = [0.0] * n
     strengths = [sum(a.values()) for a in adj]
     two_m = sum(strengths)
@@ -395,7 +460,13 @@ CLUSTER_STATS_FIELDS = tuple(f.name for f in fields(ClusterStatsRow))
 
 
 def write_edges_csv(graph: AudienceGraph, stream: TextIO) -> None:
-    write_csv(EDGE_FIELDS, ((u, v, graph.edges[(u, v)]) for u, v in sorted(graph.edges)), stream)
+    names = graph.nodes
+    rows = zip(
+        map(names.__getitem__, graph.src.tolist()),
+        map(names.__getitem__, graph.dst.tolist()),
+        graph.weight.tolist(),
+    )
+    write_csv(EDGE_FIELDS, rows, stream)
 
 
 def write_clusters_csv(partition: Mapping[str, int], stream: TextIO) -> None:
@@ -418,7 +489,8 @@ def write_graphml(graph: AudienceGraph, stream: TextIO) -> None:
     if graph.clusters is not None:
         stream.write('  <key id="cluster" for="node" attr.name="cluster" attr.type="int"/>\n')
     stream.write('  <graph edgedefault="undirected">\n')
-    for node in graph.nodes:
+    ids = [quoteattr(node) for node in graph.nodes]
+    for node, node_id in zip(graph.nodes, ids):
         attrs = []
         if graph.reliability is not None and node in graph.reliability:
             attrs.append(
@@ -427,18 +499,21 @@ def write_graphml(graph: AudienceGraph, stream: TextIO) -> None:
         if graph.clusters is not None and node in graph.clusters:
             attrs.append(f'<data key="cluster">{graph.clusters[node]}</data>')
         if attrs:
-            stream.write(f"    <node id={quoteattr(node)}>{''.join(attrs)}</node>\n")
+            stream.write(f"    <node id={node_id}>{''.join(attrs)}</node>\n")
         else:
-            stream.write(f"    <node id={quoteattr(node)}/>\n")
-    for (u, v) in sorted(graph.edges):
-        stream.write(
-            f"    <edge source={quoteattr(u)} target={quoteattr(v)}>"
-            f'<data key="weight">{graph.edges[(u, v)]!r}</data></edge>\n'
-        )
+            stream.write(f"    <node id={node_id}/>\n")
+    stream.writelines(
+        f"    <edge source={ids[a]} target={ids[b]}>"
+        f'<data key="weight">{w!r}</data></edge>\n'
+        for a, b, w in zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist())
+    )
     stream.write("  </graph>\n")
     stream.write("</graphml>\n")
 
 
 def with_clusters(graph: AudienceGraph, partition: Mapping[str, int]) -> AudienceGraph:
     """Copy of the graph with cluster assignments attached."""
-    return replace(graph, clusters={n: partition[n] for n in graph.nodes})
+    return AudienceGraph._from_arrays(
+        graph.nodes, graph.src, graph.dst, graph.weight, graph.reliability,
+        clusters={n: partition[n] for n in graph.nodes},
+    )

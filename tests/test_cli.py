@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsbias import cli, corpus
+from newsbias import cli, corpus, latent
 from newsbias.cli import main
 
 
@@ -105,6 +105,32 @@ class TestPipeline:
         code = run("ingest", "--articles", articles, "--outlets", outlets, "--out", tmp_path)
         assert code == 2
         assert "provax" in capsys.readouterr().err
+
+    def test_retweets_without_shared_audience_exit_2(self, pipeline_dirs, capsys):
+        _, out = pipeline_dirs
+        assert fit_fast(out) == 0
+        assert run("bias", "--out", out) == 0
+        outlets = sorted({row["outlet_id"] for row in read_rows(out / "retweets.csv")})
+        with open(out / "retweets.csv", "w", newline="") as handle:
+            corpus.write_retweets(
+                [corpus.RetweetRecord(f"u{i}", o, 1) for i, o in enumerate(outlets)], handle
+            )
+        capsys.readouterr()
+        assert run("network", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "retweets.csv" in err and "share a retweeter" in err
+
+    def test_unordered_posterior_quantiles_exit_1(self, pipeline_dirs, monkeypatch, caplog):
+        _, out = pipeline_dirs
+
+        def nan_chain(counts, config, consts, event_index=0):
+            block = np.full((config.chains, config.iterations, len(counts)), np.nan)
+            zeros = np.zeros((config.chains, len(counts)), dtype=np.int64)
+            return latent.ChainDraws(block, block.copy(), zeros, zeros)
+
+        monkeypatch.setattr(latent, "run_chain", nan_chain)
+        assert fit_fast(out) == 1
+        assert "quantiles out of order" in caplog.text
 
 
 class TestWindowAndFormats:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,27 @@ class TestPosteriorSummary:
         assert (summary.alpha.q05 <= summary.alpha.q95).all()
         with pytest.raises(ValueError, match="at least 10"):
             posterior_summary(constant_draws(1.0, chains=1, iters=12), burn_in=9)
+
+    def test_unordered_quantiles_raise_even_under_optimize(self):
+        # NaN draws make q05 <= q95 false; the check must survive `python -O`
+        script = (
+            "import numpy as np\n"
+            "from newsbias import latent\n"
+            "block = np.full((2, 60, 1), np.nan)\n"
+            "zeros = np.zeros((2, 1), dtype=np.int64)\n"
+            "draws = latent.ChainDraws(block, block.copy(), zeros, zeros)\n"
+            "try:\n"
+            "    latent.posterior_summary(draws, burn_in=0)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(latent.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert "quantiles out of order" in result.stdout
 
 
 class TestSimulateCounts:

@@ -1,4 +1,7 @@
 import io
+import math
+import statistics
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 
 from oracle_helpers import brute_force_best_partition, dense_modularity
 
-from newsbias import network
+from newsbias import network, synth
 from newsbias.corpus import OutletProfile, Reliability, RetweetRecord
 from newsbias.metrics import BiasRow
 from newsbias.network import (
@@ -146,6 +149,32 @@ class TestBuildGraph:
             oracle = float(h @ k) / (np.linalg.norm(h) * np.linalg.norm(k))
             assert abs(w - oracle) < 1e-12
 
+    def test_equals_dense_pair_loop(self):
+        # reference: dense Gram matrix, elementwise cosine, one loop over
+        # pairs; integer counts make every Gram entry exact, so the weights
+        # must match bit for bit
+        rng = np.random.default_rng(14)
+        records = [
+            RetweetRecord(f"u{rng.integers(40)}", f"o{rng.integers(25):02d}", int(rng.integers(1, 6)))
+            for _ in range(300)
+        ]
+        matrix = build_matrix(records)
+        dense = matrix.counts.toarray().astype(np.float64)
+        sq = (dense * dense).sum(axis=0)
+        weights = np.clip(dense.T @ dense / np.sqrt(np.outer(sq, sq)), 0.0, 1.0)
+        names = matrix.outlets
+        expected = [
+            (names[a], names[b], float(weights[a, b]))
+            for a in range(len(names)) for b in range(a + 1, len(names))
+            if weights[a, b] > 0.0
+        ]
+        graph = build_graph(matrix)
+        found = list(zip(
+            [graph.nodes[i] for i in graph.src], [graph.nodes[i] for i in graph.dst],
+            graph.weight.tolist(),
+        ))
+        assert found == expected
+
     def test_never_retweeted_outlet_dropped(self):
         matrix = build_matrix([RetweetRecord("u1", "o1", 1)])
         extended = network.RetweetMatrix(
@@ -218,6 +247,77 @@ class TestThresholdGraph:
     def test_edgeless_graph_errors(self):
         with pytest.raises(ValueError, match="no edges"):
             threshold_graph(AudienceGraph(nodes=("a",), edges={}))
+
+
+def path_graph(weights) -> AudienceGraph:
+    """Path n000 - n001 - ... whose i-th edge carries weights[i]."""
+    nodes = tuple(f"n{i:03d}" for i in range(len(weights) + 1))
+    return AudienceGraph(
+        nodes=nodes, edges={(nodes[i], nodes[i + 1]): w for i, w in enumerate(weights)}
+    )
+
+
+def weights_at_their_mean(rng, count):
+    """`count` weight sets whose last weight is their exact mean, which
+    fsum(w) / n misses by at least one rounding step."""
+    found = []
+    while len(found) < count:
+        head = rng.uniform(0.01, 1.0, int(rng.integers(2, 40))).tolist()
+        weights = head + [statistics.mean(head)]
+        mean = statistics.mean(weights)
+        if mean == weights[-1] and math.fsum(weights) / len(weights) != mean:
+            found.append(weights)
+    return found
+
+
+class TestExactCutoff:
+    def test_cutoff_is_the_exact_mean(self):
+        for weights in weights_at_their_mean(np.random.default_rng(20), 8):
+            graph = path_graph(weights)
+            mean = statistics.mean(weights)
+            at_mean = (graph.nodes[-2], graph.nodes[-1])
+            strict = threshold_graph(graph)
+            assert strict.edges == {e: w for e, w in graph.edges.items() if w >= mean}
+            assert at_mean in strict.edges
+            inclusive = threshold_graph(graph, strict=False)
+            assert inclusive.edges == {e: w for e, w in graph.edges.items() if w > mean}
+            assert at_mean not in inclusive.edges
+
+    def test_equal_weights_keep_every_edge_under_strict(self):
+        for n_edges in range(3, 51):
+            graph = path_graph([0.1] * n_edges)
+            out = threshold_graph(graph)
+            assert out.edges == graph.edges
+            assert out.nodes == graph.nodes
+
+    def test_inclusive_cutoff_drops_equal_weights(self):
+        for n_edges in (3, 7, 50):
+            out = threshold_graph(path_graph([0.1] * n_edges), strict=False)
+            assert out.n_edges == 0 and out.nodes == ()
+
+
+class TestMemoryBound:
+    def test_pair_audiences_stay_far_below_dense(self):
+        # outlets 2i and 2i+1 share one retweeter and nothing else, so the
+        # graph has n / 2 edges among n(n-1)/2 pairs
+        n = 1500
+        records = []
+        for i in range(0, n, 2):
+            records += [
+                RetweetRecord(f"u{i}", f"o{i:04d}", 1 + i % 3),
+                RetweetRecord(f"u{i}", f"o{i + 1:04d}", 2),
+                RetweetRecord(f"v{i}", f"o{i:04d}", 1),
+            ]
+        matrix = build_matrix(records)
+        tracemalloc.start()
+        try:
+            graph = threshold_graph(build_graph(matrix))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < graph.n_edges <= n // 2
+        # one dense n x n float64 array is 18 MB
+        assert peak < n * n * 8 / 20
 
 
 class TestLouvain:
@@ -303,6 +403,42 @@ class TestModularity:
             modularity(graph, {"a": 0})
         with pytest.raises(ValueError, match="zero total weight"):
             modularity(AudienceGraph(nodes=("a",), edges={}), {"a": 0})
+
+
+class TestNetworkxCrossCheck:
+    @staticmethod
+    def networkx_modularity(nx, graph, partition):
+        g = nx.Graph()
+        g.add_nodes_from(graph.nodes)
+        g.add_weighted_edges_from((u, v, w) for (u, v), w in graph.edges.items())
+        communities = {}
+        for node, c in partition.items():
+            communities.setdefault(c, set()).add(node)
+        return nx.algorithms.community.modularity(g, communities.values(), weight="weight")
+
+    def test_random_weighted_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(21)
+        for seed in range(20):
+            graph = random_graph(rng, n=int(rng.integers(4, 16)), p=0.4)
+            labels = rng.integers(0, 4, len(graph.nodes))
+            for partition in (
+                {n: int(c) for n, c in zip(graph.nodes, labels)},
+                louvain(graph, seed=seed),
+            ):
+                assert modularity(graph, partition) == pytest.approx(
+                    self.networkx_modularity(nx, graph, partition), abs=1e-12
+                )
+
+    def test_louvain_partition_of_synthetic_pipeline(self):
+        nx = pytest.importorskip("networkx")
+        data = synth.generate(n_outlets=60, n_clusters=3, seed=4)
+        graph = threshold_graph(build_graph(build_matrix(data.retweets)))
+        partition = louvain(graph, seed=5)
+        assert len(set(partition.values())) >= 3
+        assert modularity(graph, partition) == pytest.approx(
+            self.networkx_modularity(nx, graph, partition), abs=1e-12
+        )
 
 
 def bias_row(outlet, x_adv=0.0, x_pos=0.0, selection=0.0, lean=False):
@@ -401,6 +537,18 @@ class TestExports:
         edge = graph_el.find(f"{ns}edge")
         assert edge.get("source") == "a" and edge.get("target") == "b"
         assert edge.find(f"{ns}data").text == "0.5"
+
+    def test_dict_graph_written_in_id_order(self):
+        graph = AudienceGraph(
+            nodes=("c", "a", "b"),
+            edges={("b", "c"): 0.25, ("a", "c"): 0.5, ("a", "b"): 1.0},
+        )
+        buf = io.StringIO()
+        network.write_edges_csv(graph, buf)
+        assert buf.getvalue() == "src,dst,weight\na,b,1.0\na,c,0.5\nb,c,0.25\n"
+        assert list(graph.edges) == [("a", "b"), ("a", "c"), ("b", "c")]
+        assert graph.degrees().tolist() == [2, 2, 2]
+        assert graph.strengths().tolist() == [0.75, 1.5, 1.25]
 
     def test_graph_invariants_enforced(self):
         with pytest.raises(ValueError, match="ordered"):
