@@ -1,7 +1,8 @@
 """Selection index, adjusted engagement, and bias-vs-engagement regressions.
 
 Inputs are posterior point estimates (means) from the latent fits plus the
-raw corpus records; everything here is closed-form arithmetic.
+raw corpus articles (an ArticleTable or records); everything here is
+closed-form arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import EVENT_ORDER, ArticleRecord, EventType, FollowerRecord
+from .corpus import EVENT_ORDER, ArticleRecord, ArticleTable, EventType, FollowerRecord
 
 log = logging.getLogger(__name__)
 
@@ -191,22 +192,31 @@ def build_engagement_table(
     follower data, with zero average followers, or with no articles of an
     event type produce no row (logged).
     """
-    if not articles:
+    table = ArticleTable.from_records(articles)
+    if not len(table):
         return []
     if window is None:
-        dates = [a.date for a in articles]
-        window = (min(dates), max(dates))
-    kept = [a for a in articles if window[0] <= a.date <= window[1]]
+        window = (
+            datetime.date.fromordinal(int(table.date.min())),
+            datetime.date.fromordinal(int(table.date.max())),
+        )
+    kept = table.take(
+        (table.date >= window[0].toordinal()) & (table.date <= window[1].toordinal())
+    )
     followers = average_followers(follower_records, window, duration_weighted)
 
-    contents: dict[tuple[str, EventType], int] = {}
-    interactions: dict[tuple[str, EventType], int] = {}
-    for a in kept:
-        key = (a.outlet_id, a.event)
-        contents[key] = contents.get(key, 0) + 1
-        interactions[key] = interactions.get(key, 0) + a.interactions
+    # group g = outlet code * 3 + event position
+    groups = kept.outlet.astype(np.intp) * 3 + kept.event
+    n_groups = 3 * len(kept.outlet_ids)
+    contents = np.bincount(groups, minlength=n_groups).tolist()
+    interactions = kept.interaction_totals(groups, n_groups)
+    present = {
+        oid: code
+        for code, oid in enumerate(kept.outlet_ids)
+        if any(contents[3 * code : 3 * code + 3])
+    }
 
-    missing = sorted({oid for oid, _ in contents} - set(followers))
+    missing = sorted(set(present) - set(followers))
     if missing:
         log.warning(
             "no follower data in window for %d outlet(s): %s",
@@ -214,19 +224,19 @@ def build_engagement_table(
             ", ".join(missing),
         )
     rows = []
-    for oid in sorted({oid for oid, _ in contents}):
+    for oid in sorted(present):
         f = followers.get(oid)
         if f is None:
             continue
         if f <= 0:
             log.warning("outlet '%s' has zero average followers; skipped", oid)
             continue
-        for event in EVENT_ORDER:
-            key = (oid, event)
-            if key not in contents:
+        for k, event in enumerate(EVENT_ORDER):
+            g = 3 * present[oid] + k
+            c = contents[g]
+            if c == 0:
                 continue
-            c = contents[key]
-            i = interactions[key]
+            i = interactions[g]
             rows.append(
                 EngagementRecord(
                     outlet_id=oid,

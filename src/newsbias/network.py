@@ -136,6 +136,11 @@ class AudienceGraph:
             for a, b, w in zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())
         })
 
+    @cached_property
+    def weight_text(self) -> list[str]:
+        """Each edge weight as written to edges.csv and GraphML: its float repr."""
+        return list(map(repr, self.weight.tolist()))
+
     @property
     def n_edges(self) -> int:
         return len(self.weight)
@@ -464,7 +469,7 @@ def write_edges_csv(graph: AudienceGraph, stream: TextIO) -> None:
     rows = zip(
         map(names.__getitem__, graph.src.tolist()),
         map(names.__getitem__, graph.dst.tolist()),
-        graph.weight.tolist(),
+        graph.weight_text,
     )
     write_csv(EDGE_FIELDS, rows, stream)
 
@@ -504,8 +509,8 @@ def write_graphml(graph: AudienceGraph, stream: TextIO) -> None:
             stream.write(f"    <node id={node_id}/>\n")
     stream.writelines(
         f"    <edge source={ids[a]} target={ids[b]}>"
-        f'<data key="weight">{w!r}</data></edge>\n'
-        for a, b, w in zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist())
+        f'<data key="weight">{w}</data></edge>\n'
+        for a, b, w in zip(graph.src.tolist(), graph.dst.tolist(), graph.weight_text)
     )
     stream.write("  </graph>\n")
     stream.write("</graphml>\n")

@@ -1,12 +1,25 @@
 """Independent reference implementations used only to check the package.
 
 Everything here recomputes results from first principles (dense arithmetic,
-exhaustive enumeration) without calling the code under test.
+exhaustive enumeration, one record at a time) without calling the code under
+test. The row-by-row article parser shares the package's row reader and
+field validators; what it checks is the columnar coding built on them.
 """
 
 from math import comb
 
 import numpy as np
+
+from newsbias import corpus, metrics
+from newsbias.corpus import (
+    EVENT_ORDER,
+    NARRATIVE_ORDER,
+    ArticleRecord,
+    EventType,
+    Narrative,
+    Platform,
+    Reliability,
+)
 
 
 def dense_modularity(nodes, edges, partition) -> float:
@@ -89,3 +102,114 @@ def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:
     expected = sum_a * sum_b / comb(n, 2)
     max_index = (sum_a + sum_b) / 2.0
     return (sum_nij - expected) / (max_index - expected)
+
+
+def parse_articles_by_row(stream, format="csv") -> list[ArticleRecord]:
+    """Article records parsed one row at a time, in input order."""
+    records = []
+    for line, row in corpus._iter_rows(stream, format, corpus.ARTICLE_FIELDS):
+        records.append(
+            ArticleRecord(
+                outlet_id=str(row["outlet_id"]),
+                platform=corpus._parse_enum(Platform, row["platform"], "platform", line),
+                date=corpus._parse_date(row["date"], "date", line),
+                narrative=corpus._parse_enum(
+                    Narrative, row["narrative"], "narrative label", line
+                ),
+                event=corpus._parse_enum(EventType, row["event"], "event label", line),
+                interactions=corpus._parse_int(row["interactions"], "interactions", line),
+            )
+        )
+    return records
+
+
+def aggregate_counts_by_row(articles, registry) -> corpus.CountTensor:
+    """Outlet x narrative x event counts, one article at a time."""
+    index = {p.outlet_id: i for i, p in enumerate(registry)}
+    counts = np.zeros((len(index), 3, 3), dtype=np.int64)
+    for article in articles:
+        i = index.get(article.outlet_id)
+        if i is None:
+            raise ValueError(
+                f"article references unregistered outlet '{article.outlet_id}'"
+            )
+        j = NARRATIVE_ORDER.index(article.narrative)
+        k = EVENT_ORDER.index(article.event)
+        counts[i, j, k] += 1
+    return corpus.CountTensor(tuple(p.outlet_id for p in registry), counts)
+
+
+def dataset_breakdown_by_row(articles, registry) -> corpus.BreakdownTable:
+    """Per-reliability-class totals and shares, one article at a time."""
+    if not articles:
+        raise ValueError("no articles")
+    reliability = {p.outlet_id: p.reliability for p in registry}
+    sources = {Reliability.QUESTIONABLE: 0, Reliability.RELIABLE: 0}
+    contents = {Reliability.QUESTIONABLE: 0, Reliability.RELIABLE: 0}
+    interactions = {Reliability.QUESTIONABLE: 0, Reliability.RELIABLE: 0}
+    for profile in registry:
+        sources[profile.reliability] += 1
+    for article in articles:
+        cls = reliability.get(article.outlet_id)
+        if cls is None:
+            raise ValueError(
+                f"article references unregistered outlet '{article.outlet_id}'"
+            )
+        contents[cls] += 1
+        interactions[cls] += article.interactions
+    tot_sources = sum(sources.values())
+    tot_contents = sum(contents.values())
+    tot_interactions = sum(interactions.values())
+
+    def row(category, cls):
+        if cls is None:
+            s, c, i = tot_sources, tot_contents, tot_interactions
+        else:
+            s, c, i = sources[cls], contents[cls], interactions[cls]
+        return corpus.BreakdownRow(
+            category=category,
+            sources=s,
+            contents=c,
+            interactions=i,
+            sources_pct=100.0 * s / tot_sources if tot_sources else 0.0,
+            contents_pct=100.0 * c / tot_contents,
+            interactions_pct=100.0 * i / tot_interactions if tot_interactions else 0.0,
+        )
+
+    return corpus.BreakdownTable(
+        questionable=row("questionable", Reliability.QUESTIONABLE),
+        reliable=row("reliable", Reliability.RELIABLE),
+        total=row("total", None),
+    )
+
+
+def build_engagement_table_by_row(articles, follower_records, window=None,
+                                  duration_weighted=False):
+    """Per (outlet, event type) adjusted engagement, one article at a time."""
+    if not articles:
+        return []
+    if window is None:
+        dates = [a.date for a in articles]
+        window = (min(dates), max(dates))
+    kept = [a for a in articles if window[0] <= a.date <= window[1]]
+    followers = metrics.average_followers(follower_records, window, duration_weighted)
+    contents, interactions = {}, {}
+    for a in kept:
+        key = (a.outlet_id, a.event)
+        contents[key] = contents.get(key, 0) + 1
+        interactions[key] = interactions.get(key, 0) + a.interactions
+    rows = []
+    for oid in sorted({oid for oid, _ in contents}):
+        f = followers.get(oid)
+        if f is None or f <= 0:
+            continue
+        for event in EVENT_ORDER:
+            key = (oid, event)
+            if key not in contents:
+                continue
+            c, i = contents[key], interactions[key]
+            rows.append(metrics.EngagementRecord(
+                outlet_id=oid, event=event, contents=c, interactions=i, followers=f,
+                engagement=metrics.adjusted_engagement(i, c, f),
+            ))
+    return rows

@@ -106,6 +106,23 @@ class TestPipeline:
         assert code == 2
         assert "provax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts, message", [
+        ((2**63,), "interactions must be <= 9223372036854775807, got '9223372036854775808' at line 3"),
+        ((2**62, 2**62 - 1), "interactions total 9223372036854775808 exceeds 9223372036854775807"),
+    ])
+    def test_interactions_beyond_int64_exit_2(self, tmp_path, capsys, counts, message):
+        articles = tmp_path / "articles.csv"
+        articles.write_text(
+            "outlet_id,platform,date,narrative,event,interactions\n"
+            "o1,twitter,2021-01-01,pro,adverse,1\n"
+            + "".join(f"o1,twitter,2021-01-01,pro,adverse,{n}\n" for n in counts)
+        )
+        outlets = tmp_path / "outlets.csv"
+        outlets.write_text("outlet_id,name,reliability,kind\no1,One,reliable,\n")
+        code = run("ingest", "--articles", articles, "--outlets", outlets, "--out", tmp_path)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_retweets_without_shared_audience_exit_2(self, pipeline_dirs, capsys):
         _, out = pipeline_dirs
         assert fit_fast(out) == 0

@@ -1,5 +1,7 @@
+import csv
 import datetime
 import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsbias import corpus
+import oracle_helpers
+from newsbias import corpus, metrics, synth
 from newsbias.corpus import (
     EVENT_ORDER,
     NARRATIVE_ORDER,
@@ -345,3 +348,194 @@ class TestRecordInvariants:
             corpus.CountTensor(("o1",), np.zeros((2, 3, 3), dtype=int))
         with pytest.raises(ValueError, match=">= 0"):
             corpus.CountTensor(("o1",), np.full((1, 3, 3), -1))
+
+
+# outlet ids that need quoting, span lines or read back as other JSON types
+CSV_OUTLETS = ("o1", "o2", "a,b", 'say "hi"', "two\nlines", "", " pad ", "1")
+JSON_OUTLETS = ("o1", "a,b", 'say "hi"', "1", 1, 1.0, True, "True", 0.0, -0.0, None)
+FAULTS = ("enum", "date", "noncanonical", "negative", "bool", "fields")
+
+
+def random_values(rng, outlets):
+    day = datetime.date(2020, 1, 1) + datetime.timedelta(days=int(rng.integers(0, 731)))
+    return [
+        outlets[rng.integers(len(outlets))],
+        corpus.PLATFORMS[rng.integers(4)].value,
+        day.isoformat() if rng.random() < 0.9 else day.strftime("%Y%m%d"),
+        NARRATIVE_ORDER[rng.integers(3)].value,
+        EVENT_ORDER[rng.integers(3)].value,
+        int(rng.integers(0, 50)) if rng.random() < 0.8 else int(rng.integers(0, 2**62)),
+    ]
+
+
+def inject(rng, rows, fmt):
+    """Put at most two faults at random rows and fields."""
+    for _ in range(rng.integers(0, 3)):
+        if not rows:
+            break
+        values = rows[rng.integers(len(rows))]
+        fault = FAULTS[rng.integers(len(FAULTS))]
+        if len(values) != 6:
+            continue
+        if fault == "enum":
+            values[(1, 3, 4)[rng.integers(3)]] = ("bogus", "PRO", "", "Twitter")[rng.integers(4)]
+        elif fault == "date":
+            values[2] = ("2021-02-30", "03/01/2021", "2021-3-1", "")[rng.integers(4)]
+        elif fault == "noncanonical":
+            values[5] = ("007", "+5", "5.0", "1e3", "0x10")[rng.integers(5)]
+        elif fault == "negative":
+            values[5] = -int(rng.integers(1, 100))
+        elif fault == "bool":
+            values[5] = True if fmt == "jsonl" else "true"
+        elif rng.random() < 0.5:
+            values.pop(rng.integers(6))
+        else:
+            values.append("x")
+
+
+def render(rng, rows, fmt) -> str:
+    newline = "\r\n" if rng.random() < 0.5 else "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator=newline)
+        writer.writerow(corpus.ARTICLE_FIELDS)
+    for values in rows:
+        if rng.random() < 0.1:  # a blank line; JSONL also skips whitespace-only lines
+            out.write(newline if fmt == "csv" or rng.random() < 0.5 else "  " + newline)
+        if fmt == "csv":
+            writer.writerow(values)
+            continue
+        keys = list(corpus.ARTICLE_FIELDS)
+        if len(values) < 6:
+            keys.remove(keys[rng.integers(6)])
+        elif len(values) > 6:
+            keys.append("extra")
+        obj = dict(zip(keys, values))
+        if "interactions" in obj and type(obj["interactions"]) is int and rng.random() < 0.2:
+            obj["interactions"] = (float, str)[rng.integers(2)](obj["interactions"])
+        out.write(json.dumps(obj) + newline)
+    return out.getvalue()
+
+
+def outcome(parse, text, fmt):
+    try:
+        return "ok", list(parse(io.StringIO(text, newline=""), fmt))
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+
+
+class TestParserParity:
+    def test_random_inputs_match_row_by_row_reference(self):
+        rng = np.random.default_rng(2024)
+        errors = 0
+        for _ in range(300):
+            for fmt, outlets in (("csv", CSV_OUTLETS), ("jsonl", JSON_OUTLETS)):
+                rows = [random_values(rng, outlets) for _ in range(rng.integers(0, 40))]
+                inject(rng, rows, fmt)
+                text = render(rng, rows, fmt)
+                expected = outcome(oracle_helpers.parse_articles_by_row, text, fmt)
+                assert outcome(corpus.parse_articles, text, fmt) == expected, text
+                errors += expected[0] == "error"
+        assert 150 < errors < 450  # both outcomes are exercised
+
+    def test_later_malformed_row_loses_to_earlier_bad_value(self):
+        text = ARTICLE_HEADER + "o1,twitter,2021-03-01,anti,bogus,1\n" + "o1,twitter\n"
+        with pytest.raises(ParseError, match=r"unknown event label 'bogus' at line 2"):
+            corpus.parse_articles(io.StringIO(text), "csv")
+
+    def test_error_in_a_later_chunk_names_its_line(self):
+        good = "o1,twitter,2021-03-01,anti,adverse,1\n"
+        n = 3 * corpus._CHUNK_ROWS
+        text = ARTICLE_HEADER + good * n + "o1,twitter,2021-03-01,anti,adverse,01\n"
+        with pytest.raises(ParseError, match=rf"invalid interactions '01' at line {n + 2}"):
+            corpus.parse_articles(io.StringIO(text), "csv")
+
+    def test_jsonl_values_are_coded_by_type(self):
+        fields = '"platform": "twitter", "date": "2021-03-01", "narrative": "pro", "event": "neutral"'
+        text = "".join(
+            f'{{"outlet_id": {oid}, {fields}, "interactions": {n}}}\n'
+            for oid, n in (("1", "1"), ('"1"', "1.0"), ("true", "2"), ("-0.0", "3"), ("0.0", "4"))
+        )
+        table = corpus.parse_articles(io.StringIO(text), "jsonl")
+        assert [(a.outlet_id, a.interactions) for a in table] == [
+            ("1", 1), ("1", 1), ("True", 2), ("-0.0", 3), ("0.0", 4)
+        ]
+        assert table.outlet_ids == ("1", "True", "-0.0", "0.0")
+        bad = text + f'{{"outlet_id": 1, {fields}, "interactions": true}}\n'
+        with pytest.raises(ParseError, match="invalid interactions 'True' at line 6"):
+            corpus.parse_articles(io.StringIO(bad), "jsonl")
+
+
+class TestArticleTable:
+    def test_sequence_of_records(self):
+        records = [
+            make_article("o2", Narrative.ANTI, EventType.NEUTRAL, 3, day=2),
+            make_article("o1", Narrative.NEUTRAL, EventType.ADVERSE, 0, day=9),
+            make_article("o2", Narrative.PRO, EventType.POSITIVE, 7, day=4),
+        ]
+        table = corpus.ArticleTable.from_records(records)
+        assert len(table) == 3 and table == records and records == table
+        assert table[1] == records[1] and table[-1] == records[-1]
+        assert table[1:] == records[1:] and isinstance(table[1:], corpus.ArticleTable)
+        assert table.outlet_ids == ("o2", "o1")
+        assert table.outlet.tolist() == [0, 1, 0]
+        assert table.date.tolist() == [r.date.toordinal() for r in records]
+        assert corpus.ArticleTable.from_records(table) is table
+        assert table != records[:2] and table != "o2"
+        with pytest.raises(ValueError):
+            table.interactions[0] = 1
+
+    def test_aggregates_match_row_loops_on_a_window(self):
+        data = synth.generate(n_outlets=30, n_clusters=3, seed=11)
+        buf = io.StringIO()
+        corpus.write_articles(data.articles, buf)
+        buf.seek(0)
+        table = corpus.parse_articles(buf, "csv")
+        assert table == data.articles
+        window = (datetime.date(2020, 4, 1), datetime.date(2021, 5, 31))
+        kept = corpus.filter_articles(table, *window)
+        rows = [a for a in data.articles if window[0] <= a.date <= window[1]]
+        assert 0 < len(kept) < len(table) and kept == rows
+
+        tensor = corpus.aggregate_counts(kept, data.outlets)
+        expected = oracle_helpers.aggregate_counts_by_row(rows, data.outlets)
+        assert tensor.outlets == expected.outlets
+        assert tensor.counts.dtype == expected.counts.dtype
+        assert np.array_equal(tensor.counts, expected.counts)
+        assert corpus.dataset_breakdown(kept, data.outlets) == (
+            oracle_helpers.dataset_breakdown_by_row(rows, data.outlets)
+        )
+        for win in (window, None):
+            assert metrics.build_engagement_table(table, data.followers, win) == (
+                oracle_helpers.build_engagement_table_by_row(data.articles, data.followers, win)
+            )
+
+
+class TestInt64Bound:
+    def test_interactions_beyond_int64_rejected_with_line(self):
+        top = corpus.INT64_MAX
+        ok = corpus.parse_articles(
+            io.StringIO(ARTICLE_HEADER + f"o1,twitter,2021-03-01,anti,adverse,{top}\n"), "csv"
+        )
+        assert ok[0].interactions == top
+        text = ARTICLE_HEADER + "o1,twitter,2021-03-01,anti,adverse,1\n" + (
+            f"o1,twitter,2021-03-01,anti,adverse,{top + 1}\n"
+        )
+        with pytest.raises(ParseError, match=rf"interactions must be <= {top}, got '{top + 1}' at line 3"):
+            corpus.parse_articles(io.StringIO(text), "csv")
+        with pytest.raises(ValueError, match=rf"record 1: interactions must be <= {top}"):
+            corpus.ArticleTable.from_records([make_article(), make_article(interactions=top + 1)])
+
+    def test_totals_raise_instead_of_wrapping(self):
+        big = [make_article("o1", interactions=2**62), make_article("o1", interactions=2**62)]
+        with pytest.raises(ValueError, match="exceeds"):
+            corpus.dataset_breakdown(big, make_registry("o1"))
+        window = (datetime.date(2021, 3, 1), datetime.date(2021, 3, 31))
+        followers = [FollowerRecord("o1", Platform.TWITTER, *window, 10)]
+        with pytest.raises(ValueError, match="exceeds"):
+            metrics.build_engagement_table(big, followers, window)
+        # a class or group total just inside the range is exact
+        fits = [make_article("o1", interactions=2**62), make_article("o1", interactions=2**62 - 1)]
+        assert corpus.dataset_breakdown(fits, make_registry("o1")).total.interactions == 2**63 - 1
+        (row,) = metrics.build_engagement_table(fits, followers, window)
+        assert row.interactions == 2**63 - 1

@@ -557,3 +557,21 @@ class TestExports:
             AudienceGraph(nodes=("a", "b"), edges={("a", "b"): 1.5})
         with pytest.raises(ValueError, match="unknown node"):
             AudienceGraph(nodes=("a",), edges={("a", "z"): 0.5})
+
+    def test_both_writers_share_one_weight_formatting(self):
+        rng = np.random.default_rng(4)
+        weights = rng.uniform(1e-9, 1.0, 40)
+        names = [f"n{i:02d}" for i in range(41)]
+        graph = AudienceGraph(
+            nodes=names, edges={(names[i], names[i + 1]): w for i, w in enumerate(weights)}
+        )
+        assert graph.weight_text == [repr(float(w)) for w in weights]
+        assert graph.weight_text is graph.weight_text
+        csv_buf, gml_buf = io.StringIO(), io.StringIO()
+        network.write_edges_csv(graph, csv_buf)
+        network.write_graphml(graph, gml_buf)
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        gml = [e.find(f"{ns}data").text for e in ET.fromstring(gml_buf.getvalue()).iter(f"{ns}edge")]
+        written = [line.rsplit(",", 1)[1] for line in csv_buf.getvalue().splitlines()[1:]]
+        assert written == gml == graph.weight_text
+        assert [float(w) for w in written] == weights.tolist()
