@@ -259,12 +259,25 @@ def _iter_rows(stream: TextIO, format: str, fields: Sequence[str]):
 
 
 def _json_key(value):
-    """Dict key of a JSON value: equal keys parse to equal results.
+    """Dict key of a JSON or record value: equal keys parse to equal results.
 
     Strings key as themselves, anything else by (type, repr), so `true`
     never merges with `1`, nor `1.0` with `1`, nor `-0.0` with `0.0`.
     """
     return value if type(value) is str else (type(value), repr(value))
+
+
+def _record_keys(column: list) -> list:
+    """Dict keys of one record field, as `_json_key` would key them.
+
+    A column of one type other than float keys as itself; otherwise every
+    value is keyed by `_json_key`, so a `True` after a `1` is still checked
+    and `-0.0` stays apart from `0.0`.
+    """
+    kinds = set(map(type, column))
+    if len(kinds) <= 1 and float not in kinds:
+        return column
+    return list(map(_json_key, column))
 
 
 class _Coder:
@@ -322,6 +335,12 @@ def _interactions(value, line: int) -> int:
     if count > INT64_MAX:
         raise ParseError(f"interactions must be <= {INT64_MAX}, got '{value}'", line)
     return count
+
+
+def _int64_total(total: int) -> int:
+    if total > INT64_MAX:
+        raise ValueError(f"interactions total {total} exceeds {INT64_MAX}")
+    return total
 
 
 def _article_coders(ids: dict[str, int], date: Callable[[object, int], int]) -> tuple:
@@ -387,7 +406,7 @@ class ArticleTable(abc.Sequence):
         coders = _article_coders(ids, lambda value, line: value.toordinal())
         for coder, field in zip(coders, ARTICLE_FIELDS):
             column = list(map(operator.attrgetter(field), records))
-            failed = coder.add(column, column)
+            failed = coder.add(_record_keys(column), column)
             if failed is not None:
                 raise ValueError(f"record {failed[0]}: {failed[1]}")
         return cls._from_coders(ids, coders)
@@ -412,10 +431,7 @@ class ArticleTable(abc.Sequence):
             digits = (self.interactions >> shift) & 0xFFFF
             sums = np.bincount(groups, weights=digits, minlength=n_groups)
             totals = [t + (int(d) << shift) for t, d in zip(totals, sums.tolist())]
-        for total in totals:
-            if total > INT64_MAX:
-                raise ValueError(f"interactions total {total} exceeds {INT64_MAX}")
-        return totals
+        return [_int64_total(total) for total in totals]
 
     def __len__(self) -> int:
         return len(self.outlet)
@@ -631,7 +647,7 @@ def dataset_breakdown(
     interactions = table.interaction_totals(rows, 2)
     tot_sources = sum(sources)
     tot_contents = sum(contents)
-    (tot_interactions,) = table.interaction_totals(np.zeros(len(table), np.intp), 1)
+    tot_interactions = _int64_total(sum(interactions))
 
     def row(category: str, s: int, c: int, i: int) -> BreakdownRow:
         return BreakdownRow(

@@ -361,7 +361,7 @@ def random_values(rng, outlets):
     return [
         outlets[rng.integers(len(outlets))],
         corpus.PLATFORMS[rng.integers(4)].value,
-        day.isoformat() if rng.random() < 0.9 else day.strftime("%Y%m%d"),
+        day.isoformat(),
         NARRATIVE_ORDER[rng.integers(3)].value,
         EVENT_ORDER[rng.integers(3)].value,
         int(rng.integers(0, 50)) if rng.random() < 0.8 else int(rng.integers(0, 2**62)),
@@ -437,6 +437,16 @@ class TestParserParity:
                 assert outcome(corpus.parse_articles, text, fmt) == expected, text
                 errors += expected[0] == "error"
         assert 150 < errors < 450  # both outcomes are exercised
+
+    def test_basic_format_date_matches_reference(self):
+        # date.fromisoformat reads 20210301 from Python 3.11 on and rejects it before
+        for fmt, row in (("csv", "o1,twitter,20210301,anti,adverse,1\n"),
+                         ("jsonl", '{"outlet_id": "o1", "platform": "twitter", '
+                                   '"date": "20210301", "narrative": "anti", '
+                                   '"event": "adverse", "interactions": 1}\n')):
+            text = (ARTICLE_HEADER if fmt == "csv" else "") + row * 2
+            expected = outcome(oracle_helpers.parse_articles_by_row, text, fmt)
+            assert outcome(corpus.parse_articles, text, fmt) == expected
 
     def test_later_malformed_row_loses_to_earlier_bad_value(self):
         text = ARTICLE_HEADER + "o1,twitter,2021-03-01,anti,bogus,1\n" + "o1,twitter\n"
@@ -526,10 +536,25 @@ class TestInt64Bound:
         with pytest.raises(ValueError, match=rf"record 1: interactions must be <= {top}"):
             corpus.ArticleTable.from_records([make_article(), make_article(interactions=top + 1)])
 
+    def test_record_values_are_checked_by_type(self):
+        # True == 1 and hashes alike, so it must not reuse the code of an earlier 1
+        with pytest.raises(ValueError, match="record 1: invalid interactions 'True'"):
+            corpus.ArticleTable.from_records([make_article(interactions=1),
+                                              make_article(interactions=True)])
+        table = corpus.ArticleTable.from_records(
+            [make_article(outlet=oid) for oid in (1, True, 1.0, 0.0, -0.0)]
+        )
+        assert table.outlet_ids == ("1", "True", "1.0", "0.0", "-0.0")
+
     def test_totals_raise_instead_of_wrapping(self):
         big = [make_article("o1", interactions=2**62), make_article("o1", interactions=2**62)]
         with pytest.raises(ValueError, match="exceeds"):
             corpus.dataset_breakdown(big, make_registry("o1"))
+        # each class total fits, their sum does not
+        split = [make_article("q1", interactions=2**62), make_article("o1", interactions=2**62)]
+        registry = make_registry("o1") + make_registry("q1", reliability=Reliability.QUESTIONABLE)
+        with pytest.raises(ValueError, match=f"interactions total {2**63} exceeds"):
+            corpus.dataset_breakdown(split, registry)
         window = (datetime.date(2021, 3, 1), datetime.date(2021, 3, 31))
         followers = [FollowerRecord("o1", Platform.TWITTER, *window, 10)]
         with pytest.raises(ValueError, match="exceeds"):
