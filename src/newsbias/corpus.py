@@ -1,14 +1,16 @@
 """Canonical records for the labeled news corpus and their file formats.
 
-Everything here is pure. `parse_articles` reads a character stream into an
-ArticleTable, the articles as dict-coded numpy columns; the other parsers
-return record lists. Aggregation folds the article columns into an
-outlet x narrative x event count tensor with one bincount, and nothing
-mutates its inputs.
+Everything here is pure. Each input table has one schema, a tuple of typed
+fields, and one reader: the parsers read a character stream into a Table of
+dict-coded numpy columns (ArticleTable, OutletTable, FollowerTable,
+RetweetTable, and the rows of counts.csv), and one writer spells a table
+back. Aggregation folds the article columns into an outlet x narrative x
+event count tensor with one bincount, and nothing mutates its inputs.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime
 import itertools
@@ -168,42 +170,7 @@ class CountTensor:
         return self.counts[:, :, event_index(event)]
 
 
-ARTICLE_FIELDS = ("outlet_id", "platform", "date", "narrative", "event", "interactions")
-OUTLET_FIELDS = ("outlet_id", "name", "reliability", "kind")
-FOLLOWER_FIELDS = ("outlet_id", "platform", "period_start", "period_end", "followers")
-RETWEET_FIELDS = ("user_id", "outlet_id", "count")
-COUNT_FIELDS = ("outlet_id", "narrative", "event", "count")
-
-
-def _parse_enum(cls, value: str, what: str, line: int):
-    try:
-        return cls(value)
-    except ValueError:
-        raise ParseError(f"unknown {what} '{value}'", line) from None
-
-
-def _parse_date(value: str, what: str, line: int) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"malformed {what} '{value}'", line) from None
-
-
-def _parse_int(value, what: str, line: int, minimum: int = 0) -> int:
-    # bool is an int subclass; JSON true/false must not pass as counts
-    if isinstance(value, bool):
-        raise ParseError(f"invalid {what} '{value}'", line)
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"invalid {what} '{value}'", line) from None
-    if isinstance(value, str) and str(out) != value.strip():
-        raise ParseError(f"invalid {what} '{value}'", line)
-    if isinstance(value, float) and value != out:
-        raise ParseError(f"invalid {what} '{value}'", line)
-    if out < minimum:
-        raise ParseError(f"{what} must be >= {minimum}, got '{value}'", line)
-    return out
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _iter_values(stream: TextIO, format: str, fields: Sequence[str]):
@@ -283,141 +250,279 @@ def _record_keys(column: list) -> list:
 class _Coder:
     """Dict-codes one column, chunk by chunk, converting each distinct key once.
 
-    `convert(value, line)` turns a raw value into an int (an enum position,
-    a date ordinal, a count or an outlet code) or raises ParseError.
+    `convert(value, line)` turns a raw value into its field's value or raises
+    ParseError; `values[codes[i]]` is the converted value of row i.
     """
 
-    def __init__(self, convert: Callable[[object, int], int]):
+    def __init__(self, convert: Callable[[object, int], object]):
         self.convert = convert
         self.index: dict = {}
-        self.values: list[int] = []
-        self.codes: list[np.ndarray] = []
+        self.values: list = []
+        self.chunks: list[np.ndarray] = []
 
     def add(self, keys: Sequence, raw: Sequence) -> tuple[int, str] | None:
         """Code one chunk; `raw[i]` is the value behind `keys[i]`.
 
         Returns None, or (chunk position, ParseError reason) for the first row
-        whose value does not convert. New values are converted with line 0,
-        before their row is known; the caller raises at that row's line.
+        whose value does not convert; then only the rows before it are coded.
+        New values are converted with line 0, before their row is known; the
+        caller raises at that row's line.
         """
         index = self.index
         new = [key for key in dict.fromkeys(keys) if key not in index]
+        failed = None
         if new:
             first = dict(zip(reversed(keys), reversed(raw))) if keys is not raw else None
             for key in new:
                 try:
                     value = self.convert(key if first is None else first[key], 0)
                 except ParseError as exc:
-                    return keys.index(key), exc.reason
+                    failed = keys.index(key), exc.reason
+                    keys = keys[: failed[0]]
+                    break
                 index[key] = len(self.values)
                 self.values.append(value)
-        self.codes.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
-        return None
+        self.chunks.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
+        return failed
 
-    def column(self, dtype) -> np.ndarray:
-        """The converted value of every row coded so far."""
-        codes = np.concatenate(self.codes) if self.codes else np.zeros(0, np.int32)
-        return np.asarray(self.values, dtype=dtype)[codes]
+    def codes(self) -> np.ndarray:
+        return np.concatenate(self.chunks) if self.chunks else np.zeros(0, np.int32)
 
 
 PLATFORMS = tuple(Platform)
-_PLATFORM_INDEX = {p: i for i, p in enumerate(PLATFORMS)}
-_PLATFORM_VALUES = tuple(p.value for p in PLATFORMS)
-_NARRATIVE_VALUES = tuple(n.value for n in NARRATIVE_ORDER)
-_EVENT_VALUES = tuple(e.value for e in EVENT_ORDER)
-INT64_MAX = int(np.iinfo(np.int64).max)
-# dtypes of the ArticleTable columns, in ARTICLE_FIELDS order
-_COLUMN_DTYPES = (np.int32, np.int8, np.int32, np.int8, np.int8, np.int64)
 
 
-def _interactions(value, line: int) -> int:
-    count = _parse_int(value, "interactions", line)
-    if count > INT64_MAX:
-        raise ParseError(f"interactions must be <= {INT64_MAX}, got '{value}'", line)
-    return count
+def _lookup(values: Sequence, codes: np.ndarray):
+    return map(values.__getitem__, codes.tolist())
 
 
-def _int64_total(total: int) -> int:
-    if total > INT64_MAX:
-        raise ValueError(f"interactions total {total} exceeds {INT64_MAX}")
-    return total
+class _Field:
+    """One column of a table schema: `convert(value, line)` checks a raw value
+    and gives its converted value; `values` and `text` give the column's
+    record values and CSV text, each distinct value spelled once."""
+
+    dtype: type = np.int64
+
+    def decode(self, values: list) -> tuple[np.ndarray, tuple[str, ...] | None]:
+        """The column value of each converted value, and the ids they code, if any."""
+        return np.asarray(values, dtype=self.dtype), None
+
+    def text(self, table: Table) -> Iterable:
+        return self.values(table)
 
 
-def _article_coders(ids: dict[str, int], date: Callable[[object, int], int]) -> tuple:
-    """One _Coder per ARTICLE_FIELDS entry; `date` converts a date value.
+@dataclass(frozen=True)
+class IdField(_Field):
+    """A string id; its column holds codes into the table's distinct ids,
+    named after the field plus "s" (`outlet_id` codes index `outlet_ids`)."""
 
-    Outlet ids are coded by their string in `ids`; labels accept strings
-    and enum members alike.
-    """
+    name: str
+    dtype = np.int32
 
-    def label(cls, what: str, index: dict):
-        return lambda value, line: index[_parse_enum(cls, value, what, line)]
+    def convert(self, value, line: int) -> str:
+        return str(value)
 
-    return (
-        _Coder(lambda value, line: ids.setdefault(str(value), len(ids))),
-        _Coder(label(Platform, "platform", _PLATFORM_INDEX)),
-        _Coder(date),
-        _Coder(label(Narrative, "narrative label", _NARRATIVE_INDEX)),
-        _Coder(label(EventType, "event label", _EVENT_INDEX)),
-        _Coder(_interactions),
-    )
+    def decode(self, values):
+        index: dict[str, int] = {}
+        codes = [index.setdefault(v, len(index)) for v in values]
+        return np.array(codes, dtype=self.dtype), tuple(index)
+
+    def values(self, table):
+        return _lookup(getattr(table, self.name + "s"), getattr(table, self.name))
 
 
-class ArticleTable(abc.Sequence):
-    """Articles as coded numpy columns, one entry per article in input order.
+@dataclass(frozen=True)
+class EnumField(_Field):
+    """A label of a fixed `order`; the column holds its position. An optional
+    field reads an empty or missing label as None, at position len(order)."""
 
-    Article i was published by outlet_ids[outlet[i]] on platform
-    PLATFORMS[platform[i]], on the day with proleptic Gregorian ordinal
-    date[i], with narrative NARRATIVE_ORDER[narrative[i]] about an event of
-    type EVENT_ORDER[event[i]], and drew interactions[i] (int64, >= 0)
-    interactions. Outlet ids are distinct but may include ids no row uses.
+    name: str
+    order: tuple
+    what: str
+    optional: bool = False
+    dtype = np.int8
 
-    The table is a read-only Sequence of ArticleRecord: length, iteration and
+    def convert(self, value, line: int) -> int:
+        if self.optional and not value:
+            return len(self.order)
+        try:
+            return self.order.index(type(self.order[0])(value))
+        except ValueError:
+            raise ParseError(f"unknown {self.what} '{value}'", line) from None
+
+    def values(self, table):
+        return _lookup((*self.order, None), getattr(table, self.name))
+
+    def text(self, table):
+        return _lookup((*(label.value for label in self.order), ""), getattr(table, self.name))
+
+
+@dataclass(frozen=True)
+class DateField(_Field):
+    """An ISO date; the column holds its proleptic Gregorian ordinal."""
+
+    name: str
+    dtype = np.int32
+
+    def convert(self, value, line: int) -> int:
+        if isinstance(value, datetime.date):  # a record's value
+            return value.toordinal()
+        try:
+            return datetime.date.fromisoformat(value).toordinal()
+        except (TypeError, ValueError):
+            raise ParseError(f"malformed {self.name} '{value}'", line) from None
+
+    def values(self, table, spell=lambda day: day):
+        days, codes = np.unique(getattr(table, self.name), return_inverse=True)
+        return _lookup([spell(datetime.date.fromordinal(d)) for d in days.tolist()], codes)
+
+    def text(self, table):
+        return self.values(table, datetime.date.isoformat)
+
+
+@dataclass(frozen=True)
+class CountField(_Field):
+    """A whole count in [minimum, INT64_MAX], spelled canonically if a string;
+    the column holds int64 values."""
+
+    name: str
+    minimum: int = 0
+
+    def convert(self, value, line: int) -> int:
+        try:
+            # bool is an int subclass; JSON true/false must not pass as counts
+            if isinstance(value, bool):
+                raise ValueError
+            out = int(value)
+            if isinstance(value, str) and str(out) != value.strip():
+                raise ValueError
+            if isinstance(value, float) and value != out:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"invalid {self.name} '{value}'", line) from None
+        if not self.minimum <= out <= INT64_MAX:
+            bound = f">= {self.minimum}" if out < self.minimum else f"<= {INT64_MAX}"
+            raise ParseError(f"{self.name} must be {bound}, got '{value}'", line)
+        return out
+
+    def values(self, table):
+        return getattr(table, self.name).tolist()
+
+
+class Table(abc.Sequence):
+    """One input table as read-only numpy columns, one entry per row in order.
+
+    `fields` is the table's schema; each field's column is the attribute of
+    its name. An IdField's ids are distinct but may include ids no row uses.
+    A field named like a Sequence method (a retweet `count`) hides it.
+
+    The table is a read-only Sequence of `record`: length, iteration and
     indexing build records on demand, and it compares equal to a list of the
     same records. `from_records` is the one conversion from records.
     """
 
-    def __init__(self, outlet_ids, outlet, platform, date, narrative, event, interactions):
-        self.outlet_ids = tuple(outlet_ids)
-        if len(set(self.outlet_ids)) != len(self.outlet_ids):
-            raise ValueError("duplicate outlet ids")
-        columns = []
-        for values, dtype in zip((outlet, platform, date, narrative, event, interactions),
-                                 _COLUMN_DTYPES):
-            column = np.asarray(values, dtype=dtype).view()  # the caller's array stays writable
-            column.flags.writeable = False
-            columns.append(column)
-        if len({len(c) for c in columns}) > 1:
-            raise ValueError("article columns differ in length")
-        self.outlet, self.platform, self.date, self.narrative, self.event = columns[:5]
-        self.interactions = columns[5]
+    fields: tuple[_Field, ...] = ()
+    record: Callable = staticmethod(lambda *values: values)
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.outlet, self.platform, self.date, self.narrative, self.event,
-                self.interactions)
+    def __init__(self, columns: Sequence, ids: Mapping[str, Sequence[str]]):
+        for field, values in zip(self.fields, columns, strict=True):
+            column = np.asarray(values, dtype=field.dtype).view()  # the caller's array stays writable
+            column.flags.writeable = False
+            setattr(self, field.name, column)
+        for name, distinct in ids.items():
+            distinct = tuple(distinct)
+            if len(set(distinct)) != len(distinct):
+                raise ValueError(f"duplicate {name} ids")
+            setattr(self, name + "s", distinct)
+        if len({len(c) for c in self._columns()}) > 1:
+            raise ValueError("columns differ in length")
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in self.fields]
+
+    def _ids(self) -> dict[str, tuple[str, ...]]:
+        return {f.name: getattr(self, f.name + "s") for f in self.fields if isinstance(f, IdField)}
 
     @classmethod
-    def from_records(cls, records: Iterable[ArticleRecord]) -> ArticleTable:
-        """The table of `records`, in order; a table is returned as is."""
-        if isinstance(records, ArticleTable):
+    def _from_coders(cls, coders: Sequence[_Coder], rows: int | None = None) -> Table:
+        """The table of the first `rows` coded rows (all by default)."""
+        columns, ids = [], {}
+        for field, coder in zip(cls.fields, coders):
+            lookup, distinct = field.decode(coder.values)
+            columns.append(lookup[coder.codes()[:rows]])
+            if distinct is not None:
+                ids[field.name] = distinct
+        return cls(columns, ids)
+
+    @classmethod
+    def from_records(cls, records: Iterable) -> Table:
+        """The table of `records`, in order, each value checked as a parsed one
+        is; a table of this class is returned as is."""
+        if isinstance(records, cls):
             return records
         records = records if isinstance(records, (list, tuple)) else list(records)
-        ids: dict[str, int] = {}
-        coders = _article_coders(ids, lambda value, line: value.toordinal())
-        for coder, field in zip(coders, ARTICLE_FIELDS):
-            column = list(map(operator.attrgetter(field), records))
+        coders = [_Coder(field.convert) for field in cls.fields]
+        for field, coder in zip(cls.fields, coders):
+            column = list(map(operator.attrgetter(field.name), records))
             failed = coder.add(_record_keys(column), column)
             if failed is not None:
                 raise ValueError(f"record {failed[0]}: {failed[1]}")
-        return cls._from_coders(ids, coders)
+        return cls._from_coders(coders)
 
-    @classmethod
-    def _from_coders(cls, ids: dict[str, int], coders: Sequence[_Coder]) -> ArticleTable:
-        return cls(ids, *(c.column(t) for c, t in zip(coders, _COLUMN_DTYPES)))
+    def _checked(self, lines: Sequence[int]) -> Table:
+        """The table under its own rule, which parsing applies; `lines[i]` is
+        row i's input line. Raises ParseError at the first row breaking it."""
+        return self
 
-    def take(self, rows) -> ArticleTable:
-        """The articles selected by a boolean mask, index array or slice."""
-        return ArticleTable(self.outlet_ids, *(c[rows] for c in self._columns()))
+    def take(self, rows) -> Table:
+        """The rows selected by a boolean mask, index array or slice."""
+        return type(self)([c[rows] for c in self._columns()], self._ids())
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.fields[0].name))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        return next(iter(self.take([i])))
+
+    def __iter__(self):
+        return map(self.record, *(field.values(self) for field in self.fields))
+
+    def __eq__(self, other):
+        if not isinstance(other, abc.Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
+def _first_repeat(keys: np.ndarray) -> int | None:
+    """Position of the first entry equal to an earlier one, or None."""
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return int(np.argmax(repeat)) if repeat.any() else None
+
+
+class ArticleTable(Table):
+    """Articles: article i was published by outlet_ids[outlet_id[i]] on
+    platform PLATFORMS[platform[i]], on the day with ordinal date[i], with
+    narrative NARRATIVE_ORDER[narrative[i]] about an event of type
+    EVENT_ORDER[event[i]], and drew interactions[i] interactions.
+    """
+
+    fields = (
+        IdField("outlet_id"),
+        EnumField("platform", PLATFORMS, "platform"),
+        DateField("date"),
+        EnumField("narrative", NARRATIVE_ORDER, "narrative label"),
+        EnumField("event", EVENT_ORDER, "event label"),
+        CountField("interactions"),
+    )
+    record = ArticleRecord
 
     def interaction_totals(self, groups: np.ndarray, n_groups: int) -> list[int]:
         """Exact interactions summed per group (`groups[i]` is row i's group).
@@ -433,36 +538,105 @@ class ArticleTable(abc.Sequence):
             totals = [t + (int(d) << shift) for t, d in zip(totals, sums.tolist())]
         return [_int64_total(total) for total in totals]
 
-    def __len__(self) -> int:
-        return len(self.outlet)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(i)
-        return ArticleRecord(
-            self.outlet_ids[self.outlet[i]],
-            PLATFORMS[self.platform[i]],
-            datetime.date.fromordinal(int(self.date[i])),
-            NARRATIVE_ORDER[self.narrative[i]],
-            EVENT_ORDER[self.event[i]],
-            int(self.interactions[i]),
-        )
+class OutletTable(Table):
+    """The outlet registry; its rule: outlet ids are unique."""
 
-    def __iter__(self):
-        ids = self.outlet_ids
-        for o, p, d, n, e, i in zip(*(c.tolist() for c in self._columns())):
-            yield ArticleRecord(ids[o], PLATFORMS[p], datetime.date.fromordinal(d),
-                                NARRATIVE_ORDER[n], EVENT_ORDER[e], i)
+    fields = (
+        IdField("outlet_id"),
+        IdField("name"),
+        EnumField("reliability", tuple(Reliability), "reliability label"),
+        EnumField("kind", tuple(OutletKind), "outlet kind", optional=True),
+    )
+    record = OutletProfile
 
-    def __eq__(self, other):
-        if not isinstance(other, abc.Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+    def _checked(self, lines):
+        row = _first_repeat(self.outlet_id)
+        if row is not None:
+            raise ParseError(f"duplicate outlet_id '{self[row].outlet_id}'", lines[row])
+        return self
 
-    __hash__ = None
 
-    def __repr__(self) -> str:
-        return f"ArticleTable({len(self)} articles, {len(self.outlet_ids)} outlet ids)"
+class FollowerTable(Table):
+    """Follower counts; its rule: period_start <= period_end."""
+
+    fields = (
+        IdField("outlet_id"),
+        EnumField("platform", PLATFORMS, "platform"),
+        DateField("period_start"),
+        DateField("period_end"),
+        CountField("followers"),
+    )
+    record = FollowerRecord
+
+    def _checked(self, lines):
+        reversed_rows = np.flatnonzero(self.period_start > self.period_end)
+        if len(reversed_rows):
+            row = int(reversed_rows[0])
+            start, end = (datetime.date.fromordinal(int(c[row]))
+                          for c in (self.period_start, self.period_end))
+            raise ParseError(f"period_start {start} after period_end {end}", lines[row])
+        return self
+
+
+class RetweetTable(Table):
+    """Retweet counts; its rule: duplicate (user, outlet) rows are summed
+    into the first, and the total must stay within int64."""
+
+    fields = (IdField("user_id"), IdField("outlet_id"), CountField("count", minimum=1))
+    record = RetweetRecord
+
+    def _checked(self, lines):
+        pair = self.user_id.astype(np.int64) * len(self.outlet_ids) + self.outlet_id
+        _, first, group = np.unique(pair, return_index=True, return_inverse=True)
+        # a float64 sum of counts below 2**63 is off by far less than 2**62,
+        # so only pairs summing to 2**62 or more can pass INT64_MAX
+        approx = np.bincount(group, weights=self.count.astype(np.float64))
+        running: dict[int, int] = {}
+        for row in np.flatnonzero(approx[group] >= 2.0**62).tolist():
+            g = int(group[row])
+            running[g] = running.get(g, 0) + int(self.count[row])
+            if running[g] > INT64_MAX:
+                rec = self[row]
+                raise ParseError(f"count total {running[g]} of user '{rec.user_id}' and outlet "
+                                 f"'{rec.outlet_id}' exceeds {INT64_MAX}", lines[row])
+        totals = np.zeros(len(first), dtype=np.int64)
+        np.add.at(totals, group, self.count)
+        order = np.argsort(first)  # pairs by first appearance
+        keep = first[order]
+        return RetweetTable([self.user_id[keep], self.outlet_id[keep], totals[order]], self._ids())
+
+
+class _CountRows(Table):
+    """counts.csv rows; its rule: one row per (outlet, narrative, event) cell."""
+
+    fields = (
+        IdField("outlet_id"),
+        EnumField("narrative", NARRATIVE_ORDER, "narrative label"),
+        EnumField("event", EVENT_ORDER, "event label"),
+        CountField("count"),
+    )
+
+    def _checked(self, lines):
+        row = _first_repeat((self.outlet_id.astype(np.int64) * 3 + self.narrative) * 3 + self.event)
+        if row is not None:
+            oid, narrative, event, _ = self[row]
+            raise ParseError(
+                f"duplicate cell ('{oid}', '{narrative.value}', '{event.value}')", lines[row]
+            )
+        return self
+
+
+ARTICLE_FIELDS, OUTLET_FIELDS, FOLLOWER_FIELDS, RETWEET_FIELDS, COUNT_FIELDS = (
+    tuple(f.name for f in table.fields)
+    for table in (ArticleTable, OutletTable, FollowerTable, RetweetTable, _CountRows)
+)
+
+
+def _int64_total(total: int) -> int:
+    if total > INT64_MAX:
+        raise ValueError(f"interactions total {total} exceeds {INT64_MAX}")
+    return total
 
 
 # rows read and coded per pass: a pass's row lists are freed while still in
@@ -471,29 +645,29 @@ class ArticleTable(abc.Sequence):
 _CHUNK_ROWS = 1024
 
 
-def parse_articles(stream: TextIO, format: str = "csv") -> ArticleTable:
-    """Parse articles from CSV (with header) or JSONL into a table, order preserved.
+def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
+    """Parse CSV (with header) or JSONL into a `cls` table, order preserved.
 
     Every field is dict-coded as it is read and each distinct value is
-    validated once (JSONL values by type and value). A bad input raises the
-    ParseError a row-by-row parse would raise first: the earliest row, and in
-    it the first field in ARTICLE_FIELDS order, with a bad value, unless a
-    row before it is malformed.
+    converted once (JSONL values keyed by type and value). A bad input raises
+    the ParseError a row-by-row parse would raise first: the earliest row,
+    and in it the first field in schema order, with a bad value, the table's
+    own rule counting as the row's last field, unless a row before it is
+    malformed.
     """
-    ids: dict[str, int] = {}
-    coders = _article_coders(
-        ids, lambda value, line: _parse_date(value, "date", line).toordinal()
-    )
+    coders = [_Coder(field.convert) for field in cls.fields]
     key = _json_key if format == "jsonl" else None
-    rows = _iter_values(stream, format, ARTICLE_FIELDS)
-    while True:
-        lines, chunk, malformed = [], [], None
+    rows = _iter_values(stream, format, [field.name for field in cls.fields])
+    lines = array.array("q")
+    fault = None
+    while fault is None:
+        chunk_lines, chunk = [], []
         try:
             for line, values in itertools.islice(rows, _CHUNK_ROWS):
-                lines.append(line)
+                chunk_lines.append(line)
                 chunk.append(values)
         except (ValueError, csv.Error) as exc:
-            malformed = exc
+            fault = exc
         bad = None
         for coder, raw in zip(coders, zip(*chunk)):
             keys = raw if key is None else list(map(key, raw))
@@ -501,65 +675,35 @@ def parse_articles(stream: TextIO, format: str = "csv") -> ArticleTable:
             if failed is not None and (bad is None or failed[0] < bad[0]):
                 bad = failed
         if bad is not None:
-            row, reason = bad
-            raise ParseError(reason, lines[row])
-        if malformed is not None:
-            raise malformed
+            fault = ParseError(bad[1], chunk_lines[bad[0]])
+            del chunk_lines[bad[0]:]
+        lines.extend(chunk_lines)
         if len(chunk) < _CHUNK_ROWS:
             break
-    return ArticleTable._from_coders(ids, coders)
+    # the rule sees only rows before the fault, so a rule error is earlier
+    table = cls._from_coders(coders, len(lines))._checked(lines)
+    if fault is not None:
+        raise fault
+    return table
 
 
-def parse_outlets(stream: TextIO, format: str = "csv") -> list[OutletProfile]:
-    records = []
-    for line, row in _iter_rows(stream, format, OUTLET_FIELDS):
-        kind = row.get("kind") or None
-        records.append(
-            OutletProfile(
-                outlet_id=str(row["outlet_id"]),
-                name=str(row["name"]),
-                reliability=_parse_enum(
-                    Reliability, row["reliability"], "reliability label", line
-                ),
-                kind=_parse_enum(OutletKind, kind, "outlet kind", line) if kind else None,
-            )
-        )
-    seen: dict[str, int] = {}
-    for rec in records:
-        seen[rec.outlet_id] = seen.get(rec.outlet_id, 0) + 1
-    dupes = [oid for oid, n in seen.items() if n > 1]
-    if dupes:
-        raise ValueError(f"duplicate outlet_id in registry: {', '.join(sorted(dupes))}")
-    return records
+def parse_articles(stream: TextIO, format: str = "csv") -> ArticleTable:
+    """Articles from CSV (with header) or JSONL, in order."""
+    return _parse(stream, format, ArticleTable)
 
 
-def parse_followers(stream: TextIO, format: str = "csv") -> list[FollowerRecord]:
-    records = []
-    for line, row in _iter_rows(stream, format, FOLLOWER_FIELDS):
-        start = _parse_date(row["period_start"], "period_start", line)
-        end = _parse_date(row["period_end"], "period_end", line)
-        if start > end:
-            raise ParseError(f"period_start {start} after period_end {end}", line)
-        records.append(
-            FollowerRecord(
-                outlet_id=str(row["outlet_id"]),
-                platform=_parse_enum(Platform, row["platform"], "platform", line),
-                period_start=start,
-                period_end=end,
-                followers=_parse_int(row["followers"], "followers", line),
-            )
-        )
-    return records
+def parse_outlets(stream: TextIO, format: str = "csv") -> OutletTable:
+    """The outlet registry; a repeated outlet_id is rejected at its line."""
+    return _parse(stream, format, OutletTable)
 
 
-def parse_retweets(stream: TextIO, format: str = "csv") -> list[RetweetRecord]:
-    """Parse retweet counts; duplicate (user, outlet) pairs are summed."""
-    totals: dict[tuple[str, str], int] = {}
-    for line, row in _iter_rows(stream, format, RETWEET_FIELDS):
-        count = _parse_int(row["count"], "count", line, minimum=1)
-        key = (str(row["user_id"]), str(row["outlet_id"]))
-        totals[key] = totals.get(key, 0) + count
-    return [RetweetRecord(u, o, c) for (u, o), c in totals.items()]
+def parse_followers(stream: TextIO, format: str = "csv") -> FollowerTable:
+    return _parse(stream, format, FollowerTable)
+
+
+def parse_retweets(stream: TextIO, format: str = "csv") -> RetweetTable:
+    """Retweet counts; duplicate (user, outlet) pairs are summed into the first."""
+    return _parse(stream, format, RetweetTable)
 
 
 def filter_articles(
@@ -580,9 +724,9 @@ def filter_articles(
 def _registered(table: ArticleTable, code_of: Mapping[str, int]) -> np.ndarray:
     """`code_of[outlet id]` for every article; raises on an unregistered outlet."""
     codes = np.array([code_of.get(oid, -1) for oid in table.outlet_ids], dtype=np.intp)
-    rows = codes[table.outlet]
+    rows = codes[table.outlet_id]
     if (rows < 0).any():
-        oid = table.outlet_ids[table.outlet[np.argmax(rows < 0)]]
+        oid = table.outlet_ids[table.outlet_id[np.argmax(rows < 0)]]
         raise ValueError(f"article references unregistered outlet '{oid}'")
     return rows
 
@@ -683,87 +827,41 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], stream: TextIO) -
     writer.writerows(rows)
 
 
+def _write(cls: type[Table], records: Iterable, stream: TextIO) -> None:
+    """Write `records` as a `cls` CSV file, spelling each distinct value once."""
+    table = cls.from_records(records)
+    write_csv([f.name for f in cls.fields], zip(*(f.text(table) for f in cls.fields)), stream)
+
+
 def write_articles(records: Iterable[ArticleRecord], stream: TextIO) -> None:
-    table = ArticleTable.from_records(records)
-    days, day_codes = np.unique(table.date, return_inverse=True)
-    day_text = [datetime.date.fromordinal(d).isoformat() for d in days.tolist()]
-
-    def text(values: Sequence[str], codes: np.ndarray):
-        return map(values.__getitem__, codes.tolist())
-
-    write_csv(
-        ARTICLE_FIELDS,
-        zip(
-            text(table.outlet_ids, table.outlet),
-            text(_PLATFORM_VALUES, table.platform),
-            text(day_text, day_codes),
-            text(_NARRATIVE_VALUES, table.narrative),
-            text(_EVENT_VALUES, table.event),
-            table.interactions.tolist(),
-        ),
-        stream,
-    )
+    _write(ArticleTable, records, stream)
 
 
 def write_outlets(records: Iterable[OutletProfile], stream: TextIO) -> None:
-    write_csv(
-        OUTLET_FIELDS,
-        (
-            (r.outlet_id, r.name, r.reliability.value, r.kind.value if r.kind else "")
-            for r in records
-        ),
-        stream,
-    )
+    _write(OutletTable, records, stream)
 
 
 def write_followers(records: Iterable[FollowerRecord], stream: TextIO) -> None:
-    write_csv(
-        FOLLOWER_FIELDS,
-        (
-            (
-                r.outlet_id,
-                r.platform.value,
-                r.period_start.isoformat(),
-                r.period_end.isoformat(),
-                r.followers,
-            )
-            for r in records
-        ),
-        stream,
-    )
+    _write(FollowerTable, records, stream)
 
 
 def write_retweets(records: Iterable[RetweetRecord], stream: TextIO) -> None:
-    write_csv(RETWEET_FIELDS, ((r.user_id, r.outlet_id, r.count) for r in records), stream)
+    _write(RetweetTable, records, stream)
 
 
 def write_count_tensor(tensor: CountTensor, stream: TextIO) -> None:
     """Serialize all N x 3 x 3 cells (zeros included) for exact round-trips."""
-    write_csv(
-        COUNT_FIELDS,
-        (
-            (outlet, narrative.value, event.value, int(tensor.counts[i, j, k]))
-            for i, outlet in enumerate(tensor.outlets)
-            for j, narrative in enumerate(NARRATIVE_ORDER)
-            for k, event in enumerate(EVENT_ORDER)
-        ),
-        stream,
-    )
+    cell = np.arange(tensor.counts.size)
+    columns = [cell // 9, cell // 3 % 3, cell % 3, tensor.counts.ravel()]
+    _write(_CountRows, _CountRows(columns, {"outlet_id": tensor.outlets}), stream)
 
 
 def read_count_tensor(stream: TextIO) -> CountTensor:
-    outlets: list[str] = []
-    index: dict[str, int] = {}
-    cells: list[tuple[int, int, int, int]] = []
-    for line, row in _iter_rows(stream, "csv", COUNT_FIELDS):
-        outlet = str(row["outlet_id"])
-        if outlet not in index:
-            index[outlet] = len(outlets)
-            outlets.append(outlet)
-        j = _NARRATIVE_INDEX[_parse_enum(Narrative, row["narrative"], "narrative label", line)]
-        k = _EVENT_INDEX[_parse_enum(EventType, row["event"], "event label", line)]
-        cells.append((index[outlet], j, k, _parse_int(row["count"], "count", line)))
-    counts = np.zeros((len(outlets), 3, 3), dtype=np.int64)
-    for i, j, k, c in cells:
-        counts[i, j, k] = c
-    return CountTensor(tuple(outlets), counts)
+    """The tensor of a counts.csv file, outlets in first-appearance order.
+
+    Each (outlet, narrative, event) cell has at most one row; a missing cell is 0.
+    """
+    rows = _parse(stream, "csv", _CountRows)
+    counts = np.zeros((len(rows.outlet_ids), 3, 3), dtype=np.int64)
+    counts[rows.outlet_id, rows.narrative, rows.event] = rows.count
+    return CountTensor(rows.outlet_ids, counts)

@@ -206,7 +206,7 @@ def build_engagement_table(
     followers = average_followers(follower_records, window, duration_weighted)
 
     # group g = outlet code * 3 + event position
-    groups = kept.outlet.astype(np.intp) * 3 + kept.event
+    groups = kept.outlet_id.astype(np.intp) * 3 + kept.event
     n_groups = 3 * len(kept.outlet_ids)
     contents = np.bincount(groups, minlength=n_groups).tolist()
     interactions = kept.interaction_totals(groups, n_groups)

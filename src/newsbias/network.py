@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 from scipy import sparse
 
-from .corpus import OutletProfile, Reliability, RetweetRecord, write_csv
+from .corpus import OutletProfile, Reliability, RetweetRecord, RetweetTable, write_csv
 from .metrics import BiasRow
 
 log = logging.getLogger(__name__)
@@ -38,20 +38,26 @@ class RetweetMatrix:
 
 
 def build_matrix(records: Iterable[RetweetRecord]) -> RetweetMatrix:
-    """Assemble the retweet matrix; duplicate (user, outlet) pairs are summed."""
-    records = list(records)
-    users = tuple(sorted({r.user_id for r in records}))
-    outlets = tuple(sorted({r.outlet_id for r in records}))
-    urow = {u: i for i, u in enumerate(users)}
-    ocol = {o: j for j, o in enumerate(outlets)}
-    rows = np.array([urow[r.user_id] for r in records], dtype=np.int64)
-    cols = np.array([ocol[r.outlet_id] for r in records], dtype=np.int64)
-    data = np.array([r.count for r in records], dtype=np.int64)
-    counts = sparse.coo_array(
-        (data, (rows, cols)), shape=(len(users), len(outlets))
-    ).tocsc()
+    """Assemble the retweet matrix; duplicate (user, outlet) pairs are summed.
+
+    A RetweetTable (what `corpus.parse_retweets` returns) is used as it is:
+    its id codes are remapped to ranks among the sorted ids.
+    """
+    table = RetweetTable.from_records(records)
+    users, rows = _ranks(table.user_ids, table.user_id)
+    outlets, cols = _ranks(table.outlet_ids, table.outlet_id)
+    counts = sparse.coo_array((table.count, (rows, cols)), shape=(len(users), len(outlets)))
+    counts = counts.tocsc()
     counts.sum_duplicates()
     return RetweetMatrix(users=users, outlets=outlets, counts=counts)
+
+
+def _ranks(ids: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids that `codes` use, sorted, and each code's rank among them."""
+    used = sorted(np.unique(codes).tolist(), key=ids.__getitem__)
+    rank = np.zeros(len(ids), dtype=np.int64)
+    rank[used] = np.arange(len(used))
+    return tuple(ids[c] for c in used), rank[codes]
 
 
 def cosine_weight(col_h, col_k) -> float:

@@ -2,10 +2,13 @@
 
 Everything here recomputes results from first principles (dense arithmetic,
 exhaustive enumeration, one record at a time) without calling the code under
-test. The row-by-row article parser shares the package's row reader and
-field validators; what it checks is the columnar coding built on them.
+test. The row-by-row parsers share only the package's row reader; they
+validate every value with their own checks, one row at a time, and apply
+each table's own rule after the row's fields. What they check is the
+package's columnar coding, its validation and its table rules.
 """
 
+import datetime
 from math import comb
 
 import numpy as np
@@ -13,12 +16,18 @@ import numpy as np
 from newsbias import corpus, metrics
 from newsbias.corpus import (
     EVENT_ORDER,
+    INT64_MAX,
     NARRATIVE_ORDER,
     ArticleRecord,
     EventType,
+    FollowerRecord,
     Narrative,
+    OutletKind,
+    OutletProfile,
+    ParseError,
     Platform,
     Reliability,
+    RetweetRecord,
 )
 
 
@@ -104,6 +113,38 @@ def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:
     return (sum_nij - expected) / (max_index - expected)
 
 
+def _enum(cls, value, what, line):
+    try:
+        return cls(value)
+    except ValueError:
+        raise ParseError(f"unknown {what} '{value}'", line) from None
+
+
+def _date(value, what, line):
+    try:
+        return datetime.date.fromisoformat(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"malformed {what} '{value}'", line) from None
+
+
+def _int(value, what, line, minimum=0):
+    if isinstance(value, bool):
+        raise ParseError(f"invalid {what} '{value}'", line)
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"invalid {what} '{value}'", line) from None
+    if isinstance(value, str) and str(out) != value.strip():
+        raise ParseError(f"invalid {what} '{value}'", line)
+    if isinstance(value, float) and value != out:
+        raise ParseError(f"invalid {what} '{value}'", line)
+    if out < minimum:
+        raise ParseError(f"{what} must be >= {minimum}, got '{value}'", line)
+    if out > INT64_MAX:
+        raise ParseError(f"{what} must be <= {INT64_MAX}, got '{value}'", line)
+    return out
+
+
 def parse_articles_by_row(stream, format="csv") -> list[ArticleRecord]:
     """Article records parsed one row at a time, in input order."""
     records = []
@@ -111,16 +152,84 @@ def parse_articles_by_row(stream, format="csv") -> list[ArticleRecord]:
         records.append(
             ArticleRecord(
                 outlet_id=str(row["outlet_id"]),
-                platform=corpus._parse_enum(Platform, row["platform"], "platform", line),
-                date=corpus._parse_date(row["date"], "date", line),
-                narrative=corpus._parse_enum(
-                    Narrative, row["narrative"], "narrative label", line
-                ),
-                event=corpus._parse_enum(EventType, row["event"], "event label", line),
-                interactions=corpus._parse_int(row["interactions"], "interactions", line),
+                platform=_enum(Platform, row["platform"], "platform", line),
+                date=_date(row["date"], "date", line),
+                narrative=_enum(Narrative, row["narrative"], "narrative label", line),
+                event=_enum(EventType, row["event"], "event label", line),
+                interactions=_int(row["interactions"], "interactions", line),
             )
         )
     return records
+
+
+def parse_outlets_by_row(stream, format="csv") -> list[OutletProfile]:
+    """The registry one row at a time; a repeated outlet_id fails at its row."""
+    records, seen = [], set()
+    for line, row in corpus._iter_rows(stream, format, corpus.OUTLET_FIELDS):
+        kind = row["kind"] or None
+        record = OutletProfile(
+            outlet_id=str(row["outlet_id"]),
+            name=str(row["name"]),
+            reliability=_enum(Reliability, row["reliability"], "reliability label", line),
+            kind=_enum(OutletKind, kind, "outlet kind", line) if kind else None,
+        )
+        if record.outlet_id in seen:
+            raise ParseError(f"duplicate outlet_id '{record.outlet_id}'", line)
+        seen.add(record.outlet_id)
+        records.append(record)
+    return records
+
+
+def parse_followers_by_row(stream, format="csv") -> list[FollowerRecord]:
+    """Follower records one row at a time; the period check comes last."""
+    records = []
+    for line, row in corpus._iter_rows(stream, format, corpus.FOLLOWER_FIELDS):
+        outlet_id = str(row["outlet_id"])
+        platform = _enum(Platform, row["platform"], "platform", line)
+        start = _date(row["period_start"], "period_start", line)
+        end = _date(row["period_end"], "period_end", line)
+        followers = _int(row["followers"], "followers", line)
+        if start > end:
+            raise ParseError(f"period_start {start} after period_end {end}", line)
+        records.append(FollowerRecord(outlet_id, platform, start, end, followers))
+    return records
+
+
+def parse_retweets_by_row(stream, format="csv") -> list[RetweetRecord]:
+    """Retweet counts one row at a time, each (user, outlet) pair summed into
+    its first row; a running total beyond int64 fails at its row."""
+    totals = {}
+    for line, row in corpus._iter_rows(stream, format, corpus.RETWEET_FIELDS):
+        key = (str(row["user_id"]), str(row["outlet_id"]))
+        totals[key] = totals.get(key, 0) + _int(row["count"], "count", line, minimum=1)
+        if totals[key] > INT64_MAX:
+            raise ParseError(
+                f"count total {totals[key]} of user '{key[0]}' and outlet '{key[1]}' "
+                f"exceeds {INT64_MAX}",
+                line,
+            )
+    return [RetweetRecord(u, o, c) for (u, o), c in totals.items()]
+
+
+def read_count_tensor_by_row(stream) -> corpus.CountTensor:
+    """A counts.csv tensor one row at a time; a repeated cell fails at its row."""
+    index, cells = {}, {}
+    for line, row in corpus._iter_rows(stream, "csv", corpus.COUNT_FIELDS):
+        outlet = str(row["outlet_id"])
+        narrative = _enum(Narrative, row["narrative"], "narrative label", line)
+        event = _enum(EventType, row["event"], "event label", line)
+        count = _int(row["count"], "count", line)
+        cell = (index.setdefault(outlet, len(index)), NARRATIVE_ORDER.index(narrative),
+                EVENT_ORDER.index(event))
+        if cell in cells:
+            raise ParseError(
+                f"duplicate cell ('{outlet}', '{narrative.value}', '{event.value}')", line
+            )
+        cells[cell] = count
+    counts = np.zeros((len(index), 3, 3), dtype=np.int64)
+    for (i, j, k), count in cells.items():
+        counts[i, j, k] = count
+    return corpus.CountTensor(tuple(index), counts)
 
 
 def aggregate_counts_by_row(articles, registry) -> corpus.CountTensor:

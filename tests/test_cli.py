@@ -123,6 +123,29 @@ class TestPipeline:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, name, rows, message", [
+        ("ingest", "retweets", [("u1", "o1", 2**63)],
+         f"count must be <= {2**63 - 1}, got '{2**63}' at line 3"),
+        ("ingest", "retweets", [("u1", "o1", 2**62), ("u1", "o1", 2**62)],
+         f"count total {2**63} of user 'u1' and outlet 'o1' exceeds {2**63 - 1} at line 4"),
+        ("fit", "counts", [("o1", "anti", "adverse", 2**63)],
+         f"count must be <= {2**63 - 1}, got '{2**63}' at line"),
+    ])
+    def test_counts_beyond_int64_exit_2(self, pipeline_dirs, capsys, stage, name, rows, message):
+        sim, out = pipeline_dirs
+        path = (sim if stage == "ingest" else out) / f"{name}.csv"
+        with open(path, "a", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        if stage == "ingest":
+            text = path.read_text().splitlines()
+            path.write_text("\n".join(text[:2] + text[-len(rows):]) + "\n")
+            args = ingest_args(sim, out)
+        else:
+            args = ("fit", "--out", out)
+        capsys.readouterr()
+        assert run(*args) == 2
+        assert message in capsys.readouterr().err
+
     def test_retweets_without_shared_audience_exit_2(self, pipeline_dirs, capsys):
         _, out = pipeline_dirs
         assert fit_fast(out) == 0

@@ -175,8 +175,32 @@ class TestParseOutletsFollowers:
 
     def test_duplicate_outlet_rejected(self):
         text = "outlet_id,name,reliability,kind\no1,A,reliable,\no1,B,reliable,\n"
-        with pytest.raises(ValueError, match="duplicate outlet_id"):
+        with pytest.raises(ParseError, match="duplicate outlet_id 'o1' at line 3"):
             corpus.parse_outlets(io.StringIO(text), "csv")
+
+    def test_duplicate_count_cell_rejected(self):
+        text = "outlet_id,narrative,event,count\no1,anti,adverse,6\no1,pro,adverse,2\n"
+        with pytest.raises(ParseError, match=r"duplicate cell \('o1', 'anti', 'adverse'\) at line 4"):
+            corpus.read_count_tensor(io.StringIO(text + "o1,anti,adverse,999999\n"))
+
+    def test_first_fault_in_field_order_with_the_period_last(self):
+        header = "outlet_id,platform,period_start,period_end,followers\n"
+        for row, message in (
+            ("o1,myspace,2020-06-30,2020-01-01,10", "unknown platform 'myspace'"),
+            ("o1,facebook,2020-06-30,2020-01-01,-1", "followers must be >= 0, got '-1'"),
+            ("o1,facebook,2020-06-30,2020-01-01,10", "period_start 2020-06-30 after period_end"),
+        ):
+            with pytest.raises(ParseError, match=f"{message}.* at line 2"):
+                corpus.parse_followers(io.StringIO(header + row + "\n"), "csv")
+
+    def test_rule_fault_before_a_later_bad_value_wins(self):
+        rows = "u1,o1,9223372036854775807\nu1,o1,1\n" + "u2,o1,1\n" * 3 * corpus._CHUNK_ROWS
+        text = "user_id,outlet_id,count\n" + rows + "u2,o1,0\n"
+        with pytest.raises(ParseError, match=r"count total 9223372036854775808 .* at line 3$"):
+            corpus.parse_retweets(io.StringIO(text), "csv")
+        outlets = "outlet_id,name,reliability,kind\no1,A,reliable,\no1,B,reliable,\no2\n"
+        with pytest.raises(ParseError, match="duplicate outlet_id 'o1' at line 3"):
+            corpus.parse_outlets(io.StringIO(outlets), "csv")
 
     def test_followers(self):
         text = (
@@ -393,35 +417,155 @@ def inject(rng, rows, fmt):
             values.append("x")
 
 
-def render(rng, rows, fmt) -> str:
+def render(rng, rows, fmt, fields=corpus.ARTICLE_FIELDS) -> str:
+    n = len(fields)
     newline = "\r\n" if rng.random() < 0.5 else "\n"
     out = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(out, lineterminator=newline)
-        writer.writerow(corpus.ARTICLE_FIELDS)
+        writer.writerow(fields)
     for values in rows:
         if rng.random() < 0.1:  # a blank line; JSONL also skips whitespace-only lines
             out.write(newline if fmt == "csv" or rng.random() < 0.5 else "  " + newline)
         if fmt == "csv":
             writer.writerow(values)
             continue
-        keys = list(corpus.ARTICLE_FIELDS)
-        if len(values) < 6:
-            keys.remove(keys[rng.integers(6)])
-        elif len(values) > 6:
+        keys = list(fields)
+        if len(values) < n:
+            keys.remove(keys[rng.integers(n)])
+        elif len(values) > n:
             keys.append("extra")
         obj = dict(zip(keys, values))
-        if "interactions" in obj and type(obj["interactions"]) is int and rng.random() < 0.2:
-            obj["interactions"] = (float, str)[rng.integers(2)](obj["interactions"])
+        for name in COUNT_NAMES:
+            if name in obj and type(obj[name]) is int and rng.random() < 0.2:
+                obj[name] = (float, str)[rng.integers(2)](obj[name])
+        if obj.get("kind", "") is None and rng.random() < 0.5:
+            del obj["kind"]  # the one field JSONL may omit
         out.write(json.dumps(obj) + newline)
     return out.getvalue()
 
 
 def outcome(parse, text, fmt):
     try:
-        return "ok", list(parse(io.StringIO(text, newline=""), fmt))
+        result = parse(io.StringIO(text, newline=""), fmt)
     except ParseError as exc:
         return "error", str(exc), exc.line
+    if isinstance(result, corpus.CountTensor):
+        return "ok", result.outlets, result.counts.tolist()
+    return "ok", list(result)
+
+
+# ids that need quoting or span lines, and JSON values that read back as ids
+ODD_IDS = ("a,b", 'say "hi"', "two\nlines", "", " pad ")
+JSON_IDS = (7, 7.0, True, None, -0.0, "7")
+COUNT_NAMES = ("interactions", "followers", "count")
+BAD_VALUES = {
+    "enum": ("bogus", "PRO", "Twitter", "RELIABLE", "tv "),
+    "date": ("2021-02-30", "03/01/2021", "2021-3-1", ""),
+    "count": ("007", "+5", "5.0", "1e3", "-3", "true", str(2**63), "0"),
+}
+
+
+def random_id(rng, fmt, prefix, pool):
+    r = rng.random()
+    if r < 0.1:
+        return ODD_IDS[rng.integers(len(ODD_IDS))]
+    if fmt == "jsonl" and r < 0.2:
+        return JSON_IDS[rng.integers(len(JSON_IDS))]
+    return f"{prefix}{rng.integers(pool)}"
+
+
+def random_day(rng):
+    return datetime.date(2020, 1, 1) + datetime.timedelta(days=int(rng.integers(0, 731)))
+
+
+def random_count(rng, low=0):
+    return int(rng.integers(low, 50)) if rng.random() < 0.8 else int(rng.integers(low, 2**61))
+
+
+def pick(rng, labels):
+    return labels[rng.integers(len(labels))]
+
+
+def outlet_rows(rng, n, fmt):
+    ids = rng.permutation(ODD_IDS + tuple(f"o{i}" for i in range(n))).tolist()[:n]
+    kinds = [k.value for k in corpus.OutletKind] + ["" if fmt == "csv" else None]
+    return [[oid, random_id(rng, fmt, "Name ", 4), pick(rng, ("reliable", "questionable")),
+             pick(rng, kinds)] for oid in ids]
+
+
+def follower_rows(rng, n, fmt):
+    rows = []
+    for _ in range(n):
+        start, end = sorted((random_day(rng), random_day(rng)))
+        rows.append([random_id(rng, fmt, "o", 4), pick(rng, corpus.PLATFORMS).value,
+                     start.isoformat(), end.isoformat(), random_count(rng)])
+    return rows
+
+
+def retweet_rows(rng, n, fmt):
+    return [[random_id(rng, fmt, "u", 6), random_id(rng, fmt, "o", 4), random_count(rng, 1)]
+            for _ in range(n)]
+
+
+def count_rows(rng, n, fmt):
+    outlets = ("o1", pick(rng, ODD_IDS), "o2")
+    cells = [(o, nv.value, ev.value) for o in outlets for nv in NARRATIVE_ORDER for ev in EVENT_ORDER]
+    return [[*cells[c], random_count(rng)] for c in rng.permutation(len(cells))[:n]]
+
+
+def break_rule(rng, table, rows, fmt):
+    """Break the table's own rule: a later row repeats a row's key (for
+    retweets, with two counts summing past int64), or a period runs backwards."""
+    i = int(rng.integers(len(rows)))
+    if table == "followers":
+        rows[i][2:4] = "2021-06-01", "2021-01-01"
+        return
+    j = int(rng.integers(i, len(rows))) + 1
+    rows.insert(j, list(rows[i]))
+    if table == "retweets":
+        rows[i][2] = rows[j][2] = 2**62
+    elif table == "outlets" and fmt == "jsonl" and rng.random() < 0.5:
+        rows[i][0], rows[j][0] = "7", 7  # one id, once read as text
+
+
+def inject_one(rng, table, rows, fmt):
+    """Put one fault in a random row: a bad value, a wrong field count or a broken rule."""
+    if not rows:
+        return
+    fields = TABLES[table][2]
+    values = rows[rng.integers(len(rows))]
+    fault = rng.integers(3)
+    if fault == 0:
+        j = pick(rng, [j for j, name in enumerate(fields) if not name.endswith("_id")])
+        kind = ("count" if fields[j] in COUNT_NAMES
+                else "date" if fields[j].startswith(("date", "period")) else "enum")
+        values[j] = pick(rng, BAD_VALUES[kind])
+        if fmt == "jsonl" and values[j] in ("true", str(2**63)) and rng.random() < 0.5:
+            values[j] = json.loads(values[j])
+    elif fault == 1:
+        if rng.random() < 0.5:
+            values.pop(rng.integers(len(values)))
+        else:
+            values.append("x")
+    else:
+        break_rule(rng, table, rows, fmt)
+
+
+def _counts(stream, fmt):
+    return corpus.read_count_tensor(stream)
+
+
+TABLES = {
+    "outlets": (corpus.parse_outlets, oracle_helpers.parse_outlets_by_row, corpus.OUTLET_FIELDS,
+                outlet_rows),
+    "followers": (corpus.parse_followers, oracle_helpers.parse_followers_by_row,
+                  corpus.FOLLOWER_FIELDS, follower_rows),
+    "retweets": (corpus.parse_retweets, oracle_helpers.parse_retweets_by_row,
+                 corpus.RETWEET_FIELDS, retweet_rows),
+    "counts": (_counts, lambda stream, fmt: oracle_helpers.read_count_tensor_by_row(stream),
+               corpus.COUNT_FIELDS, count_rows),
+}
 
 
 class TestParserParity:
@@ -437,6 +581,23 @@ class TestParserParity:
                 assert outcome(corpus.parse_articles, text, fmt) == expected, text
                 errors += expected[0] == "error"
         assert 150 < errors < 450  # both outcomes are exercised
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_every_table_matches_row_by_row_reference(self, table):
+        parse, by_row, fields, make_rows = TABLES[table]
+        rng = np.random.default_rng(list(TABLES).index(table))
+        errors = runs = 0
+        for _ in range(150):
+            for fmt in ("csv",) if table == "counts" else ("csv", "jsonl"):
+                rows = make_rows(rng, int(rng.integers(0, 30)), fmt)
+                if rng.random() < 0.7:
+                    inject_one(rng, table, rows, fmt)
+                text = render(rng, rows, fmt, fields)
+                expected = outcome(by_row, text, fmt)
+                assert outcome(parse, text, fmt) == expected, text
+                errors += expected[0] == "error"
+                runs += 1
+        assert 0.3 * runs < errors < 0.8 * runs  # both outcomes are exercised
 
     def test_basic_format_date_matches_reference(self):
         # date.fromisoformat reads 20210301 from Python 3.11 on and rejects it before
@@ -488,7 +649,7 @@ class TestArticleTable:
         assert table[1] == records[1] and table[-1] == records[-1]
         assert table[1:] == records[1:] and isinstance(table[1:], corpus.ArticleTable)
         assert table.outlet_ids == ("o2", "o1")
-        assert table.outlet.tolist() == [0, 1, 0]
+        assert table.outlet_id.tolist() == [0, 1, 0]
         assert table.date.tolist() == [r.date.toordinal() for r in records]
         assert corpus.ArticleTable.from_records(table) is table
         assert table != records[:2] and table != "o2"
@@ -536,11 +697,33 @@ class TestInt64Bound:
         with pytest.raises(ValueError, match=rf"record 1: interactions must be <= {top}"):
             corpus.ArticleTable.from_records([make_article(), make_article(interactions=top + 1)])
 
+    def test_every_count_column_is_bounded(self):
+        top = corpus.INT64_MAX
+        retweets = "user_id,outlet_id,count\nu1,o1,1\n"
+        with pytest.raises(ParseError, match=rf"count must be <= {top}, got '{top + 1}' at line 3"):
+            corpus.parse_retweets(io.StringIO(retweets + f"u1,o2,{top + 1}\n"), "csv")
+        summed = retweets + f"u1,o2,{2**62}\nu2,o1,5\nu1,o2,{2**62}\n"
+        with pytest.raises(ParseError, match=rf"count total {2**63} of user 'u1' and outlet 'o2' "
+                                             rf"exceeds {top} at line 5"):
+            corpus.parse_retweets(io.StringIO(summed), "csv")
+        fits = corpus.parse_retweets(io.StringIO(retweets + f"u1,o1,{top - 1}\n"), "csv")
+        assert list(fits) == [corpus.RetweetRecord("u1", "o1", top)]
+        counts = "outlet_id,narrative,event,count\no1,anti,adverse,1\n"
+        with pytest.raises(ParseError, match=rf"count must be <= {top}, got '{top + 1}' at line 3"):
+            corpus.read_count_tensor(io.StringIO(counts + f"o1,pro,adverse,{top + 1}\n"))
+        followers = "outlet_id,platform,period_start,period_end,followers\n"
+        with pytest.raises(ParseError, match=rf"followers must be <= {top}, got '{top + 1}' at line 2"):
+            corpus.parse_followers(
+                io.StringIO(followers + f"o1,twitter,2020-01-01,2020-01-02,{top + 1}\n"), "csv")
+
     def test_record_values_are_checked_by_type(self):
         # True == 1 and hashes alike, so it must not reuse the code of an earlier 1
         with pytest.raises(ValueError, match="record 1: invalid interactions 'True'"):
             corpus.ArticleTable.from_records([make_article(interactions=1),
                                               make_article(interactions=True)])
+        with pytest.raises(ValueError, match="record 1: invalid count 'True'"):
+            corpus.RetweetTable.from_records([corpus.RetweetRecord("u", "o", 1),
+                                              corpus.RetweetRecord("u", "o", True)])
         table = corpus.ArticleTable.from_records(
             [make_article(outlet=oid) for oid in (1, True, 1.0, 0.0, -0.0)]
         )

@@ -9,7 +9,7 @@ import pytest
 
 from oracle_helpers import brute_force_best_partition, dense_modularity
 
-from newsbias import network, synth
+from newsbias import corpus, network, synth
 from newsbias.corpus import OutletProfile, Reliability, RetweetRecord
 from newsbias.metrics import BiasRow
 from newsbias.network import (
@@ -79,6 +79,18 @@ class TestBuildMatrix:
         )
         assert matrix.users == ("ua", "ub")
         assert matrix.outlets == ("oa", "oz")
+
+    def test_parsed_table_ranks_its_codes_by_sorted_id(self):
+        text = "user_id,outlet_id,count\nuz,ob,1\nua,oc,2\nuz,oa,3\nuq,ob,4\nuz,ob,5\n"
+        table = corpus.parse_retweets(io.StringIO(text))
+        records = list(table)
+        for retweets, kept in ((table, records), (table.take([0, 2]), [records[0], records[2]])):
+            matrix = build_matrix(retweets)
+            expected = build_matrix(kept)
+            assert (matrix.users, matrix.outlets) == (expected.users, expected.outlets)
+            assert matrix.counts.toarray().tolist() == expected.counts.toarray().tolist()
+        # the codes of ids no kept row uses get no row or column
+        assert build_matrix(table.take([0, 2])).users == ("uz",)
 
 
 class TestCosineWeight:
