@@ -55,7 +55,7 @@ def _onoff(value: str) -> bool:
 
 def _date(value: str) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(value)
+        return corpus.iso_date(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected ISO date, got '{value}'") from None
 

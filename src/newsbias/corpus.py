@@ -17,6 +17,7 @@ import itertools
 import json
 import logging
 import operator
+import re
 from collections import abc
 from dataclasses import dataclass
 from enum import Enum
@@ -61,12 +62,7 @@ class OutletKind(str, Enum):
 NARRATIVE_ORDER = (Narrative.ANTI, Narrative.NEUTRAL, Narrative.PRO)
 EVENT_ORDER = (EventType.ADVERSE, EventType.NEUTRAL, EventType.POSITIVE)
 
-_NARRATIVE_INDEX = {n: i for i, n in enumerate(NARRATIVE_ORDER)}
 _EVENT_INDEX = {e: i for i, e in enumerate(EVENT_ORDER)}
-
-
-def narrative_index(narrative: Narrative) -> int:
-    return _NARRATIVE_INDEX[narrative]
 
 
 def event_index(event: EventType) -> int:
@@ -173,11 +169,29 @@ class CountTensor:
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _iter_values(stream: TextIO, format: str, fields: Sequence[str]):
+def iso_date(text: str) -> datetime.date:
+    """The date spelled exactly YYYY-MM-DD, else ValueError (`date.fromisoformat`
+    alone also reads `20210301` and `2021-W05-3` from Python 3.11 on)."""
+    if not (isinstance(text, str) and re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text)):
+        raise ValueError(f"expected a YYYY-MM-DD date, got '{text}'")
+    return datetime.date.fromisoformat(text)
+
+
+def exact_sums(values: np.ndarray, groups: np.ndarray, n: int) -> list[int]:
+    """Exact sums of nonnegative int64 `values` per group (`groups[i]` in [0, n)),
+    as Python ints: float64 bincounts of 16-bit digits are exact below 2**37 rows."""
+    totals = np.zeros(n, dtype=object)
+    for shift in (48, 32, 16, 0):
+        digits = np.bincount(groups, weights=(values >> shift) & 0xFFFF, minlength=n)
+        totals = (totals << 16) + digits.astype(np.int64).astype(object)
+    return totals.tolist()
+
+
+def _iter_values(stream: TextIO, format: str, fields: Sequence[str], optional: Sequence[str] = ()):
     """Yield (line_number, values in `fields` order) for CSV-with-header or JSONL input.
 
-    CSV values are the row's strings; a JSONL object may omit only "kind",
-    which then reads as None.
+    CSV values are the row's strings; a JSONL object may omit only the
+    `optional` fields, which then read as None.
     """
     if format == "csv":
         reader = csv.reader(stream)
@@ -209,7 +223,7 @@ def _iter_values(stream: TextIO, format: str, fields: Sequence[str]):
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", line)
             for key in fields:
-                if key not in obj and key != "kind":
+                if key not in obj and key not in optional:
                     raise ParseError(f"missing field '{key}'", line)
             for key in obj:
                 if key not in fields:
@@ -219,9 +233,9 @@ def _iter_values(stream: TextIO, format: str, fields: Sequence[str]):
         raise ValueError(f"unknown format '{format}', expected 'csv' or 'jsonl'")
 
 
-def _iter_rows(stream: TextIO, format: str, fields: Sequence[str]):
+def _iter_rows(stream: TextIO, format: str, fields: Sequence[str], optional: Sequence[str] = ()):
     """Yield (line_number, {field: value}) for CSV-with-header or JSONL input."""
-    for line, values in _iter_values(stream, format, fields):
+    for line, values in _iter_values(stream, format, fields, optional):
         yield line, dict(zip(fields, values))
 
 
@@ -302,6 +316,7 @@ class _Field:
     record values and CSV text, each distinct value spelled once."""
 
     dtype: type = np.int64
+    optional = False
 
     def decode(self, values: list) -> tuple[np.ndarray, tuple[str, ...] | None]:
         """The column value of each converted value, and the ids they code, if any."""
@@ -313,13 +328,15 @@ class _Field:
 
 @dataclass(frozen=True)
 class IdField(_Field):
-    """A string id; its column holds codes into the table's distinct ids,
-    named after the field plus "s" (`outlet_id` codes index `outlet_ids`)."""
+    """A string id, not null; its column holds codes into the table's distinct
+    ids, named after the field plus "s" (`outlet_id` codes index `outlet_ids`)."""
 
     name: str
     dtype = np.int32
 
     def convert(self, value, line: int) -> str:
+        if value is None:
+            raise ParseError(f"null {self.name}", line)
         return str(value)
 
     def decode(self, values):
@@ -334,7 +351,7 @@ class IdField(_Field):
 @dataclass(frozen=True)
 class EnumField(_Field):
     """A label of a fixed `order`; the column holds its position. An optional
-    field reads an empty or missing label as None, at position len(order)."""
+    field reads an empty, null or missing label as None, at position len(order)."""
 
     name: str
     order: tuple
@@ -343,7 +360,7 @@ class EnumField(_Field):
     dtype = np.int8
 
     def convert(self, value, line: int) -> int:
-        if self.optional and not value:
+        if self.optional and (value is None or value == ""):
             return len(self.order)
         try:
             return self.order.index(type(self.order[0])(value))
@@ -359,7 +376,7 @@ class EnumField(_Field):
 
 @dataclass(frozen=True)
 class DateField(_Field):
-    """An ISO date; the column holds its proleptic Gregorian ordinal."""
+    """A YYYY-MM-DD date; the column holds its proleptic Gregorian ordinal."""
 
     name: str
     dtype = np.int32
@@ -368,7 +385,7 @@ class DateField(_Field):
         if isinstance(value, datetime.date):  # a record's value
             return value.toordinal()
         try:
-            return datetime.date.fromisoformat(value).toordinal()
+            return iso_date(value).toordinal()
         except (TypeError, ValueError):
             raise ParseError(f"malformed {self.name} '{value}'", line) from None
 
@@ -418,7 +435,8 @@ class Table(abc.Sequence):
 
     The table is a read-only Sequence of `record`: length, iteration and
     indexing build records on demand, and it compares equal to a list of the
-    same records. `from_records` is the one conversion from records.
+    same records. `from_records` is the one conversion from records. Parsed
+    or converted, a table is built under its class's own rule (`_checked`).
     """
 
     fields: tuple[_Field, ...] = ()
@@ -444,34 +462,37 @@ class Table(abc.Sequence):
         return {f.name: getattr(self, f.name + "s") for f in self.fields if isinstance(f, IdField)}
 
     @classmethod
-    def _from_coders(cls, coders: Sequence[_Coder], rows: int | None = None) -> Table:
-        """The table of the first `rows` coded rows (all by default)."""
+    def _from_coders(cls, coders: Sequence[_Coder], lines: Sequence[int]) -> Table:
+        """The table of the first len(lines) coded rows under the class's rule;
+        `lines[i]` is row i's input line, which a broken rule is reported at."""
         columns, ids = [], {}
         for field, coder in zip(cls.fields, coders):
             lookup, distinct = field.decode(coder.values)
-            columns.append(lookup[coder.codes()[:rows]])
+            columns.append(lookup[coder.codes()[: len(lines)]])
             if distinct is not None:
                 ids[field.name] = distinct
-        return cls(columns, ids)
+        return cls(columns, ids)._checked(lines)
 
     @classmethod
     def from_records(cls, records: Iterable) -> Table:
-        """The table of `records`, in order, each value checked as a parsed one
-        is; a table of this class is returned as is."""
+        """The table of `records` in order, checked as a parsed table is; a table of
+        this class is returned as is. A fault raises ValueError("record i: ...")."""
         if isinstance(records, cls):
             return records
         records = records if isinstance(records, (list, tuple)) else list(records)
         coders = [_Coder(field.convert) for field in cls.fields]
-        for field, coder in zip(cls.fields, coders):
-            column = list(map(operator.attrgetter(field.name), records))
-            failed = coder.add(_record_keys(column), column)
-            if failed is not None:
-                raise ValueError(f"record {failed[0]}: {failed[1]}")
-        return cls._from_coders(coders)
+        try:
+            for field, coder in zip(cls.fields, coders):
+                column = list(map(operator.attrgetter(field.name), records))
+                failed = coder.add(_record_keys(column), column)
+                if failed is not None:
+                    raise ParseError(failed[1], failed[0])
+            return cls._from_coders(coders, range(len(records)))
+        except ParseError as exc:
+            raise ValueError(f"record {exc.line}: {exc.reason}") from None
 
     def _checked(self, lines: Sequence[int]) -> Table:
-        """The table under its own rule, which parsing applies; `lines[i]` is
-        row i's input line. Raises ParseError at the first row breaking it."""
+        """The table under its own rule; raises ParseError at `lines[row]` of the first bad row."""
         return self
 
     def take(self, rows) -> Table:
@@ -525,18 +546,8 @@ class ArticleTable(Table):
     record = ArticleRecord
 
     def interaction_totals(self, groups: np.ndarray, n_groups: int) -> list[int]:
-        """Exact interactions summed per group (`groups[i]` is row i's group).
-
-        The totals are Python ints. Each int64 is split into four 16-bit
-        digits whose float64 bincount sums are exact below 2**37 rows, so
-        nothing wraps; a total above the int64 range raises ValueError.
-        """
-        totals = [0] * n_groups
-        for shift in range(0, 64, 16):
-            digits = (self.interactions >> shift) & 0xFFFF
-            sums = np.bincount(groups, weights=digits, minlength=n_groups)
-            totals = [t + (int(d) << shift) for t, d in zip(totals, sums.tolist())]
-        return [_int64_total(total) for total in totals]
+        """Exact interactions per group (`groups[i]` is row i's group); beyond int64 raises."""
+        return [_int64_total(t) for t in exact_sums(self.interactions, groups, n_groups)]
 
 
 class OutletTable(Table):
@@ -555,6 +566,10 @@ class OutletTable(Table):
         if row is not None:
             raise ParseError(f"duplicate outlet_id '{self[row].outlet_id}'", lines[row])
         return self
+
+    def row_of(self) -> dict[str, int]:
+        """{outlet id: its row}, in row order."""
+        return {oid: row for row, oid in enumerate(_lookup(self.outlet_ids, self.outlet_id))}
 
 
 class FollowerTable(Table):
@@ -589,22 +604,20 @@ class RetweetTable(Table):
     def _checked(self, lines):
         pair = self.user_id.astype(np.int64) * len(self.outlet_ids) + self.outlet_id
         _, first, group = np.unique(pair, return_index=True, return_inverse=True)
-        # a float64 sum of counts below 2**63 is off by far less than 2**62,
-        # so only pairs summing to 2**62 or more can pass INT64_MAX
-        approx = np.bincount(group, weights=self.count.astype(np.float64))
+        totals = exact_sums(self.count, group, len(first))
+        over = np.isin(group, [g for g, total in enumerate(totals) if total > INT64_MAX])
         running: dict[int, int] = {}
-        for row in np.flatnonzero(approx[group] >= 2.0**62).tolist():
+        for row in np.flatnonzero(over).tolist():  # the row where a total crosses the bound
             g = int(group[row])
             running[g] = running.get(g, 0) + int(self.count[row])
             if running[g] > INT64_MAX:
                 rec = self[row]
                 raise ParseError(f"count total {running[g]} of user '{rec.user_id}' and outlet "
                                  f"'{rec.outlet_id}' exceeds {INT64_MAX}", lines[row])
-        totals = np.zeros(len(first), dtype=np.int64)
-        np.add.at(totals, group, self.count)
         order = np.argsort(first)  # pairs by first appearance
         keep = first[order]
-        return RetweetTable([self.user_id[keep], self.outlet_id[keep], totals[order]], self._ids())
+        totals = np.array(totals, dtype=np.int64)[order]
+        return RetweetTable([self.user_id[keep], self.outlet_id[keep], totals], self._ids())
 
 
 class _CountRows(Table):
@@ -657,7 +670,8 @@ def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
     """
     coders = [_Coder(field.convert) for field in cls.fields]
     key = _json_key if format == "jsonl" else None
-    rows = _iter_values(stream, format, [field.name for field in cls.fields])
+    rows = _iter_values(stream, format, [field.name for field in cls.fields],
+                        [field.name for field in cls.fields if field.optional])
     lines = array.array("q")
     fault = None
     while fault is None:
@@ -681,7 +695,7 @@ def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
         if len(chunk) < _CHUNK_ROWS:
             break
     # the rule sees only rows before the fault, so a rule error is earlier
-    table = cls._from_coders(coders, len(lines))._checked(lines)
+    table = cls._from_coders(coders, lines)
     if fault is not None:
         raise fault
     return table
@@ -732,18 +746,14 @@ def _registered(table: ArticleTable, code_of: Mapping[str, int]) -> np.ndarray:
 
 
 def aggregate_counts(
-    articles: Iterable[ArticleRecord], registry: Sequence[OutletProfile]
+    articles: Iterable[ArticleRecord], registry: Iterable[OutletProfile]
 ) -> CountTensor:
     """Count articles into an N x 3 x 3 tensor, outlets ordered as in registry."""
-    index: dict[str, int] = {}
-    for profile in registry:
-        if profile.outlet_id in index:
-            raise ValueError(f"duplicate outlet_id in registry: '{profile.outlet_id}'")
-        index[profile.outlet_id] = len(index)
+    row_of = OutletTable.from_records(registry).row_of()
     table = ArticleTable.from_records(articles)
-    cells = (_registered(table, index) * 3 + table.narrative) * 3 + table.event
-    counts = np.bincount(cells, minlength=9 * len(index)).reshape(len(index), 3, 3)
-    return CountTensor(tuple(p.outlet_id for p in registry), counts.astype(np.int64, copy=False))
+    cells = (_registered(table, row_of) * 3 + table.narrative) * 3 + table.event
+    counts = np.bincount(cells, minlength=9 * len(row_of)).reshape(len(row_of), 3, 3)
+    return CountTensor(tuple(row_of), counts.astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -770,7 +780,7 @@ class BreakdownTable:
 
 
 def dataset_breakdown(
-    articles: Sequence[ArticleRecord], registry: Sequence[OutletProfile]
+    articles: Iterable[ArticleRecord], registry: Iterable[OutletProfile]
 ) -> BreakdownTable:
     """Per-reliability-class source/content/interaction totals with shares.
 
@@ -778,17 +788,15 @@ def dataset_breakdown(
     the articles. Percentages are raw (unrounded); round to one decimal only
     for display. An interaction total above the int64 range raises.
     """
+    outlets = OutletTable.from_records(registry)
     table = ArticleTable.from_records(articles)
     if not len(table):
         raise ValueError("no articles")
-    classes = (Reliability.QUESTIONABLE, Reliability.RELIABLE)
-    class_of = {p.outlet_id: classes.index(p.reliability) for p in registry}
-    rows = _registered(table, class_of)
-    sources = [0, 0]
-    for profile in registry:
-        sources[classes.index(profile.reliability)] += 1
-    contents = np.bincount(rows, minlength=2).tolist()
-    interactions = table.interaction_totals(rows, 2)
+    # class 0 is questionable, 1 reliable: the reliability column's order
+    classes = outlets.reliability[_registered(table, outlets.row_of())]
+    sources = np.bincount(outlets.reliability, minlength=2).tolist()
+    contents = np.bincount(classes, minlength=2).tolist()
+    interactions = table.interaction_totals(classes, 2)
     tot_sources = sum(sources)
     tot_contents = sum(contents)
     tot_interactions = _int64_total(sum(interactions))

@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import EVENT_ORDER, ArticleRecord, ArticleTable, EventType, FollowerRecord
+from .corpus import (EVENT_ORDER, ArticleRecord, ArticleTable, EventType, FollowerRecord,
+                     FollowerTable, filter_articles)
 
 log = logging.getLogger(__name__)
 
@@ -54,22 +55,21 @@ def average_followers(
     records; duration_weighted weights each record by its overlap in days.
     Outlets with no overlapping record are absent from the result.
     """
-    start, end = window
+    start, end = (day.toordinal() for day in window)
     if start > end:
         raise ValueError("window start must be <= window end")
-    sums: dict[str, float] = {}
-    weights: dict[str, float] = {}
-    for rec in records:
-        if rec.period_start > end or rec.period_end < start:
-            continue
-        if duration_weighted:
-            overlap = (min(rec.period_end, end) - max(rec.period_start, start)).days + 1
-            w = float(overlap)
-        else:
-            w = 1.0
-        sums[rec.outlet_id] = sums.get(rec.outlet_id, 0.0) + w * rec.followers
-        weights[rec.outlet_id] = weights.get(rec.outlet_id, 0.0) + w
-    return {oid: sums[oid] / weights[oid] for oid in sums}
+    table = FollowerTable.from_records(records)
+    kept = (table.period_start <= end) & (table.period_end >= start)
+    if duration_weighted:
+        overlap = np.minimum(table.period_end, end) - np.maximum(table.period_start, start) + 1
+        w = overlap[kept].astype(np.float64)
+    else:
+        w = np.ones(int(kept.sum()))
+    # bincount adds in row order, as a running sum per outlet would
+    codes, n = table.outlet_id[kept], len(table.outlet_ids)
+    sums = np.bincount(codes, w * table.followers[kept], n).tolist()
+    weights = np.bincount(codes, w, n).tolist()
+    return {oid: s / c for oid, s, c in zip(table.outlet_ids, sums, weights) if c}
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,7 @@ def build_engagement_table(
             datetime.date.fromordinal(int(table.date.min())),
             datetime.date.fromordinal(int(table.date.max())),
         )
-    kept = table.take(
-        (table.date >= window[0].toordinal()) & (table.date <= window[1].toordinal())
-    )
+    kept = filter_articles(table, *window)
     followers = average_followers(follower_records, window, duration_weighted)
 
     # group g = outlet code * 3 + event position

@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 from scipy import sparse
 
-from .corpus import OutletProfile, Reliability, RetweetRecord, RetweetTable, write_csv
+from .corpus import OutletProfile, Reliability, RetweetRecord, RetweetTable, exact_sums, write_csv
 from .metrics import BiasRow
 
 log = logging.getLogger(__name__)
@@ -38,17 +38,13 @@ class RetweetMatrix:
 
 
 def build_matrix(records: Iterable[RetweetRecord]) -> RetweetMatrix:
-    """Assemble the retweet matrix; duplicate (user, outlet) pairs are summed.
-
-    A RetweetTable (what `corpus.parse_retweets` returns) is used as it is:
-    its id codes are remapped to ranks among the sorted ids.
-    """
+    """Assemble the retweet matrix from a RetweetTable or records; records are
+    read under the table's rule, so duplicate (user, outlet) pairs are summed and
+    a sum beyond int64 raises. Id codes become ranks among the sorted ids."""
     table = RetweetTable.from_records(records)
     users, rows = _ranks(table.user_ids, table.user_id)
     outlets, cols = _ranks(table.outlet_ids, table.outlet_id)
-    counts = sparse.coo_array((table.count, (rows, cols)), shape=(len(users), len(outlets)))
-    counts = counts.tocsc()
-    counts.sum_duplicates()
+    counts = sparse.csc_array((table.count, (rows, cols)), shape=(len(users), len(outlets)))
     return RetweetMatrix(users=users, outlets=outlets, counts=counts)
 
 
@@ -197,21 +193,15 @@ def build_graph(
 def _exact_mean(weights: np.ndarray) -> float:
     """Correctly rounded mean of floats in [0, 1], equal to `statistics.mean`.
 
-    Each weight is an integer mantissa m < 2**53 times 2**(e - 53) with
-    e <= 1. The mantissas are cut into 18-bit parts and summed per exponent
-    by `np.bincount`; every partial sum is an integer below n * 2**18, so
-    exact in float64 for n < 2**35. The parts then add up as Python ints to
-    the exact sum, and one integer division rounds sum / n once.
+    Each weight is an integer mantissa m < 2**53 times 2**(e - 53) with e <= 1;
+    the mantissas' exact sums per exponent add up as Python ints to the exact
+    total, and one integer division rounds total / n once.
     """
     mantissa, exponent = np.frexp(weights)
     mantissa = (mantissa * 2.0**53).astype(np.int64)
     low = int(exponent.min())
-    exponent -= low
-    total = 0
-    for shift in (0, 18, 36):
-        sums = np.bincount(exponent, (mantissa >> shift) & 0x3FFFF)
-        total += sum(int(s) << (e + shift) for e, s in enumerate(sums.tolist()) if s)
-    return total / (len(weights) << (53 - low))
+    sums = exact_sums(mantissa, exponent - low, int(exponent.max()) - low + 1)
+    return sum(s << e for e, s in enumerate(sums)) / (len(weights) << (53 - low))
 
 
 def threshold_graph(

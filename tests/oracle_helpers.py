@@ -121,10 +121,21 @@ def _enum(cls, value, what, line):
 
 
 def _date(value, what, line):
+    """A date spelled exactly YYYY-MM-DD, in ASCII digits."""
     try:
-        return datetime.date.fromisoformat(value)
+        digits = value[:4] + value[5:7] + value[8:]
+        if not (len(value) == 10 and value[4] + value[7] == "--"
+                and digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return datetime.date(int(value[:4]), int(value[5:7]), int(value[8:]))
     except (TypeError, ValueError):
         raise ParseError(f"malformed {what} '{value}'", line) from None
+
+
+def _id(value, what, line):
+    if value is None:
+        raise ParseError(f"null {what}", line)
+    return str(value)
 
 
 def _int(value, what, line, minimum=0):
@@ -151,7 +162,7 @@ def parse_articles_by_row(stream, format="csv") -> list[ArticleRecord]:
     for line, row in corpus._iter_rows(stream, format, corpus.ARTICLE_FIELDS):
         records.append(
             ArticleRecord(
-                outlet_id=str(row["outlet_id"]),
+                outlet_id=_id(row["outlet_id"], "outlet_id", line),
                 platform=_enum(Platform, row["platform"], "platform", line),
                 date=_date(row["date"], "date", line),
                 narrative=_enum(Narrative, row["narrative"], "narrative label", line),
@@ -165,13 +176,13 @@ def parse_articles_by_row(stream, format="csv") -> list[ArticleRecord]:
 def parse_outlets_by_row(stream, format="csv") -> list[OutletProfile]:
     """The registry one row at a time; a repeated outlet_id fails at its row."""
     records, seen = [], set()
-    for line, row in corpus._iter_rows(stream, format, corpus.OUTLET_FIELDS):
-        kind = row["kind"] or None
+    for line, row in corpus._iter_rows(stream, format, corpus.OUTLET_FIELDS, ("kind",)):
+        kind = None if row["kind"] in (None, "") else row["kind"]
         record = OutletProfile(
-            outlet_id=str(row["outlet_id"]),
-            name=str(row["name"]),
+            outlet_id=_id(row["outlet_id"], "outlet_id", line),
+            name=_id(row["name"], "name", line),
             reliability=_enum(Reliability, row["reliability"], "reliability label", line),
-            kind=_enum(OutletKind, kind, "outlet kind", line) if kind else None,
+            kind=kind if kind is None else _enum(OutletKind, kind, "outlet kind", line),
         )
         if record.outlet_id in seen:
             raise ParseError(f"duplicate outlet_id '{record.outlet_id}'", line)
@@ -184,7 +195,7 @@ def parse_followers_by_row(stream, format="csv") -> list[FollowerRecord]:
     """Follower records one row at a time; the period check comes last."""
     records = []
     for line, row in corpus._iter_rows(stream, format, corpus.FOLLOWER_FIELDS):
-        outlet_id = str(row["outlet_id"])
+        outlet_id = _id(row["outlet_id"], "outlet_id", line)
         platform = _enum(Platform, row["platform"], "platform", line)
         start = _date(row["period_start"], "period_start", line)
         end = _date(row["period_end"], "period_end", line)
@@ -200,7 +211,7 @@ def parse_retweets_by_row(stream, format="csv") -> list[RetweetRecord]:
     its first row; a running total beyond int64 fails at its row."""
     totals = {}
     for line, row in corpus._iter_rows(stream, format, corpus.RETWEET_FIELDS):
-        key = (str(row["user_id"]), str(row["outlet_id"]))
+        key = (_id(row["user_id"], "user_id", line), _id(row["outlet_id"], "outlet_id", line))
         totals[key] = totals.get(key, 0) + _int(row["count"], "count", line, minimum=1)
         if totals[key] > INT64_MAX:
             raise ParseError(
@@ -292,6 +303,21 @@ def dataset_breakdown_by_row(articles, registry) -> corpus.BreakdownTable:
     )
 
 
+def average_followers_by_row(records, window, duration_weighted=False):
+    """Mean follower count per outlet over records overlapping the window,
+    summed one record at a time."""
+    start, end = window
+    sums, weights = {}, {}
+    for rec in records:
+        if rec.period_start > end or rec.period_end < start:
+            continue
+        w = float((min(rec.period_end, end) - max(rec.period_start, start)).days + 1
+                  if duration_weighted else 1)
+        sums[rec.outlet_id] = sums.get(rec.outlet_id, 0.0) + w * rec.followers
+        weights[rec.outlet_id] = weights.get(rec.outlet_id, 0.0) + w
+    return {oid: sums[oid] / weights[oid] for oid in sums}
+
+
 def build_engagement_table_by_row(articles, follower_records, window=None,
                                   duration_weighted=False):
     """Per (outlet, event type) adjusted engagement, one article at a time."""
@@ -301,7 +327,7 @@ def build_engagement_table_by_row(articles, follower_records, window=None,
         dates = [a.date for a in articles]
         window = (min(dates), max(dates))
     kept = [a for a in articles if window[0] <= a.date <= window[1]]
-    followers = metrics.average_followers(follower_records, window, duration_weighted)
+    followers = average_followers_by_row(follower_records, window, duration_weighted)
     contents, interactions = {}, {}
     for a in kept:
         key = (a.outlet_id, a.event)

@@ -189,6 +189,12 @@ class TestWindowAndFormats:
                    "--out", out, "--from", "2021-02-01", "--to", "2021-11-30") == 0
         assert len(read_rows(out / "articles.csv")) == 1
 
+    @pytest.mark.parametrize("day", ["20210201", "2021-W05-3", "2021-2-1"])
+    def test_window_dates_are_yyyy_mm_dd_only(self, day):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"expected ISO date, got '{day}'"):
+            cli._date(day)
+        assert cli._date("2021-02-01").isoformat() == "2021-02-01"
+
     def test_jsonl_ingest(self, tmp_path):
         articles = tmp_path / "a.jsonl"
         articles.write_text(

@@ -164,6 +164,13 @@ class TestParseRetweets:
         with pytest.raises(ParseError, match="count must be >= 1"):
             corpus.parse_retweets(io.StringIO("user_id,outlet_id,count\nu,o,0\n"), "csv")
 
+    def test_written_records_are_summed_by_the_rule(self):
+        records = [corpus.RetweetRecord("u1", "o1", 2), corpus.RetweetRecord("u2", "o1", 1),
+                   corpus.RetweetRecord("u1", "o1", 3)]
+        buf = io.StringIO()
+        corpus.write_retweets(records, buf)
+        assert buf.getvalue() == "user_id,outlet_id,count\nu1,o1,5\nu2,o1,1\n"
+
 
 class TestParseOutletsFollowers:
     def test_outlets(self):
@@ -306,6 +313,14 @@ class TestBreakdown:
         with pytest.raises(ValueError, match="no articles"):
             corpus.dataset_breakdown([], make_registry("o1"))
 
+    def test_duplicate_registry_record_raises_everywhere(self):
+        registry = make_registry("o1", "o2", "o1")
+        for consume in (corpus.aggregate_counts, corpus.dataset_breakdown):
+            with pytest.raises(ValueError, match=r"^record 2: duplicate outlet_id 'o1'$"):
+                consume([make_article("o1")], registry)
+        with pytest.raises(ValueError, match=r"^record 2: duplicate outlet_id 'o1'$"):
+            corpus.write_outlets(registry, io.StringIO())
+
     def test_display_rounding_of_published_shares(self):
         # 44,547 of 353,530 contents -> 12.6%; 161 of 682 sources -> 23.6%
         assert f"{100 * 44547 / 353530:.1f}" == "12.6"
@@ -376,8 +391,10 @@ class TestRecordInvariants:
 
 # outlet ids that need quoting, span lines or read back as other JSON types
 CSV_OUTLETS = ("o1", "o2", "a,b", 'say "hi"', "two\nlines", "", " pad ", "1")
-JSON_OUTLETS = ("o1", "a,b", 'say "hi"', "1", 1, 1.0, True, "True", 0.0, -0.0, None)
-FAULTS = ("enum", "date", "noncanonical", "negative", "bool", "fields")
+JSON_OUTLETS = ("o1", "a,b", 'say "hi"', "1", 1, 1.0, True, "True", 0.0, -0.0)
+FAULTS = ("enum", "date", "noncanonical", "negative", "bool", "fields", "json")
+# JSON values no id or label field reads: a null id, a false-like label
+JSON_FALSY = (False, 0, [], {})
 
 
 def random_values(rng, outlets):
@@ -411,6 +428,10 @@ def inject(rng, rows, fmt):
             values[5] = -int(rng.integers(1, 100))
         elif fault == "bool":
             values[5] = True if fmt == "jsonl" else "true"
+        elif fault == "json":
+            if fmt == "jsonl":
+                j = (0, 1, 3, 4)[rng.integers(4)]
+                values[j] = None if j == 0 else JSON_FALSY[rng.integers(len(JSON_FALSY))]
         elif rng.random() < 0.5:
             values.pop(rng.integers(6))
         else:
@@ -457,7 +478,7 @@ def outcome(parse, text, fmt):
 
 # ids that need quoting or span lines, and JSON values that read back as ids
 ODD_IDS = ("a,b", 'say "hi"', "two\nlines", "", " pad ")
-JSON_IDS = (7, 7.0, True, None, -0.0, "7")
+JSON_IDS = (7, 7.0, True, -0.0, "7")
 COUNT_NAMES = ("interactions", "followers", "count")
 BAD_VALUES = {
     "enum": ("bogus", "PRO", "Twitter", "RELIABLE", "tv "),
@@ -489,7 +510,7 @@ def pick(rng, labels):
 
 def outlet_rows(rng, n, fmt):
     ids = rng.permutation(ODD_IDS + tuple(f"o{i}" for i in range(n))).tolist()[:n]
-    kinds = [k.value for k in corpus.OutletKind] + ["" if fmt == "csv" else None]
+    kinds = [k.value for k in corpus.OutletKind] + ["", *([None] if fmt == "jsonl" else [])]
     return [[oid, random_id(rng, fmt, "Name ", 4), pick(rng, ("reliable", "questionable")),
              pick(rng, kinds)] for oid in ids]
 
@@ -536,7 +557,12 @@ def inject_one(rng, table, rows, fmt):
     fields = TABLES[table][2]
     values = rows[rng.integers(len(rows))]
     fault = rng.integers(3)
-    if fault == 0:
+    if fault == 0 and fmt == "jsonl" and rng.random() < 0.3:
+        j = pick(rng, [j for j, name in enumerate(fields) if name not in COUNT_NAMES
+                       and not name.startswith(("date", "period"))])
+        is_id = fields[j].endswith("_id") or fields[j] == "name"
+        values[j] = None if is_id else pick(rng, JSON_FALSY)
+    elif fault == 0:
         j = pick(rng, [j for j, name in enumerate(fields) if not name.endswith("_id")])
         kind = ("count" if fields[j] in COUNT_NAMES
                 else "date" if fields[j].startswith(("date", "period")) else "enum")
@@ -600,14 +626,52 @@ class TestParserParity:
         assert 0.3 * runs < errors < 0.8 * runs  # both outcomes are exercised
 
     def test_basic_format_date_matches_reference(self):
-        # date.fromisoformat reads 20210301 from Python 3.11 on and rejects it before
-        for fmt, row in (("csv", "o1,twitter,20210301,anti,adverse,1\n"),
-                         ("jsonl", '{"outlet_id": "o1", "platform": "twitter", '
-                                   '"date": "20210301", "narrative": "anti", '
-                                   '"event": "adverse", "interactions": 1}\n')):
-            text = (ARTICLE_HEADER if fmt == "csv" else "") + row * 2
-            expected = outcome(oracle_helpers.parse_articles_by_row, text, fmt)
-            assert outcome(corpus.parse_articles, text, fmt) == expected
+        # date.fromisoformat reads the first two from Python 3.11 on; only
+        # YYYY-MM-DD is read, on every version
+        for day in ("20210301", "2021-W05-3", "2021-03-01T00", "\uff12021-03-01", "2021-03-01 "):
+            for fmt, row, line in (
+                ("csv", f'o1,twitter,"{day}",anti,adverse,1\n', 2),
+                ("jsonl", json.dumps({"outlet_id": "o1", "platform": "twitter", "date": day,
+                                      "narrative": "anti", "event": "adverse",
+                                      "interactions": 1}) + "\n", 1),
+            ):
+                text = (ARTICLE_HEADER if fmt == "csv" else "") + row * 2
+                expected = ("error", f"malformed date '{day}' at line {line}", line)
+                assert outcome(oracle_helpers.parse_articles_by_row, text, fmt) == expected
+                assert outcome(corpus.parse_articles, text, fmt) == expected
+            with pytest.raises(ValueError, match="YYYY-MM-DD"):
+                corpus.iso_date(day)
+        assert corpus.iso_date("2021-03-01") == datetime.date(2021, 3, 1)
+
+    def test_jsonl_kind_and_null_ids_match_reference(self):
+        head = '{"outlet_id": "o1", "name": "A", "reliability": "reliable"'
+        for kind, expected in (("", None), (', "kind": null', None), (', "kind": ""', None),
+                               (', "kind": "tv"', corpus.OutletKind.TV)):
+            text = head + kind + "}\n"
+            result = ("ok", [OutletProfile("o1", "A", Reliability.RELIABLE, expected)])
+            assert outcome(oracle_helpers.parse_outlets_by_row, text, "jsonl") == result
+            assert outcome(corpus.parse_outlets, text, "jsonl") == result
+        for kind in ("false", "0", "[]", "{}"):
+            text = head + "}\n" + head.replace("o1", "o2") + f', "kind": {kind}}}\n'
+            value = json.loads(kind)
+            result = ("error", f"unknown outlet kind '{value}' at line 2", 2)
+            assert outcome(oracle_helpers.parse_outlets_by_row, text, "jsonl") == result
+            assert outcome(corpus.parse_outlets, text, "jsonl") == result
+        for parse, by_row, row, field in (
+            (corpus.parse_outlets, oracle_helpers.parse_outlets_by_row,
+             '{"outlet_id": null, "name": "A", "reliability": "reliable"}', "outlet_id"),
+            (corpus.parse_retweets, oracle_helpers.parse_retweets_by_row,
+             '{"user_id": "u1", "outlet_id": null, "count": 1}', "outlet_id"),
+            (corpus.parse_retweets, oracle_helpers.parse_retweets_by_row,
+             '{"user_id": null, "outlet_id": "o1", "count": 1}', "user_id"),
+            (corpus.parse_articles, oracle_helpers.parse_articles_by_row,
+             '{"outlet_id": null, "platform": "twitter", "date": "2021-03-01", '
+             '"narrative": "anti", "event": "adverse", "interactions": 1}', "outlet_id"),
+        ):
+            text = row.replace("null", '"x"', 1) + "\n" + row + "\n"
+            result = ("error", f"null {field} at line 2", 2)
+            assert outcome(by_row, text, "jsonl") == result
+            assert outcome(parse, text, "jsonl") == result
 
     def test_later_malformed_row_loses_to_earlier_bad_value(self):
         text = ARTICLE_HEADER + "o1,twitter,2021-03-01,anti,bogus,1\n" + "o1,twitter\n"
@@ -728,6 +792,18 @@ class TestInt64Bound:
             [make_article(outlet=oid) for oid in (1, True, 1.0, 0.0, -0.0)]
         )
         assert table.outlet_ids == ("1", "True", "1.0", "0.0", "-0.0")
+
+    def test_exact_sums_match_python_ints(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.integers(0, 2**63 - 1, 40, dtype=np.int64, endpoint=True),
+                                 rng.integers(0, 2**16, 40, dtype=np.int64)])
+        groups = rng.integers(0, 7, len(values))
+        expected = [0] * 8
+        for v, g in zip(values.tolist(), groups.tolist()):
+            expected[g] += v
+        assert corpus.exact_sums(values, groups, 8) == expected
+        assert max(expected) > corpus.INT64_MAX and expected[7] == 0
+        assert all(type(t) is int for t in corpus.exact_sums(values, groups, 8))
 
     def test_totals_raise_instead_of_wrapping(self):
         big = [make_article("o1", interactions=2**62), make_article("o1", interactions=2**62)]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle_helpers
 from newsbias import metrics
 from newsbias.corpus import (
     ArticleRecord,
@@ -139,6 +140,21 @@ class TestAverageFollowers:
 
     def test_missing_outlets_absent(self):
         assert average_followers([], WINDOW) == {}
+
+    def test_matches_record_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        records = []
+        for _ in range(300):
+            start, end = sorted(datetime.date(2020, 6, 1) + datetime.timedelta(days=int(d))
+                                for d in rng.integers(0, 900, 2))
+            followers = int(rng.integers(0, 2**62 if rng.random() < 0.2 else 10**6))
+            records.append(follower_record(f"o{rng.integers(40)}", start, end, followers))
+        late = datetime.date(2022, 1, 1), datetime.date(2022, 2, 1)
+        records.append(follower_record("late", *late, 5))
+        for weighted in (False, True):
+            out = average_followers(records, WINDOW, duration_weighted=weighted)
+            expected = oracle_helpers.average_followers_by_row(records, WINDOW, weighted)
+            assert "late" not in out and out == expected
 
 
 class TestQuadraticFit:

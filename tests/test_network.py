@@ -60,6 +60,11 @@ class TestBuildMatrix:
         )
         assert matrix.counts.toarray().tolist() == [[5]]
 
+    def test_sum_beyond_int64_raises(self):
+        with pytest.raises(ValueError, match=rf"^record 1: count total {2**63} of user 'u' "
+                                             rf"and outlet 'o' exceeds {2**63 - 1}$"):
+            build_matrix([RetweetRecord("u", "o", 2**62)] * 2)
+
     def test_column_sums_match_tally(self):
         rng = np.random.default_rng(4)
         records = [
