@@ -22,7 +22,9 @@ import json
 import logging
 import math
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -105,8 +107,10 @@ _BREAKDOWN_FIELDS = (
     "interactions_pct",
 )
 _POSTERIOR_FIELDS = ("outlet_id", "event_type", "param", "mean", "sd", "q05", "q95", "rhat", "ess")
+_PARAMS = ("alpha", "x")
 _DRAW_FIELDS = ("chain", "iter", "param_index", "value")
 _BIAS_FIELDS = ("outlet_id", "reliability", *(f.name for f in fields(metrics.BiasRow)[1:]))
+_BIAS_VALUES = attrgetter(*_BIAS_FIELDS[2:-1])  # a BiasRow's float fields
 _ENGAGEMENT_FIELDS = (
     "outlet_id", "event_type", "contents", "interactions", "followers", "engagement"
 )
@@ -187,9 +191,12 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _load(path: Path, parse, *args):
-    """`parse(stream, *args)` on the file at `path`."""
-    with open(path, newline="") as handle:
-        return parse(handle, *args)
+    """`parse(stream, *args)` on the file at `path`; a ParseError names the file."""
+    try:
+        with open(path, newline="") as handle:
+            return parse(handle, *args)
+    except corpus.ParseError as exc:
+        raise corpus.ParseError(f"{path}: {exc.reason}", exc.line) from None
 
 
 def _save(path: Path, write, *args) -> None:
@@ -198,10 +205,27 @@ def _save(path: Path, write, *args) -> None:
         write(*args, handle)
 
 
-def _read_table(path: Path, header: tuple[str, ...]) -> list[dict[str, str]]:
-    """Rows of a CSV artifact whose header must equal `header`."""
-    with open(path, newline="") as handle:
-        return [row for _, row in corpus._iter_rows(handle, "csv", header)]
+def _read_rows(path: Path, header: tuple[str, ...], *casts: Callable) -> list[tuple]:
+    """Rows of a CSV artifact whose header must equal `header`, as tuples with
+    column j read by `casts[j]`; a value that does not cast is a ParseError."""
+
+    def read(stream) -> list[tuple]:
+        rows = []
+        for line, values in corpus._iter_values(stream, "csv", header):
+            row = []
+            for name, cast, value in zip(header, casts, values):
+                try:
+                    row.append(cast(value))
+                except ValueError:
+                    raise corpus.ParseError(f"invalid {name} '{value}'", line) from None
+            rows.append(tuple(row))
+        return rows
+
+    return _load(path, read)
+
+
+def _float_or_none(text: str) -> float | None:
+    return float(text) if text else None
 
 
 def _write_records(out: Path, articles, outlets, followers, retweets) -> None:
@@ -213,33 +237,28 @@ def _write_records(out: Path, articles, outlets, followers, retweets) -> None:
 
 
 def _read_posterior(path: Path) -> dict[EventType, dict[str, metrics.OutletEstimate]]:
-    alpha: dict[tuple[str, str], float] = {}
-    x: dict[tuple[str, str], float] = {}
-    for row in _read_table(path, _POSTERIOR_FIELDS):
-        key = (row["outlet_id"], row["event_type"])
-        if row["param"] == "alpha":
-            alpha[key] = float(row["mean"])
-        elif row["param"] == "x":
-            x[key] = float(row["mean"])
-    estimates: dict[EventType, dict[str, metrics.OutletEstimate]] = {}
-    for event in EVENT_ORDER:
-        per_outlet = {}
-        for (outlet, ev), a in alpha.items():
-            if ev == event.value and (outlet, ev) in x:
-                per_outlet[outlet] = metrics.OutletEstimate(a, x[(outlet, ev)])
-        estimates[event] = per_outlet
-    return estimates
+    """Per event, each outlet with both posterior means, in order of its alpha row."""
+    means = [{event: {} for event in EVENT_ORDER} for _ in _PARAMS]
+    for outlet, event, param, mean, *_ in _read_rows(
+        path, _POSTERIOR_FIELDS, str, EventType, _PARAMS.index, *(float,) * 6
+    ):
+        means[param][event][outlet] = mean
+    alpha, x = means
+    return {
+        event: {o: metrics.OutletEstimate(a, x[event][o]) for o, a in alpha[event].items()
+                if o in x[event]}
+        for event in EVENT_ORDER
+    }
 
 
 def _read_bias(path: Path) -> tuple[list[metrics.BiasRow], dict[str, str]]:
     """bias.csv as BiasRows, plus each outlet's reliability label."""
     rows, reliability = [], {}
-    for row in _read_table(path, _BIAS_FIELDS):
-        outlet = row.pop("outlet_id")
-        reliability[outlet] = row.pop("reliability")
-        adverse_lean = row.pop("adverse_lean") == "true"
-        values = {key: float(value) for key, value in row.items()}
-        rows.append(metrics.BiasRow(outlet, **values, adverse_lean=adverse_lean))
+    for outlet, label, *values, lean in _read_rows(
+        path, _BIAS_FIELDS, str, str, *(float,) * (len(_BIAS_FIELDS) - 3), corpus.parse_flag
+    ):
+        reliability[outlet] = label
+        rows.append(metrics.BiasRow(outlet, *values, lean))
     return rows, reliability
 
 
@@ -341,21 +360,9 @@ def _fit(opts: dict, out: Path) -> str:
                 event.value,
                 worst,
             )
-        for param, stats in (("alpha", summary.alpha), ("x", summary.x)):
-            for i, outlet in enumerate(tensor.outlets):
-                rows.append(
-                    (
-                        outlet,
-                        event.value,
-                        param,
-                        float(stats.mean[i]),
-                        float(stats.sd[i]),
-                        float(stats.q05[i]),
-                        float(stats.q95[i]),
-                        float(stats.rhat[i]),
-                        float(stats.ess[i]),
-                    )
-                )
+        for param, stats in zip(_PARAMS, (summary.alpha, summary.x)):
+            rows += zip(tensor.outlets, repeat(event.value), repeat(param),
+                        *(getattr(stats, name).tolist() for name in _POSTERIOR_FIELDS[3:]))
         if opts["dump_draws"]:
             _save(out / f"draws_{event.value}.csv", corpus.write_csv, _DRAW_FIELDS,
                   _draw_rows(draws))
@@ -373,14 +380,15 @@ def _bias(opts: dict, out: Path) -> str:
                 "cannot build the bias table"
             )
     table = metrics.build_bias_table(estimates, theta=opts["theta"])
-    reliability = {p.outlet_id: p.reliability.value for p in registry}
+    reliability = registry.reliability_of()
     _save(
         out / "bias.csv",
         corpus.write_csv,
         _BIAS_FIELDS,
         (
-            (row.outlet_id, reliability.get(row.outlet_id, ""), *astuple(row)[1:-1],
-             corpus.format_flag(row.adverse_lean))
+            (row.outlet_id,
+             reliability[row.outlet_id].value if row.outlet_id in reliability else "",
+             *_BIAS_VALUES(row), corpus.format_flag(row.adverse_lean))
             for row in table
         ),
     )
@@ -421,8 +429,7 @@ def _network(opts: dict, out: Path) -> str:
     bias_rows, _ = _read_bias(out / "bias.csv")
 
     matrix = network.build_matrix(retweets)
-    reliability = {p.outlet_id: p.reliability for p in registry}
-    graph = network.build_graph(matrix, reliability)
+    graph = network.build_graph(matrix, registry.reliability_of())
     if graph.n_edges == 0:
         raise InputError(
             "retweets.csv: no two outlets share a retweeter; cannot build the audience network"
@@ -445,10 +452,7 @@ def _network(opts: dict, out: Path) -> str:
 
 
 def _report(opts: dict, out: Path) -> str:
-    clusters = {
-        row["outlet_id"]: int(row["cluster_id"])
-        for row in _read_table(out / "clusters.csv", network.CLUSTER_FIELDS)
-    }
+    clusters = dict(_read_rows(out / "clusters.csv", network.CLUSTER_FIELDS, str, int))
     bias_rows, reliability = _read_bias(out / "bias.csv")
     outlets: dict[str, dict] = {}
     for row in bias_rows:
@@ -458,22 +462,15 @@ def _report(opts: dict, out: Path) -> str:
             "cluster": clusters.get(row.outlet_id),
             "engagement": {},
         }
-    for row in _read_table(out / "engagement.csv", _ENGAGEMENT_FIELDS):
-        entry = outlets.get(row["outlet_id"])
-        if entry is None:
-            continue
-        entry["engagement"][row["event_type"]] = {
-            "contents": int(row["contents"]),
-            "interactions": int(row["interactions"]),
-            "followers": float(row["followers"]),
-            "engagement": float(row["engagement"]),
-        }
+    for outlet, event, *values in _read_rows(
+        out / "engagement.csv", _ENGAGEMENT_FIELDS, str, EventType, int, int, float, float
+    ):
+        if outlet in outlets:
+            outlets[outlet]["engagement"][event.value] = dict(zip(_ENGAGEMENT_FIELDS[2:], values))
     cluster_rows = [
-        {
-            key: (int(value) if key in ("cluster_id", "size") else float(value) if value else None)
-            for key, value in row.items()
-        }
-        for row in _read_table(out / "cluster_stats.csv", network.CLUSTER_STATS_FIELDS)
+        dict(zip(network.CLUSTER_STATS_FIELDS, row))
+        for row in _read_rows(out / "cluster_stats.csv", network.CLUSTER_STATS_FIELDS,
+                              int, int, *(_float_or_none,) * 5)
     ]
     _write_json(out / "report.json", {"outlets": outlets, "clusters": cluster_rows})
     return f"report: wrote report.json ({len(outlets)} outlets) -> {out}"

@@ -571,6 +571,11 @@ class OutletTable(Table):
         """{outlet id: its row}, in row order."""
         return {oid: row for row, oid in enumerate(_lookup(self.outlet_ids, self.outlet_id))}
 
+    def reliability_of(self) -> dict[str, Reliability]:
+        """{outlet id: its reliability label}, in row order."""
+        return dict(zip(_lookup(self.outlet_ids, self.outlet_id),
+                        _lookup(tuple(Reliability), self.reliability)))
+
 
 class FollowerTable(Table):
     """Follower counts; its rule: period_start <= period_end."""
@@ -822,6 +827,13 @@ def dataset_breakdown(
 def format_flag(flag: bool) -> str:
     """How CSV artifacts spell a bool."""
     return "true" if flag else "false"
+
+
+def parse_flag(text: str) -> bool:
+    """The bool that `format_flag` spells as `text`; any other text raises ValueError."""
+    if text not in ("true", "false"):
+        raise ValueError(f"expected 'true' or 'false', got '{text}'")
+    return text == "true"
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], stream: TextIO) -> None:

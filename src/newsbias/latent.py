@@ -371,8 +371,7 @@ def _effective_sample_size(seqs: np.ndarray) -> np.ndarray:
 
 def _stats(seqs: np.ndarray) -> ParamStats:
     pooled = seqs.reshape(-1, seqs.shape[2])
-    q05 = np.quantile(pooled, 0.05, axis=0)
-    q95 = np.quantile(pooled, 0.95, axis=0)
+    q05, q95 = np.quantile(pooled, [0.05, 0.95], axis=0)
     # interval order is guaranteed for finite draws, so a violation is a bug
     # upstream; the mean may legitimately fall outside the central interval
     # for skewed posteriors

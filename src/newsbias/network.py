@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 from xml.sax.saxutils import escape, quoteattr
@@ -18,7 +19,9 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 from scipy import sparse
 
-from .corpus import OutletProfile, Reliability, RetweetRecord, RetweetTable, exact_sums, write_csv
+from .corpus import (
+    OutletProfile, OutletTable, Reliability, RetweetRecord, RetweetTable, exact_sums, write_csv
+)
 from .metrics import BiasRow
 
 log = logging.getLogger(__name__)
@@ -78,7 +81,8 @@ class AudienceGraph:
     is row-major upper-triangle order; memory is linear in the edge count.
     `AudienceGraph(nodes, edges={(u, v): w})` builds and checks a graph from
     a dict, and `edges` is a read-only view of that form, built on first use
-    for tests and small callers.
+    for tests and small callers. `reliability` may label outlets that are not
+    nodes; only the nodes' labels are written.
     """
 
     def __init__(
@@ -182,11 +186,8 @@ def build_graph(
     dst = gram.indices.astype(np.int64)
     weight = np.clip(gram.data / np.sqrt(sq[src] * sq[dst]), 0.0, 1.0)
     positive = weight > 0.0
-    rel = dict(reliability) if reliability is not None else None
-    if rel is not None:
-        rel = {n: rel[n] for n in nodes if n in rel}
     return AudienceGraph._from_arrays(
-        nodes, src[positive], dst[positive], weight[positive], reliability=rel
+        nodes, src[positive], dst[positive], weight[positive], reliability=reliability
     )
 
 
@@ -243,13 +244,9 @@ def threshold_graph(
         "removed" if drop_isolated else "kept",
     )
     kept_nodes = tuple(n for n, k in zip(graph.nodes, kept.tolist()) if k)
-    rel = None
-    if graph.reliability is not None:
-        names = set(kept_nodes)
-        rel = {n: r for n, r in graph.reliability.items() if n in names}
     new_index = np.cumsum(kept) - 1
     return AudienceGraph._from_arrays(
-        kept_nodes, new_index[src], new_index[dst], graph.weight[kept_edges], reliability=rel
+        kept_nodes, new_index[src], new_index[dst], graph.weight[kept_edges], graph.reliability
     )
 
 
@@ -401,6 +398,10 @@ class ClusterStatsRow:
     frac_adverse_lean: float | None
 
 
+# the BiasRow fields whose cluster means a ClusterStatsRow ends with, in its order
+_MEANS = tuple(map(attrgetter, ("x_adv", "x_pos", "selection_index", "adverse_lean")))
+
+
 def cluster_stats(
     partition: Mapping[str, int],
     bias_rows: Sequence[BiasRow],
@@ -410,9 +411,10 @@ def cluster_stats(
 
     Means are plain (unweighted) over cluster members. Members missing from
     the registry or the bias table are excluded from the affected statistic
-    only; the exclusion counts are logged.
+    only; the exclusion counts are logged. The registry is read under the
+    OutletTable rule, so an outlet listed twice raises.
     """
-    reliability = {p.outlet_id: p.reliability for p in registry}
+    reliability = OutletTable.from_records(registry).reliability_of()
     bias = {row.outlet_id: row for row in bias_rows}
     members: dict[int, list[str]] = {}
     for node, c in partition.items():
@@ -434,24 +436,8 @@ def cluster_stats(
         frac_q = (
             sum(r is Reliability.QUESTIONABLE for r in rel) / len(rel) if rel else None
         )
-        if brows:
-            mean_x_adv = sum(b.x_adv for b in brows) / len(brows)
-            mean_x_pos = sum(b.x_pos for b in brows) / len(brows)
-            mean_sel = sum(b.selection_index for b in brows) / len(brows)
-            frac_lean = sum(b.adverse_lean for b in brows) / len(brows)
-        else:
-            mean_x_adv = mean_x_pos = mean_sel = frac_lean = None
-        rows.append(
-            ClusterStatsRow(
-                cluster_id=c,
-                size=len(nodes),
-                frac_questionable=frac_q,
-                mean_x_adv=mean_x_adv,
-                mean_x_pos=mean_x_pos,
-                mean_selection=mean_sel,
-                frac_adverse_lean=frac_lean,
-            )
-        )
+        means = (sum(map(get, brows)) / len(brows) if brows else None for get in _MEANS)
+        rows.append(ClusterStatsRow(c, len(nodes), frac_q, *means))
     return rows
 
 
@@ -475,7 +461,7 @@ def write_clusters_csv(partition: Mapping[str, int], stream: TextIO) -> None:
 
 
 def write_cluster_stats_csv(rows: Sequence[ClusterStatsRow], stream: TextIO) -> None:
-    write_csv(CLUSTER_STATS_FIELDS, map(astuple, rows), stream)
+    write_csv(CLUSTER_STATS_FIELDS, map(attrgetter(*CLUSTER_STATS_FIELDS), rows), stream)
 
 
 def write_graphml(graph: AudienceGraph, stream: TextIO) -> None:

@@ -104,7 +104,7 @@ class TestPipeline:
         outlets.write_text("outlet_id,name,reliability,kind\no1,One,reliable,\n")
         code = run("ingest", "--articles", articles, "--outlets", outlets, "--out", tmp_path)
         assert code == 2
-        assert "provax" in capsys.readouterr().err
+        assert f"{articles}: unknown narrative label 'provax' at line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("counts, message", [
         ((2**63,), "interactions must be <= 9223372036854775807, got '9223372036854775808' at line 3"),
@@ -396,6 +396,29 @@ class TestStageTable:
             err = capsys.readouterr().err
             assert f"'{artifact}'" in err and f"'{producer}' stage" in err, err
             (out / "held").rename(out / artifact)
+
+
+@pytest.mark.parametrize("artifact, column, value, stage", [
+    ("posterior.csv", "mean", "abc", "bias"),
+    ("bias.csv", "x_adv", "abc", "engagement"),
+    ("bias.csv", "adverse_lean", "True", "report"),
+    ("engagement.csv", "contents", "abc", "report"),
+    ("cluster_stats.csv", "mean_x_adv", "abc", "report"),
+])
+def test_bad_artifact_value_exits_2_naming_file_and_line(
+    artifact, column, value, stage, full_run, tmp_path, capsys
+):
+    _, full = full_run
+    out = tmp_path / "run"
+    shutil.copytree(full, out)
+    with open(out / artifact, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[1][rows[0].index(column)] = value
+    with open(out / artifact, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+    assert run(stage, "--out", out) == 2
+    assert f"{out / artifact}: invalid {column} '{value}' at line 2" in capsys.readouterr().err
 
 
 class TestStreams:

@@ -522,6 +522,11 @@ class TestClusterStats:
         assert stats[0].mean_x_adv == pytest.approx(0.4)
         assert "ghost" in caplog.text
 
+    def test_duplicated_registry_outlet_raises(self):
+        registry = [profile("o1", Reliability.RELIABLE), profile("o1", Reliability.QUESTIONABLE)]
+        with pytest.raises(ValueError, match="record 1: duplicate outlet_id 'o1'"):
+            cluster_stats({"o1": 0}, [bias_row("o1")], registry)
+
 
 class TestExports:
     def graph(self):
@@ -554,6 +559,17 @@ class TestExports:
         edge = graph_el.find(f"{ns}edge")
         assert edge.get("source") == "a" and edge.get("target") == "b"
         assert edge.find(f"{ns}data").text == "0.5"
+
+    def test_graphml_labels_only_its_own_nodes(self):
+        graph = self.graph()
+        labels = {**graph.reliability, "z": Reliability.RELIABLE}
+        extra = AudienceGraph(graph.nodes, graph.edges, labels, graph.clusters)
+        written = []
+        for g in (graph, extra):
+            buf = io.StringIO()
+            network.write_graphml(g, buf)
+            written.append(buf.getvalue())
+        assert written[0] == written[1]
 
     def test_dict_graph_written_in_id_order(self):
         graph = AudienceGraph(
