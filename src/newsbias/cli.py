@@ -228,6 +228,16 @@ def _float_or_none(text: str) -> float | None:
     return float(text) if text else None
 
 
+def _reliability_or_empty(text: str) -> str:
+    """A Reliability label, or empty for an outlet missing from the registry."""
+    return corpus.Reliability(text).value if text else text
+
+
+def _count(text: str) -> int:
+    """A count under the corpus rule (`CountField`): canonical digits in [0, 2**63 - 1]."""
+    return corpus.CountField("count").convert(text, 0)
+
+
 def _write_records(out: Path, articles, outlets, followers, retweets) -> None:
     """The canonical articles/outlets/followers/retweets files."""
     _save(out / "articles.csv", corpus.write_articles, articles)
@@ -255,7 +265,8 @@ def _read_bias(path: Path) -> tuple[list[metrics.BiasRow], dict[str, str]]:
     """bias.csv as BiasRows, plus each outlet's reliability label."""
     rows, reliability = [], {}
     for outlet, label, *values, lean in _read_rows(
-        path, _BIAS_FIELDS, str, str, *(float,) * (len(_BIAS_FIELDS) - 3), corpus.parse_flag
+        path, _BIAS_FIELDS, str, _reliability_or_empty, *(float,) * (len(_BIAS_FIELDS) - 3),
+        corpus.parse_flag,
     ):
         reliability[outlet] = label
         rows.append(metrics.BiasRow(outlet, *values, lean))
@@ -463,7 +474,7 @@ def _report(opts: dict, out: Path) -> str:
             "engagement": {},
         }
     for outlet, event, *values in _read_rows(
-        out / "engagement.csv", _ENGAGEMENT_FIELDS, str, EventType, int, int, float, float
+        out / "engagement.csv", _ENGAGEMENT_FIELDS, str, EventType, _count, _count, float, float
     ):
         if outlet in outlets:
             outlets[outlet]["engagement"][event.value] = dict(zip(_ENGAGEMENT_FIELDS[2:], values))

@@ -328,61 +328,44 @@ def louvain(graph: AudienceGraph, seed: int = 0) -> dict[str, int]:
         raise ValueError("graph has no nodes")
     rng = np.random.default_rng(seed)
     n = len(graph.nodes)
-    # symmetric CSR with sorted column indices: each node's neighbours in
-    # ascending index order
-    sym = sparse.csr_array(
+    # each level is a symmetric CSR without a diagonal, plus each node's
+    # self-loop weight: twice the edge weight inside the communities it merged
+    adj = sparse.csr_array(
         (
             np.concatenate([graph.weight, graph.weight]),
             (np.concatenate([graph.src, graph.dst]), np.concatenate([graph.dst, graph.src])),
         ),
         shape=(n, n),
     )
-    sym.sort_indices()
-    bounds, cols, weights = sym.indptr.tolist(), sym.indices.tolist(), sym.data.tolist()
-    adj = [dict(zip(cols[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
-    self_loops = [0.0] * n
-    strengths = [sum(a.values()) for a in adj]
-    two_m = sum(strengths)
-    membership = list(range(n))
-
-    if two_m > 0.0:
-        while True:
-            order = rng.permutation(len(adj))
-            comm = _local_moves(adj, strengths, two_m, order)
-            labels = sorted(set(comm))
-            if len(labels) == len(adj):
-                break
-            relabel = {c: i for i, c in enumerate(labels)}
-            membership = [relabel[comm[membership[i]]] for i in range(n)]
-            # aggregate communities into super-nodes
-            n_next = len(labels)
-            new_adj: list[dict[int, float]] = [dict() for _ in range(n_next)]
-            new_self = [0.0] * n_next
-            for v, loops in enumerate(self_loops):
-                new_self[relabel[comm[v]]] += loops
-            for v in range(len(adj)):
-                cv = relabel[comm[v]]
-                for u, w in adj[v].items():
-                    if u <= v:
-                        continue
-                    cu = relabel[comm[u]]
-                    if cu == cv:
-                        new_self[cv] += 2.0 * w
-                    else:
-                        new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-                        new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-            adj = new_adj
-            self_loops = new_self
-            strengths = [sum(a.values()) + self_loops[i] for i, a in enumerate(adj)]
-
-    final: dict[str, int] = {}
-    relabel: dict[int, int] = {}
-    for i, node in enumerate(graph.nodes):
-        c = membership[i]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        final[node] = relabel[c]
-    return final
+    loops = np.zeros(n)
+    membership = np.arange(n)
+    two_m = None
+    while True:
+        # sorted column indices: each node's neighbours in ascending index order
+        adj.sort_indices()
+        bounds, cols, weights = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
+        rows = [dict(zip(cols[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
+        strengths = [sum(row.values()) + s for row, s in zip(rows, loops.tolist())]
+        if two_m is None:
+            two_m = sum(strengths)
+        if two_m == 0.0:
+            break
+        comm = _local_moves(rows, strengths, two_m, rng.permutation(len(rows)))
+        labels, comm = np.unique(comm, return_inverse=True)
+        if len(labels) == len(rows):
+            break
+        membership = comm[membership]
+        # with P the one-hot nodes x communities matrix, P.T @ A @ P holds the
+        # weight between two communities, and twice that inside one on its diagonal
+        onehot = sparse.csr_array((np.ones(len(comm)), (np.arange(len(comm)), comm)))
+        merged = (onehot.T @ adj @ onehot).tocoo()
+        loops = onehot.T @ loops + merged.diagonal()
+        off = merged.row != merged.col
+        adj = sparse.csr_array(
+            (merged.data[off], (merged.row[off], merged.col[off])), shape=merged.shape
+        )
+    _, first, membership = np.unique(membership, return_index=True, return_inverse=True)
+    return dict(zip(graph.nodes, np.argsort(np.argsort(first))[membership].tolist()))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .latent import ModelConstants, simulate_counts
 
 _PLATFORM_CYCLE = (Platform.FACEBOOK, Platform.TWITTER, Platform.INSTAGRAM, Platform.YOUTUBE)
 _KIND_CYCLE = (OutletKind.NEWSPAPER, OutletKind.ONLINE, OutletKind.TV, OutletKind.RADIO)
+_USERS_PER_CLUSTER = 40  # simulated retweeting users planted in each audience cluster
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,6 @@ def generate(
         datetime.date(2021, 12, 31),
     ),
     alpha_loc: float = 2.2,
-    users_per_cluster: int = 40,
-    consts: ModelConstants | None = None,
 ) -> SyntheticData:
     """Build a corpus with planted stances, propensities, and audiences.
 
@@ -60,7 +59,6 @@ def generate(
     """
     if n_outlets < n_clusters or n_clusters < 1:
         raise ValueError("need at least one outlet per cluster")
-    consts = consts or ModelConstants()
     rng = np.random.default_rng(seed)
     start, end = window
     n_days = (end - start).days + 1
@@ -110,7 +108,7 @@ def generate(
     for event in EVENT_ORDER:
         alphas = np.array([alpha_true[event.value][oid] for oid in outlet_ids])
         stances = np.array([x_true[event.value][oid] for oid in outlet_ids])
-        counts = simulate_counts(alphas, stances, consts, rng)
+        counts = simulate_counts(alphas, stances, ModelConstants(), rng)
         for i, oid in enumerate(outlet_ids):
             # engagement grows with stance extremity, planting the U-shape
             rate = 30.0 * (1.0 + 3.0 * stances[i] ** 2)
@@ -147,7 +145,7 @@ def generate(
     retweets = []
     user_no = 0
     for g in sorted(by_cluster):
-        for _ in range(users_per_cluster):
+        for _ in range(_USERS_PER_CLUSTER):
             uid = f"u{user_no:04d}"
             user_no += 1
             for oid in outlet_ids:

@@ -402,7 +402,10 @@ class TestStageTable:
     ("posterior.csv", "mean", "abc", "bias"),
     ("bias.csv", "x_adv", "abc", "engagement"),
     ("bias.csv", "adverse_lean", "True", "report"),
+    ("bias.csv", "reliability", "garbage", "report"),
     ("engagement.csv", "contents", "abc", "report"),
+    ("engagement.csv", "contents", " 1_000 ", "report"),
+    ("engagement.csv", "interactions", "9223372036854775808", "report"),
     ("cluster_stats.csv", "mean_x_adv", "abc", "report"),
 ])
 def test_bad_artifact_value_exits_2_naming_file_and_line(

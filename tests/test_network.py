@@ -337,6 +337,52 @@ class TestMemoryBound:
         assert peak < n * n * 8 / 20
 
 
+def pinned_graph(k: int) -> AudienceGraph:
+    """Seeded sparse graph on 20-60 nodes; odd k draws weights from
+    {0.25, 0.5, 1.0}, so modularity gains tie exactly, even k from (0, 1]."""
+    rng = np.random.default_rng(k)
+    n = int(rng.integers(20, 61))
+    nodes = tuple(f"v{i:02d}" for i in range(n))
+    edges = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 2.5 / n:
+                edges[nodes[a], nodes[b]] = (
+                    (0.25, 0.5, 1.0)[int(rng.integers(0, 3))] if k % 2 else 1.0 - rng.random()
+                )
+    return AudienceGraph(nodes=nodes, edges=edges)
+
+
+# louvain(pinned_graph(k), seed=s) as recorded before levels were aggregated
+# by a sparse product: node i's community id is character i, in base 36
+PINNED_PARTITIONS = {
+    (0, 0): "00012341356643037068617449a7467661037077334176694b3440",
+    (0, 3): "00012341356643037068617449a7467661037077334176694b3440",
+    (1, 0): "001230451615671041558360194366a313b80c3",
+    (1, 3): "001230451615671041558360194366a313b80c3",
+    (2, 0): "010123453601789a656b129c0019d1e76f16936919e53361009775",
+    (2, 3): "010123453601789a656b129c0019d1e76f16936919e53361009775",
+    (3, 0): "012345455450657388534980438a0875bb164854455c545418351",
+    (3, 3): "012345455450657388538980438a0875bb164858455c545418351",
+    (4, 0): "012312345346224744438922a5b4c4b65c2d323e7325bc3e2",
+    (4, 3): "012314356357446865539a24b6c4d4c76d2e343f8326cd3f2",
+    (5, 0): "01123450003332326424327331470532254891455123250",
+    (5, 3): "011234500033363674643683314805366549a1455123650",
+    (6, 0): "00010203430566015673544856167544565931",
+    (6, 3): "00010203430566015673544856167544565931",
+    (7, 0): "010120034512263461437442081662901311321340033a04634006434b",
+    (7, 3): "010120034512263461437442081662901311321340033a04634006434b",
+    (8, 0): "01230450262466728942a99909aa924648abc9a284a9da0b8",
+    (8, 3): "01230450262466789a488aaa0a88a286498bca82948ad80b9",
+    (9, 0): "0121345606507655258688159a26582618852",
+    (9, 3): "0121340506007600208688159a25582518852",
+    (10, 0): "0112234561478297a9b1659c465dd2e1d31162747974c35d14f",
+    (10, 3): "0112234561478297a9b1659c465dd2e1d31162747974c35d14f",
+    (11, 0): "0121220310314451123664221",
+    (11, 3): "0121220310314451123664221",
+}
+
+
 class TestLouvain:
     def test_two_cliques_recovered_and_optimal(self):
         graph = clique_pair_graph()
@@ -358,6 +404,25 @@ class TestLouvain:
     def test_edgeless_nodes_singletons(self):
         graph = AudienceGraph(nodes=("a", "b", "c"), edges={})
         assert louvain(graph, seed=1) == {"a": 0, "b": 1, "c": 2}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k, seed", sorted(PINNED_PARTITIONS))
+    def test_pinned_partitions_through_aggregated_levels(self, k, seed, monkeypatch):
+        levels = []
+        local_moves = network._local_moves
+
+        def checked(adj, strengths, two_m, order):
+            # a stored zero or a diagonal entry would change the moves compared
+            assert all(u != v and w > 0.0 for v, row in enumerate(adj) for u, w in row.items())
+            levels.append(len(adj))
+            return local_moves(adj, strengths, two_m, order)
+
+        monkeypatch.setattr(network, "_local_moves", checked)
+        graph = pinned_graph(k)
+        expected = [int(c, 36) for c in PINNED_PARTITIONS[k, seed]]
+        assert sorted(louvain(graph, seed=seed).items()) == list(zip(graph.nodes, expected))
+        # every run aggregates at least twice; (3, 0) and (3, 3) three times
+        assert len(levels) >= 3
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(9)
