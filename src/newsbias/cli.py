@@ -224,8 +224,17 @@ def _read_rows(path: Path, header: tuple[str, ...], *casts: Callable) -> list[tu
     return _load(path, read)
 
 
+def _float(text: str) -> float:
+    """A float spelled as the writer spells it (its shortest repr); NaN is
+    no value, while inf is a legal R-hat."""
+    value = float(text)
+    if math.isnan(value) or repr(value) != text:
+        raise ValueError
+    return value
+
+
 def _float_or_none(text: str) -> float | None:
-    return float(text) if text else None
+    return _float(text) if text else None
 
 
 def _reliability_or_empty(text: str) -> str:
@@ -250,7 +259,7 @@ def _read_posterior(path: Path) -> dict[EventType, dict[str, metrics.OutletEstim
     """Per event, each outlet with both posterior means, in order of its alpha row."""
     means = [{event: {} for event in EVENT_ORDER} for _ in _PARAMS]
     for outlet, event, param, mean, *_ in _read_rows(
-        path, _POSTERIOR_FIELDS, str, EventType, _PARAMS.index, *(float,) * 6
+        path, _POSTERIOR_FIELDS, str, EventType, _PARAMS.index, *(_float,) * 6
     ):
         means[param][event][outlet] = mean
     alpha, x = means
@@ -265,7 +274,7 @@ def _read_bias(path: Path) -> tuple[list[metrics.BiasRow], dict[str, str]]:
     """bias.csv as BiasRows, plus each outlet's reliability label."""
     rows, reliability = [], {}
     for outlet, label, *values, lean in _read_rows(
-        path, _BIAS_FIELDS, str, _reliability_or_empty, *(float,) * (len(_BIAS_FIELDS) - 3),
+        path, _BIAS_FIELDS, str, _reliability_or_empty, *(_float,) * (len(_BIAS_FIELDS) - 3),
         corpus.parse_flag,
     ):
         reliability[outlet] = label
@@ -463,7 +472,7 @@ def _network(opts: dict, out: Path) -> str:
 
 
 def _report(opts: dict, out: Path) -> str:
-    clusters = dict(_read_rows(out / "clusters.csv", network.CLUSTER_FIELDS, str, int))
+    clusters = dict(_read_rows(out / "clusters.csv", network.CLUSTER_FIELDS, str, _count))
     bias_rows, reliability = _read_bias(out / "bias.csv")
     outlets: dict[str, dict] = {}
     for row in bias_rows:
@@ -474,14 +483,14 @@ def _report(opts: dict, out: Path) -> str:
             "engagement": {},
         }
     for outlet, event, *values in _read_rows(
-        out / "engagement.csv", _ENGAGEMENT_FIELDS, str, EventType, _count, _count, float, float
+        out / "engagement.csv", _ENGAGEMENT_FIELDS, str, EventType, _count, _count, _float, _float
     ):
         if outlet in outlets:
             outlets[outlet]["engagement"][event.value] = dict(zip(_ENGAGEMENT_FIELDS[2:], values))
     cluster_rows = [
         dict(zip(network.CLUSTER_STATS_FIELDS, row))
         for row in _read_rows(out / "cluster_stats.csv", network.CLUSTER_STATS_FIELDS,
-                              int, int, *(_float_or_none,) * 5)
+                              _count, _count, *(_float_or_none,) * 5)
     ]
     _write_json(out / "report.json", {"outlets": outlets, "clusters": cluster_rows})
     return f"report: wrote report.json ({len(outlets)} outlets) -> {out}"

@@ -196,22 +196,25 @@ def _iter_values(stream: TextIO, format: str, fields: Sequence[str], optional: S
     if format == "csv":
         reader = csv.reader(stream)
         try:
-            header = next(reader)
-        except StopIteration:
-            return
-        if header != list(fields):
-            raise ParseError(
-                f"bad header {header!r}, expected {','.join(fields)}", 1
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(fields):
+            header = next(reader, None)
+            if header is None:
+                return
+            if header != list(fields):
                 raise ParseError(
-                    f"malformed row: expected {len(fields)} fields, got {len(row)}",
-                    reader.line_num,
+                    f"bad header {header!r}, expected {','.join(fields)}", 1
                 )
-            yield reader.line_num, row
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(fields):
+                    raise ParseError(
+                        f"malformed row: expected {len(fields)} fields, got {len(row)}",
+                        reader.line_num,
+                    )
+                yield reader.line_num, row
+        except csv.Error as exc:
+            # for example a field longer than csv.field_size_limit()
+            raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
     elif format == "jsonl":
         for line, raw in enumerate(stream, start=1):
             if not raw.strip():
@@ -411,7 +414,7 @@ class CountField(_Field):
             if isinstance(value, bool):
                 raise ValueError
             out = int(value)
-            if isinstance(value, str) and str(out) != value.strip():
+            if isinstance(value, str) and str(out) != value:
                 raise ValueError
             if isinstance(value, float) and value != out:
                 raise ValueError
@@ -685,7 +688,7 @@ def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
             for line, values in itertools.islice(rows, _CHUNK_ROWS):
                 chunk_lines.append(line)
                 chunk.append(values)
-        except (ValueError, csv.Error) as exc:
+        except ValueError as exc:
             fault = exc
         bad = None
         for coder, raw in zip(coders, zip(*chunk)):

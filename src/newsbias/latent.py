@@ -342,11 +342,10 @@ def _split_rhat(seqs: np.ndarray) -> np.ndarray:
 
 
 def _effective_sample_size(seqs: np.ndarray) -> np.ndarray:
-    """ESS per parameter from chain-averaged autocorrelations (Geyer truncation)."""
+    """ESS per parameter from chain-averaged autocorrelations (Geyer truncation);
+    seqs is (chains, n, N) with n >= 4."""
     chains, n, n_params = seqs.shape
     total = chains * n
-    if n < 4:
-        return np.full(n_params, float(total))
     mean_acov = _mean_autocovariance(seqs)
     w = seqs.var(axis=1, ddof=1).mean(axis=0)
     if chains > 1:
@@ -396,6 +395,8 @@ def posterior_summary(draws: ChainDraws, burn_in: int) -> ParamSummary:
         raise ValueError(
             f"only {kept * draws.n_chains} post-burn-in draws; need at least 10"
         )
+    if kept < 4:
+        raise ValueError(f"only {kept} post-burn-in draws per chain; need at least 4")
     alpha = draws.alpha[:, burn_in:, :]
     x = draws.x[:, burn_in:, :]
     return ParamSummary(

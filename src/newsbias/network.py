@@ -272,46 +272,46 @@ def modularity(graph: AudienceGraph, partition: Mapping[str, int]) -> float:
 
 
 def _local_moves(
-    adj: list[dict[int, float]],
+    bounds: list[int],
+    cols: list[int],
+    weights: list[float],
     strengths: list[float],
     two_m: float,
     order: np.ndarray,
 ) -> list[int]:
     """One Louvain level: greedy modularity moves until a full silent pass.
 
-    A node moves only on a strict improvement over staying put (so zero-gain
-    ties never oscillate); among strictly better target communities, equal
-    gains break toward the lowest community id.
+    Node v's neighbours are cols[bounds[v]:bounds[v + 1]] with the matching
+    weights, a CSR row with its column indices sorted. A node moves only on a
+    strict improvement over staying put (so zero-gain ties never oscillate);
+    candidates are tried in ascending id, so equal gains go to the lowest id.
     """
-    comm = list(range(len(adj)))
+    comm = list(range(len(strengths)))
     comm_strength = list(strengths)
     m = two_m / 2.0
     improved = True
     while improved:
         improved = False
-        for v in order:
-            v = int(v)
+        for v in order.tolist():
             old = comm[v]
             k_v = strengths[v]
             comm_strength[old] -= k_v
             links: dict[int, float] = {old: 0.0}
-            for u, w in adj[v].items():
+            a, b = bounds[v], bounds[v + 1]
+            for u, w in zip(cols[a:b], weights[a:b]):
                 c = comm[u]
                 links[c] = links.get(c, 0.0) + w
             best_c = old
             best_gain = links[old] / m - comm_strength[old] * k_v / (2.0 * m * m)
             for c in sorted(links):
-                if c == old:
-                    continue
                 gain = links[c] / m - comm_strength[c] * k_v / (2.0 * m * m)
-                tie_break = gain == best_gain and best_c != old and c < best_c
-                if gain > best_gain or tie_break:
+                if gain > best_gain:
                     best_gain = gain
                     best_c = c
             if best_c != old:
                 comm[v] = best_c
                 improved = True
-            comm_strength[comm[v]] += k_v
+            comm_strength[best_c] += k_v
     return comm
 
 
@@ -344,15 +344,14 @@ def louvain(graph: AudienceGraph, seed: int = 0) -> dict[str, int]:
         # sorted column indices: each node's neighbours in ascending index order
         adj.sort_indices()
         bounds, cols, weights = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
-        rows = [dict(zip(cols[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
-        strengths = [sum(row.values()) + s for row, s in zip(rows, loops.tolist())]
+        strengths = [sum(weights[a:b]) + s for a, b, s in zip(bounds, bounds[1:], loops.tolist())]
         if two_m is None:
             two_m = sum(strengths)
         if two_m == 0.0:
             break
-        comm = _local_moves(rows, strengths, two_m, rng.permutation(len(rows)))
+        comm = _local_moves(bounds, cols, weights, strengths, two_m, rng.permutation(len(loops)))
         labels, comm = np.unique(comm, return_inverse=True)
-        if len(labels) == len(rows):
+        if len(labels) == len(loops):
             break
         membership = comm[membership]
         # with P the one-hot nodes x communities matrix, P.T @ A @ P holds the

@@ -145,7 +145,7 @@ def _int(value, what, line, minimum=0):
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"invalid {what} '{value}'", line) from None
-    if isinstance(value, str) and str(out) != value.strip():
+    if isinstance(value, str) and str(out) != value:
         raise ParseError(f"invalid {what} '{value}'", line)
     if isinstance(value, float) and value != out:
         raise ParseError(f"invalid {what} '{value}'", line)

@@ -106,6 +106,19 @@ class TestPipeline:
         assert code == 2
         assert f"{articles}: unknown narrative label 'provax' at line 2" in capsys.readouterr().err
 
+    def test_interactions_with_whitespace_exit_2(self, tmp_path, capsys):
+        articles = tmp_path / "articles.csv"
+        articles.write_text(
+            "outlet_id,platform,date,narrative,event,interactions\n"
+            "o1,twitter,2021-01-01,pro,adverse,1\n"
+            "o1,twitter,2021-01-01,pro,adverse, 7\n"
+        )
+        outlets = tmp_path / "outlets.csv"
+        outlets.write_text("outlet_id,name,reliability,kind\no1,One,reliable,\n")
+        code = run("ingest", "--articles", articles, "--outlets", outlets, "--out", tmp_path)
+        assert code == 2
+        assert f"{articles}: invalid interactions ' 7' at line 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("counts, message", [
         ((2**63,), "interactions must be <= 9223372036854775807, got '9223372036854775808' at line 3"),
         ((2**62, 2**62 - 1), "interactions total 9223372036854775808 exceeds 9223372036854775807"),
@@ -159,6 +172,30 @@ class TestPipeline:
         assert run("network", "--out", out) == 2
         err = capsys.readouterr().err
         assert "retweets.csv" in err and "share a retweeter" in err
+
+    def test_fit_with_too_few_draws_per_chain_exits_2(self, pipeline_dirs, capsys):
+        _, out = pipeline_dirs
+        capsys.readouterr()
+        assert run("fit", "--out", out, "--iters", 2, "--burnin", 1, "--chains", 10) == 2
+        assert "only 1 post-burn-in draws per chain; need at least 4" in capsys.readouterr().err
+
+    def test_empty_event_skipped_by_fit_and_rejected_by_bias(
+        self, pipeline_dirs, capsys, caplog
+    ):
+        _, out = pipeline_dirs
+        with open(out / "counts.csv", newline="") as handle:
+            tensor = corpus.read_count_tensor(handle)
+        tensor.counts[:, :, corpus.EVENT_ORDER.index(corpus.EventType.NEUTRAL)] = 0
+        with open(out / "counts.csv", "w", newline="") as handle:
+            corpus.write_count_tensor(tensor, handle)
+        assert fit_fast(out) == 0
+        assert "no articles for event type 'neutral'; slice skipped" in caplog.text
+        assert {r["event_type"] for r in read_rows(out / "posterior.csv")} == {
+            "adverse", "positive"
+        }
+        capsys.readouterr()
+        assert run("bias", "--out", out) == 2
+        assert "no rows for event type 'neutral'" in capsys.readouterr().err
 
     def test_unordered_posterior_quantiles_exit_1(self, pipeline_dirs, monkeypatch, caplog):
         _, out = pipeline_dirs
@@ -407,6 +444,11 @@ class TestStageTable:
     ("engagement.csv", "contents", " 1_000 ", "report"),
     ("engagement.csv", "interactions", "9223372036854775808", "report"),
     ("cluster_stats.csv", "mean_x_adv", "abc", "report"),
+    ("bias.csv", "x_adv", "nan", "report"),
+    ("bias.csv", "x_pos", " 1_0.5 ", "report"),
+    ("engagement.csv", "contents", " 7", "report"),
+    ("cluster_stats.csv", "size", " 3", "report"),
+    ("clusters.csv", "cluster_id", "+1", "report"),
 ])
 def test_bad_artifact_value_exits_2_naming_file_and_line(
     artifact, column, value, stage, full_run, tmp_path, capsys
@@ -422,6 +464,31 @@ def test_bad_artifact_value_exits_2_naming_file_and_line(
     capsys.readouterr()
     assert run(stage, "--out", out) == 2
     assert f"{out / artifact}: invalid {column} '{value}' at line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, name, column", [
+    ("ingest", "outlets.csv", "name"),
+    ("report", "bias.csv", "outlet_id"),
+])
+def test_overlong_field_exits_2_naming_file_and_line(
+    stage, name, column, full_run, tmp_path, capsys
+):
+    sim, full = full_run
+    shutil.copytree(sim, tmp_path / "sim")
+    out = tmp_path / "run"
+    shutil.copytree(full, out)
+    path = (tmp_path / "sim" if stage == "ingest" else out) / name
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[2][rows[0].index(column)] = "x" * 200_000
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+    argv = ingest_args(tmp_path / "sim", out) if stage == "ingest" else [stage, "--out", out]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: malformed CSV: field larger than field limit" in err
+    assert err.rstrip().endswith("at line 3")
 
 
 class TestStreams:

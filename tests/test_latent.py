@@ -288,6 +288,14 @@ class TestPosteriorSummary:
         assert ((summary.x.rhat > 0.99) & (summary.x.rhat < 1.02)).all()
         assert (summary.alpha.ess > 0.5 * 2000).all()
 
+    def test_one_chain_iid_draws_rhat_near_one(self):
+        rng = np.random.default_rng(13)
+        block = rng.normal(0.0, 1.0, size=(1, 2000, 3))
+        zeros = np.zeros((1, 3), dtype=np.int64)
+        summary = posterior_summary(ChainDraws(block, block.copy(), zeros, zeros), burn_in=0)
+        assert ((summary.alpha.rhat > 0.99) & (summary.alpha.rhat < 1.02)).all()
+        assert (summary.alpha.ess > 0.5 * 2000).all()
+
     def test_disjoint_chains_flagged(self):
         rng = np.random.default_rng(12)
         chain_a = rng.normal(0.0, 1.0, size=(1, 400, 1))
@@ -307,6 +315,11 @@ class TestPosteriorSummary:
         assert (summary.alpha.q05 <= summary.alpha.q95).all()
         with pytest.raises(ValueError, match="at least 10"):
             posterior_summary(constant_draws(1.0, chains=1, iters=12), burn_in=9)
+
+    def test_fewer_than_four_draws_per_chain_raise(self):
+        # 5 chains x 3 kept draws pass the total check; split R-hat needs 4
+        with pytest.raises(ValueError, match="per chain; need at least 4"):
+            posterior_summary(constant_draws(1.0, chains=5, iters=4), burn_in=1)
 
     def test_unordered_quantiles_raise_even_under_optimize(self):
         # NaN draws make q05 <= q95 false; the check must survive `python -O`

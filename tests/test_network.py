@@ -411,11 +411,15 @@ class TestLouvain:
         levels = []
         local_moves = network._local_moves
 
-        def checked(adj, strengths, two_m, order):
+        def checked(bounds, cols, weights, strengths, two_m, order):
             # a stored zero or a diagonal entry would change the moves compared
-            assert all(u != v and w > 0.0 for v, row in enumerate(adj) for u, w in row.items())
-            levels.append(len(adj))
-            return local_moves(adj, strengths, two_m, order)
+            assert all(
+                u != v and w > 0.0
+                for v, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                for u, w in zip(cols[a:b], weights[a:b])
+            )
+            levels.append(len(strengths))
+            return local_moves(bounds, cols, weights, strengths, two_m, order)
 
         monkeypatch.setattr(network, "_local_moves", checked)
         graph = pinned_graph(k)
