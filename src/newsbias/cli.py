@@ -10,7 +10,12 @@ resolved configuration plus input-file digests in run_manifest.json. The
 argparse subcommands are built from the same table. Identical inputs and seed
 produce byte-identical outputs.
 
-Exit codes: 0 success, 2 input error, 3 missing upstream artifact, 1 internal.
+Each artifact a later stage reads back has one Table schema, next to the
+records it carries, and is written with `corpus._write` and read with
+`corpus._parse`, as the input tables are.
+
+Exit codes: 0 success, 2 input error (InputError, ParseError or OSError), 3
+missing upstream artifact, 1 internal (any other error, ValueError included).
 """
 
 from __future__ import annotations
@@ -22,14 +27,15 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, fields
-from itertools import repeat
-from operator import attrgetter
+from dataclasses import asdict, dataclass
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import corpus, latent, metrics, network, synth
-from .corpus import EVENT_ORDER, EventType
+from .corpus import EVENT_ORDER, EventType, InputError
 
 log = logging.getLogger(__name__)
 
@@ -37,10 +43,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_MISSING_STAGE = 3
-
-
-class InputError(Exception):
-    """Bad or missing user-supplied input."""
 
 
 class MissingStageError(Exception):
@@ -62,6 +64,12 @@ def _date(value: str) -> datetime.date:
         raise argparse.ArgumentTypeError(f"expected ISO date, got '{value}'") from None
 
 
+def _seed(value: str) -> int:
+    if int(value) < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got '{value}'")
+    return int(value)
+
+
 def _format(value: str) -> str:
     if value not in ("csv", "jsonl"):
         raise argparse.ArgumentTypeError(
@@ -79,7 +87,7 @@ _OPTIONS: dict[str, tuple] = {
     "from": (_date, None, "keep articles on/after this date"),
     "to": (_date, None, "keep articles on/before this date"),
     "format": (_format, "csv", "input format: csv or jsonl"),
-    "seed": (int, 0, "root random seed"),
+    "seed": (_seed, 0, "root random seed"),
     "chains": (int, 4, "MCMC chains per event type"),
     "iters": (int, 5000, "MCMC iterations per chain"),
     "burnin": (int, 1000, "burn-in iterations per chain"),
@@ -106,14 +114,7 @@ _BREAKDOWN_FIELDS = (
     "category", "sources", "sources_pct", "contents", "contents_pct", "interactions",
     "interactions_pct",
 )
-_POSTERIOR_FIELDS = ("outlet_id", "event_type", "param", "mean", "sd", "q05", "q95", "rhat", "ess")
-_PARAMS = ("alpha", "x")
 _DRAW_FIELDS = ("chain", "iter", "param_index", "value")
-_BIAS_FIELDS = ("outlet_id", "reliability", *(f.name for f in fields(metrics.BiasRow)[1:]))
-_BIAS_VALUES = attrgetter(*_BIAS_FIELDS[2:-1])  # a BiasRow's float fields
-_ENGAGEMENT_FIELDS = (
-    "outlet_id", "event_type", "contents", "interactions", "followers", "engagement"
-)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -121,7 +122,7 @@ def _load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -197,6 +198,8 @@ def _load(path: Path, parse, *args):
             return parse(handle, *args)
     except corpus.ParseError as exc:
         raise corpus.ParseError(f"{path}: {exc.reason}", exc.line) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _save(path: Path, write, *args) -> None:
@@ -205,46 +208,9 @@ def _save(path: Path, write, *args) -> None:
         write(*args, handle)
 
 
-def _read_rows(path: Path, header: tuple[str, ...], *casts: Callable) -> list[tuple]:
-    """Rows of a CSV artifact whose header must equal `header`, as tuples with
-    column j read by `casts[j]`; a value that does not cast is a ParseError."""
-
-    def read(stream) -> list[tuple]:
-        rows = []
-        for line, values in corpus._iter_values(stream, "csv", header):
-            row = []
-            for name, cast, value in zip(header, casts, values):
-                try:
-                    row.append(cast(value))
-                except ValueError:
-                    raise corpus.ParseError(f"invalid {name} '{value}'", line) from None
-            rows.append(tuple(row))
-        return rows
-
-    return _load(path, read)
-
-
-def _float(text: str) -> float:
-    """A float spelled as the writer spells it (its shortest repr); NaN is
-    no value, while inf is a legal R-hat."""
-    value = float(text)
-    if math.isnan(value) or repr(value) != text:
-        raise ValueError
-    return value
-
-
-def _float_or_none(text: str) -> float | None:
-    return _float(text) if text else None
-
-
-def _reliability_or_empty(text: str) -> str:
-    """A Reliability label, or empty for an outlet missing from the registry."""
-    return corpus.Reliability(text).value if text else text
-
-
-def _count(text: str) -> int:
-    """A count under the corpus rule (`CountField`): canonical digits in [0, 2**63 - 1]."""
-    return corpus.CountField("count").convert(text, 0)
+def _read(path: Path, table: type[corpus.Table]) -> corpus.Table:
+    """The CSV stage artifact at `path`, read under its `table` schema."""
+    return _load(path, corpus._parse, "csv", table)
 
 
 def _write_records(out: Path, articles, outlets, followers, retweets) -> None:
@@ -257,12 +223,10 @@ def _write_records(out: Path, articles, outlets, followers, retweets) -> None:
 
 def _read_posterior(path: Path) -> dict[EventType, dict[str, metrics.OutletEstimate]]:
     """Per event, each outlet with both posterior means, in order of its alpha row."""
-    means = [{event: {} for event in EVENT_ORDER} for _ in _PARAMS]
-    for outlet, event, param, mean, *_ in _read_rows(
-        path, _POSTERIOR_FIELDS, str, EventType, _PARAMS.index, *(_float,) * 6
-    ):
+    means = {param: {event: {} for event in EVENT_ORDER} for param in latent.PARAMS}
+    for outlet, event, param, mean, *_ in _read(path, latent.PosteriorTable):
         means[param][event][outlet] = mean
-    alpha, x = means
+    alpha, x = means.values()
     return {
         event: {o: metrics.OutletEstimate(a, x[event][o]) for o, a in alpha[event].items()
                 if o in x[event]}
@@ -270,26 +234,13 @@ def _read_posterior(path: Path) -> dict[EventType, dict[str, metrics.OutletEstim
     }
 
 
-def _read_bias(path: Path) -> tuple[list[metrics.BiasRow], dict[str, str]]:
-    """bias.csv as BiasRows, plus each outlet's reliability label."""
-    rows, reliability = [], {}
-    for outlet, label, *values, lean in _read_rows(
-        path, _BIAS_FIELDS, str, _reliability_or_empty, *(_float,) * (len(_BIAS_FIELDS) - 3),
-        corpus.parse_flag,
-    ):
-        reliability[outlet] = label
-        rows.append(metrics.BiasRow(outlet, *values, lean))
-    return rows, reliability
-
-
-def _draw_rows(draws: latent.ChainDraws):
-    """(chain, iter, param_index, value) rows; alphas are 0..n-1, stances n..2n-1."""
-    n = draws.n_outlets
-    for c in range(draws.n_chains):
-        for h in range(draws.n_iterations):
-            for offset, values in ((0, draws.alpha[c, h]), (n, draws.x[c, h])):
-                for i, value in enumerate(values.tolist()):
-                    yield c, h, offset + i, value
+def _write_draws(draws: latent.ChainDraws, stream) -> None:
+    """draws_<event>.csv: (chain, iter, param_index, value) rows, alphas as params
+    0..n-1 and stances as n..2n-1, formatted one iteration's value array at a time."""
+    params = range(2 * draws.n_outlets)
+    rows = (zip(repeat(c), repeat(h), params, np.append(draws.alpha[c, h], draws.x[c, h]).tolist())
+            for c, h in product(range(draws.n_chains), range(draws.n_iterations)))
+    corpus.write_csv(_DRAW_FIELDS, chain.from_iterable(rows), stream)
 
 
 # ---------------------------------------------------------------- stages
@@ -354,7 +305,7 @@ def _fit(opts: dict, out: Path) -> str:
         adapt=opts["adapt"],
     )
 
-    rows = []
+    summaries = {}
     for k, event in enumerate(EVENT_ORDER):
         slice_ = tensor.event_slice(event)
         if slice_.sum() == 0:
@@ -380,14 +331,12 @@ def _fit(opts: dict, out: Path) -> str:
                 event.value,
                 worst,
             )
-        for param, stats in zip(_PARAMS, (summary.alpha, summary.x)):
-            rows += zip(tensor.outlets, repeat(event.value), repeat(param),
-                        *(getattr(stats, name).tolist() for name in _POSTERIOR_FIELDS[3:]))
+        summaries[event] = summary
         if opts["dump_draws"]:
-            _save(out / f"draws_{event.value}.csv", corpus.write_csv, _DRAW_FIELDS,
-                  _draw_rows(draws))
-    _save(out / "posterior.csv", corpus.write_csv, _POSTERIOR_FIELDS, rows)
-    return f"fit: wrote posterior.csv ({len(rows)} rows) -> {out}"
+            _save(out / f"draws_{event.value}.csv", _write_draws, draws)
+    posterior = latent.PosteriorTable.of(tensor.outlets, summaries)
+    _save(out / "posterior.csv", corpus._write, latent.PosteriorTable, posterior)
+    return f"fit: wrote posterior.csv ({len(posterior)} rows) -> {out}"
 
 
 def _bias(opts: dict, out: Path) -> str:
@@ -399,19 +348,9 @@ def _bias(opts: dict, out: Path) -> str:
                 f"posterior.csv has no rows for event type '{event.value}'; "
                 "cannot build the bias table"
             )
-    table = metrics.build_bias_table(estimates, theta=opts["theta"])
-    reliability = registry.reliability_of()
-    _save(
-        out / "bias.csv",
-        corpus.write_csv,
-        _BIAS_FIELDS,
-        (
-            (row.outlet_id,
-             reliability[row.outlet_id].value if row.outlet_id in reliability else "",
-             *_BIAS_VALUES(row), corpus.format_flag(row.adverse_lean))
-            for row in table
-        ),
-    )
+    rows = metrics.build_bias_table(estimates, theta=opts["theta"])
+    table = metrics.BiasTable.of(rows, registry.reliability_of())
+    _save(out / "bias.csv", corpus._write, metrics.BiasTable, table)
     return f"bias: wrote bias.csv ({len(table)} outlets) -> {out}"
 
 
@@ -423,20 +362,12 @@ def _engagement(opts: dict, out: Path) -> str:
         raise InputError("--from and --to must be given together")
     articles = _load(out / "articles.csv", corpus.parse_articles, "csv")
     followers = _load(out / "followers.csv", corpus.parse_followers, "csv")
-    bias_rows, _ = _read_bias(out / "bias.csv")
+    bias_rows = _read(out / "bias.csv", metrics.BiasTable).rows()
 
     table = metrics.build_engagement_table(
         articles, followers, window=window, duration_weighted=opts["duration_weighted"]
     )
-    _save(
-        out / "engagement.csv",
-        corpus.write_csv,
-        _ENGAGEMENT_FIELDS,
-        (
-            (r.outlet_id, r.event.value, r.contents, r.interactions, r.followers, r.engagement)
-            for r in table
-        ),
-    )
+    _save(out / "engagement.csv", corpus._write, metrics.EngagementTable, table)
     _write_json(out / "fits.json", metrics.engagement_bias_fits(bias_rows, table))
     return f"engagement: wrote engagement.csv ({len(table)} rows) and fits.json -> {out}"
 
@@ -446,7 +377,7 @@ def _network(opts: dict, out: Path) -> str:
     retweets = _load(out / "retweets.csv", corpus.parse_retweets, "csv")
     if not retweets:
         raise InputError("retweets.csv is empty; cannot build the audience network")
-    bias_rows, _ = _read_bias(out / "bias.csv")
+    bias_rows = _read(out / "bias.csv", metrics.BiasTable).rows()
 
     matrix = network.build_matrix(retweets)
     graph = network.build_graph(matrix, registry.reliability_of())
@@ -472,26 +403,23 @@ def _network(opts: dict, out: Path) -> str:
 
 
 def _report(opts: dict, out: Path) -> str:
-    clusters = dict(_read_rows(out / "clusters.csv", network.CLUSTER_FIELDS, str, _count))
-    bias_rows, reliability = _read_bias(out / "bias.csv")
+    clusters = dict(_read(out / "clusters.csv", network.ClusterTable))
+    bias = _read(out / "bias.csv", metrics.BiasTable)
     outlets: dict[str, dict] = {}
-    for row in bias_rows:
-        outlets[row.outlet_id] = {
-            "reliability": reliability[row.outlet_id],
-            "bias": {f.name: getattr(row, f.name) for f in fields(row)[1:]},
-            "cluster": clusters.get(row.outlet_id),
+    for outlet, label, *values in bias:
+        outlets[outlet] = {
+            "reliability": "" if label is None else label.value,
+            "bias": {f.name: value for f, value in zip(bias.fields[2:], values)},
+            "cluster": clusters.get(outlet),
             "engagement": {},
         }
-    for outlet, event, *values in _read_rows(
-        out / "engagement.csv", _ENGAGEMENT_FIELDS, str, EventType, _count, _count, _float, _float
-    ):
-        if outlet in outlets:
-            outlets[outlet]["engagement"][event.value] = dict(zip(_ENGAGEMENT_FIELDS[2:], values))
-    cluster_rows = [
-        dict(zip(network.CLUSTER_STATS_FIELDS, row))
-        for row in _read_rows(out / "cluster_stats.csv", network.CLUSTER_STATS_FIELDS,
-                              _count, _count, *(_float_or_none,) * 5)
-    ]
+    engagement = _read(out / "engagement.csv", metrics.EngagementTable)
+    for rec in engagement:
+        if rec.outlet_id in outlets:
+            outlets[rec.outlet_id]["engagement"][rec.event.value] = {
+                f.name: getattr(rec, f.name) for f in engagement.fields[2:]
+            }
+    cluster_rows = list(map(asdict, _read(out / "cluster_stats.csv", network.ClusterStatsTable)))
     _write_json(out / "report.json", {"outlets": outlets, "clusters": cluster_rows})
     return f"report: wrote report.json ({len(outlets)} outlets) -> {out}"
 
@@ -639,10 +567,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_STAGE
-    except (InputError, corpus.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

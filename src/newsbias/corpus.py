@@ -1,11 +1,12 @@
 """Canonical records for the labeled news corpus and their file formats.
 
-Everything here is pure. Each input table has one schema, a tuple of typed
-fields, and one reader: the parsers read a character stream into a Table of
-dict-coded numpy columns (ArticleTable, OutletTable, FollowerTable,
-RetweetTable, and the rows of counts.csv), and one writer spells a table
-back. Aggregation folds the article columns into an outlet x narrative x
-event count tensor with one bincount, and nothing mutates its inputs.
+Everything here is pure. Each input table and each read-back stage artifact
+has one schema, a tuple of typed fields, and one reader: `_parse` reads a
+character stream into a Table of dict-coded numpy columns (the input tables
+here, the artifact tables next to the records they carry), and one writer,
+`_write`, spells a table back. Aggregation folds the article columns into an
+outlet x narrative x event count tensor with one bincount, and nothing
+mutates its inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import datetime
 import itertools
 import json
 import logging
+import math
 import operator
 import re
 from collections import abc
@@ -69,7 +71,12 @@ def event_index(event: EventType) -> int:
     return _EVENT_INDEX[event]
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Bad or missing user-supplied input (the CLI exits 2 on it), as opposed
+    to a plain ValueError, which is a fault of the program."""
+
+
+class ParseError(InputError):
     """Bad input row; message carries the 1-based line number, `reason` is
     the message without it."""
 
@@ -325,6 +332,9 @@ class _Field:
         """The column value of each converted value, and the ids they code, if any."""
         return np.asarray(values, dtype=self.dtype), None
 
+    def values(self, table: Table) -> list:
+        return getattr(table, self.name).tolist()
+
     def text(self, table: Table) -> Iterable:
         return self.values(table)
 
@@ -353,8 +363,8 @@ class IdField(_Field):
 
 @dataclass(frozen=True)
 class EnumField(_Field):
-    """A label of a fixed `order`; the column holds its position. An optional
-    field reads an empty, null or missing label as None, at position len(order)."""
+    """A label (Enum member or string) of a fixed `order`; the column holds its position.
+    An optional field reads an empty, null or missing label as None, at position len(order)."""
 
     name: str
     order: tuple
@@ -374,7 +384,8 @@ class EnumField(_Field):
         return _lookup((*self.order, None), getattr(table, self.name))
 
     def text(self, table):
-        return _lookup((*(label.value for label in self.order), ""), getattr(table, self.name))
+        spelled = (getattr(label, "value", label) for label in self.order)
+        return _lookup((*spelled, ""), getattr(table, self.name))
 
 
 @dataclass(frozen=True)
@@ -425,8 +436,53 @@ class CountField(_Field):
             raise ParseError(f"{self.name} must be {bound}, got '{value}'", line)
         return out
 
+
+@dataclass(frozen=True)
+class FloatField(_Field):
+    """A float, spelled as its shortest repr if a string; NaN is no value, while
+    +-inf is legal. The column holds float64 values. An optional field reads an
+    empty or null value as None, held as NaN and written empty."""
+
+    name: str
+    optional: bool = False
+    dtype = np.float64
+
+    def convert(self, value, line: int) -> float:
+        if self.optional and (value is None or value == ""):
+            return math.nan
+        try:
+            out = float(value)
+            if math.isnan(out) or isinstance(value, bool) or (
+                    isinstance(value, str) and repr(out) != value):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ParseError(f"invalid {self.name} '{value}'", line) from None
+        return out
+
     def values(self, table):
-        return getattr(table, self.name).tolist()
+        column = super().values(table)
+        return [None if math.isnan(v) else v for v in column] if self.optional else column
+
+    def text(self, table):
+        return ["" if v is None else repr(v) for v in self.values(table)]
+
+
+@dataclass(frozen=True)
+class FlagField(_Field):
+    """A bool, spelled `true` or `false`; the column holds bools."""
+
+    name: str
+    dtype = np.bool_
+
+    def convert(self, value, line: int) -> bool:
+        if isinstance(value, bool):  # a record's value
+            return value
+        if value not in ("false", "true"):
+            raise ParseError(f"invalid {self.name} '{value}'", line)
+        return value == "true"
+
+    def text(self, table):
+        return _lookup(("false", "true"), getattr(table, self.name))
 
 
 class Table(abc.Sequence):
@@ -438,12 +494,15 @@ class Table(abc.Sequence):
 
     The table is a read-only Sequence of `record`: length, iteration and
     indexing build records on demand, and it compares equal to a list of the
-    same records. `from_records` is the one conversion from records. Parsed
-    or converted, a table is built under its class's own rule (`_checked`).
+    same records. `from_records` and `from_columns` convert record values.
+    Parsed or converted, a table is built under its class's own rule
+    (`_checked`), by default that no two rows share their `key` field values
+    (a key of several fields names a cell).
     """
 
     fields: tuple[_Field, ...] = ()
     record: Callable = staticmethod(lambda *values: values)
+    key: tuple[str, ...] = ()  # field names, in schema order
 
     def __init__(self, columns: Sequence, ids: Mapping[str, Sequence[str]]):
         for field, values in zip(self.fields, columns, strict=True):
@@ -483,19 +542,32 @@ class Table(abc.Sequence):
         if isinstance(records, cls):
             return records
         records = records if isinstance(records, (list, tuple)) else list(records)
+        # one column at a time, so only one field's values are held
+        return cls.from_columns(list(map(operator.attrgetter(f.name), records)) for f in cls.fields)
+
+    @classmethod
+    def from_columns(cls, columns: Iterable[list]) -> Table:
+        """The table whose field j holds the record values of the j-th column,
+        checked as `from_records` checks records."""
         coders = [_Coder(field.convert) for field in cls.fields]
         try:
-            for field, coder in zip(cls.fields, coders):
-                column = list(map(operator.attrgetter(field.name), records))
+            for coder, column in zip(coders, columns, strict=True):
                 failed = coder.add(_record_keys(column), column)
                 if failed is not None:
                     raise ParseError(failed[1], failed[0])
-            return cls._from_coders(coders, range(len(records)))
+            return cls._from_coders(coders, range(len(column)))
         except ParseError as exc:
             raise ValueError(f"record {exc.line}: {exc.reason}") from None
 
     def _checked(self, lines: Sequence[int]) -> Table:
         """The table under its own rule; raises ParseError at `lines[row]` of the first bad row."""
+        row = _first_repeat(*(getattr(self, name) for name in self.key)) if self.key else None
+        if row is not None:
+            one = self.take([row])
+            key = ", ".join(f"'{next(iter(f.text(one)))}'"
+                            for f in self.fields if f.name in self.key)
+            key = f"{self.key[0]} {key}" if len(self.key) == 1 else f"cell ({key})"
+            raise ParseError(f"duplicate {key}", lines[row])
         return self
 
     def take(self, rows) -> Table:
@@ -524,10 +596,10 @@ class Table(abc.Sequence):
         return f"{type(self).__name__}({len(self)} rows)"
 
 
-def _first_repeat(keys: np.ndarray) -> int | None:
-    """Position of the first entry equal to an earlier one, or None."""
-    repeat = np.ones(len(keys), dtype=bool)
-    repeat[np.unique(keys, return_index=True)[1]] = False
+def _first_repeat(*columns: np.ndarray) -> int | None:
+    """Position of the first row equal in all `columns` to an earlier one, or None."""
+    repeat = np.ones(len(columns[0]), dtype=bool)
+    repeat[np.unique(np.stack(columns, axis=1), axis=0, return_index=True)[1]] = False
     return int(np.argmax(repeat)) if repeat.any() else None
 
 
@@ -563,12 +635,7 @@ class OutletTable(Table):
         EnumField("kind", tuple(OutletKind), "outlet kind", optional=True),
     )
     record = OutletProfile
-
-    def _checked(self, lines):
-        row = _first_repeat(self.outlet_id)
-        if row is not None:
-            raise ParseError(f"duplicate outlet_id '{self[row].outlet_id}'", lines[row])
-        return self
+    key = ("outlet_id",)
 
     def row_of(self) -> dict[str, int]:
         """{outlet id: its row}, in row order."""
@@ -637,15 +704,7 @@ class _CountRows(Table):
         EnumField("event", EVENT_ORDER, "event label"),
         CountField("count"),
     )
-
-    def _checked(self, lines):
-        row = _first_repeat((self.outlet_id.astype(np.int64) * 3 + self.narrative) * 3 + self.event)
-        if row is not None:
-            oid, narrative, event, _ = self[row]
-            raise ParseError(
-                f"duplicate cell ('{oid}', '{narrative.value}', '{event.value}')", lines[row]
-            )
-        return self
+    key = ("outlet_id", "narrative", "event")
 
 
 ARTICLE_FIELDS, OUTLET_FIELDS, FOLLOWER_FIELDS, RETWEET_FIELDS, COUNT_FIELDS = (
@@ -656,7 +715,7 @@ ARTICLE_FIELDS, OUTLET_FIELDS, FOLLOWER_FIELDS, RETWEET_FIELDS, COUNT_FIELDS = (
 
 def _int64_total(total: int) -> int:
     if total > INT64_MAX:
-        raise ValueError(f"interactions total {total} exceeds {INT64_MAX}")
+        raise InputError(f"interactions total {total} exceeds {INT64_MAX}")
     return total
 
 
@@ -749,7 +808,7 @@ def _registered(table: ArticleTable, code_of: Mapping[str, int]) -> np.ndarray:
     rows = codes[table.outlet_id]
     if (rows < 0).any():
         oid = table.outlet_ids[table.outlet_id[np.argmax(rows < 0)]]
-        raise ValueError(f"article references unregistered outlet '{oid}'")
+        raise InputError(f"article references unregistered outlet '{oid}'")
     return rows
 
 
@@ -799,7 +858,7 @@ def dataset_breakdown(
     outlets = OutletTable.from_records(registry)
     table = ArticleTable.from_records(articles)
     if not len(table):
-        raise ValueError("no articles")
+        raise InputError("no articles")
     # class 0 is questionable, 1 reliable: the reliability column's order
     classes = outlets.reliability[_registered(table, outlets.row_of())]
     sources = np.bincount(outlets.reliability, minlength=2).tolist()
@@ -827,23 +886,11 @@ def dataset_breakdown(
     )
 
 
-def format_flag(flag: bool) -> str:
-    """How CSV artifacts spell a bool."""
-    return "true" if flag else "false"
-
-
-def parse_flag(text: str) -> bool:
-    """The bool that `format_flag` spells as `text`; any other text raises ValueError."""
-    if text not in ("true", "false"):
-        raise ValueError(f"expected 'true' or 'false', got '{text}'")
-    return text == "true"
-
-
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], stream: TextIO) -> None:
     """Write one CSV artifact: a header row, then `rows`, RFC 4180-quoted.
 
     Values are spelled by the csv module: None as empty, numbers by str (the
-    shortest round-trip repr for floats). Bools go through `format_flag` first.
+    shortest round-trip repr for floats). A table's own spelling is `_write`'s.
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
@@ -851,7 +898,8 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], stream: TextIO) -
 
 
 def _write(cls: type[Table], records: Iterable, stream: TextIO) -> None:
-    """Write `records` as a `cls` CSV file, spelling each distinct value once."""
+    """Write `records` (or a `cls` table) as a `cls` CSV file, in the spelling
+    `_parse` reads back."""
     table = cls.from_records(records)
     write_csv([f.name for f in cls.fields], zip(*(f.text(table) for f in cls.fields)), stream)
 

@@ -13,16 +13,20 @@ log S(x_i), S(x) = sum_j exp(-|x - z_j|), and x_i: the likelihood splits into
 Poisson(y_i. | e^beta_i) x Multinomial(y_i | pi(x_i)), which removes the
 alpha-x ridge, and the Jacobian is 1, so the (alpha, x) posterior is unchanged.
 The conditionals factorize by outlet, so each update moves every outlet of
-every chain in one array step.
+every chain in one array step. PosteriorTable is the schema of posterior.csv.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import gammaln
+
+from .corpus import EVENT_ORDER, EnumField, EventType, FloatField, IdField, InputError, Table
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -41,7 +45,7 @@ class ModelConstants:
         ):
             raise ValueError("stances must be 3 strictly increasing values")
         if self.prior_sd_alpha <= 0 or self.prior_sd_x <= 0:
-            raise ValueError("prior standard deviations must be > 0")
+            raise InputError("prior standard deviations must be > 0")
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,15 @@ class ChainConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise InputError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
-            raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
+            raise InputError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.chains < 1:
-            raise ValueError("chains must be >= 1")
+            raise InputError("chains must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise InputError("seed must be a nonnegative integer")
         if self.initial_proposal_sd <= 0:
-            raise ValueError("initial_proposal_sd must be > 0")
+            raise InputError("initial_proposal_sd must be > 0")
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,31 @@ class ParamSummary:
     alpha: ParamStats
     x: ParamStats
     n_draws: int
+
+
+PARAMS = ("alpha", "x")
+
+
+class PosteriorTable(Table):
+    """posterior.csv: per fitted event type, the ParamStats of every outlet's
+    alpha, then of its x; its rule: one row per (outlet, event type, param)."""
+
+    fields = (IdField("outlet_id"), EnumField("event_type", EVENT_ORDER, "event label"),
+              EnumField("param", PARAMS, "parameter"),
+              *(FloatField(f.name) for f in dataclasses.fields(ParamStats)))
+    key = ("outlet_id", "event_type", "param")
+
+    @classmethod
+    def of(
+        cls, outlets: Sequence[str], summaries: Mapping[EventType, ParamSummary]
+    ) -> PosteriorTable:
+        """Per summary, in order, its alpha rows, then its x rows; row i of each is outlets[i]'s."""
+        stats = [s for summary in summaries.values() for s in (summary.alpha, summary.x)]
+        n = len(outlets)
+        events = np.repeat([EVENT_ORDER.index(event) for event in summaries], 2 * n)
+        values = (np.ravel([getattr(s, f.name) for s in stats]) for f in cls.fields[3:])
+        columns = [np.tile(np.arange(n), len(stats)), events, np.arange(len(stats) * n) // n % 2]
+        return cls([*columns, *values], {"outlet_id": outlets})
 
 
 def log_intensity(alpha, x, z):
@@ -392,11 +421,11 @@ def posterior_summary(draws: ChainDraws, burn_in: int) -> ParamSummary:
         raise ValueError("burn_in must be smaller than the number of iterations")
     kept = draws.n_iterations - burn_in
     if kept * draws.n_chains < 10:
-        raise ValueError(
+        raise InputError(
             f"only {kept * draws.n_chains} post-burn-in draws; need at least 10"
         )
     if kept < 4:
-        raise ValueError(f"only {kept} post-burn-in draws per chain; need at least 4")
+        raise InputError(f"only {kept} post-burn-in draws per chain; need at least 4")
     alpha = draws.alpha[:, burn_in:, :]
     x = draws.x[:, burn_in:, :]
     return ParamSummary(

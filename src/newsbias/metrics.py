@@ -2,11 +2,13 @@
 
 Inputs are posterior point estimates (means) from the latent fits plus the
 raw corpus articles (an ArticleTable or records); everything here is
-closed-form arithmetic.
+closed-form arithmetic. The bias and engagement tables are the schemas of
+bias.csv and engagement.csv, which later stages read back.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import logging
 import math
@@ -15,8 +17,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import (EVENT_ORDER, ArticleRecord, ArticleTable, EventType, FollowerRecord,
-                     FollowerTable, filter_articles)
+from .corpus import (EVENT_ORDER, ArticleRecord, ArticleTable, CountField, EnumField, EventType,
+                     FlagField, FloatField, FollowerRecord, FollowerTable, IdField, InputError,
+                     Reliability, Table, filter_articles)
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +32,7 @@ def selection_index(pf_adv: float, pf_pos: float, theta: float = math.pi / 4) ->
     types with equal propensity.
     """
     if not 0.0 < theta < math.pi / 2:
-        raise ValueError("theta must lie in (0, pi/2)")
+        raise InputError("theta must lie in (0, pi/2)")
     return abs(math.sin(theta) * pf_adv - math.cos(theta) * pf_pos)
 
 
@@ -57,7 +60,7 @@ def average_followers(
     """
     start, end = (day.toordinal() for day in window)
     if start > end:
-        raise ValueError("window start must be <= window end")
+        raise InputError("window start must be <= window end")
     table = FollowerTable.from_records(records)
     kept = (table.period_start <= end) & (table.period_end >= start)
     if duration_weighted:
@@ -124,6 +127,28 @@ class BiasRow:
     adverse_lean: bool
 
 
+class BiasTable(Table):
+    """bias.csv: each outlet's BiasRow after its registry reliability label,
+    None (written empty) for an outlet the registry lacks; one row per outlet."""
+
+    fields = (IdField("outlet_id"),
+              EnumField("reliability", tuple(Reliability), "reliability label", optional=True),
+              *(FloatField(f.name) for f in dataclasses.fields(BiasRow)[1:-1]),
+              FlagField("adverse_lean"))
+    key = ("outlet_id",)
+
+    @classmethod
+    def of(cls, rows: Sequence[BiasRow], reliability: Mapping[str, Reliability]) -> BiasTable:
+        """`rows`, each labelled `reliability.get(outlet_id)`."""
+        columns = [[getattr(row, f.name) for row in rows] for f in dataclasses.fields(BiasRow)]
+        columns.insert(1, [reliability.get(row.outlet_id) for row in rows])
+        return cls.from_columns(columns)
+
+    def rows(self) -> list[BiasRow]:
+        """The BiasRows, without their labels."""
+        return [BiasRow(outlet_id, *values) for outlet_id, _, *values in self]
+
+
 def build_bias_table(
     estimates: Mapping[EventType, Mapping[str, OutletEstimate]],
     theta: float = math.pi / 4,
@@ -178,6 +203,20 @@ class EngagementRecord:
     interactions: int
     followers: float
     engagement: float
+
+    @property
+    def event_type(self) -> EventType:  # `event`, named as its engagement.csv column
+        return self.event
+
+
+class EngagementTable(Table):
+    """engagement.csv: one EngagementRecord per (outlet, event type)."""
+
+    fields = (IdField("outlet_id"), EnumField("event_type", EVENT_ORDER, "event label"),
+              CountField("contents"), CountField("interactions"), FloatField("followers"),
+              FloatField("engagement"))
+    record = EngagementRecord
+    key = ("outlet_id", "event_type")
 
 
 def build_engagement_table(

@@ -3,13 +3,16 @@
 The graph is built from a users x outlets retweet-count matrix: edge weights
 are cosine similarities between outlet columns, weak edges are dropped at the
 mean weight, and communities come from a deterministic weighted Louvain.
+ClusterTable and ClusterStatsTable are the schemas of clusters.csv and
+cluster_stats.csv.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
@@ -20,7 +23,8 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import (
-    OutletProfile, OutletTable, Reliability, RetweetRecord, RetweetTable, exact_sums, write_csv
+    CountField, FloatField, IdField, OutletProfile, OutletTable, Reliability, RetweetRecord,
+    RetweetTable, Table, _write, exact_sums, write_csv,
 )
 from .metrics import BiasRow
 
@@ -423,9 +427,27 @@ def cluster_stats(
     return rows
 
 
+class ClusterTable(Table):
+    """clusters.csv: each outlet's Louvain community, one row per outlet."""
+
+    fields = (IdField("outlet_id"), CountField("cluster_id"))
+    key = ("outlet_id",)
+
+
+class ClusterStatsTable(Table):
+    """cluster_stats.csv: one ClusterStatsRow per cluster; a statistic that no
+    member has data for is None, written empty."""
+
+    fields = (CountField("cluster_id"), CountField("size"),
+              *(FloatField(f.name, optional=True) for f in dataclasses.fields(ClusterStatsRow)[2:]))
+    record = ClusterStatsRow
+    key = ("cluster_id",)
+
+
 EDGE_FIELDS = ("src", "dst", "weight")
-CLUSTER_FIELDS = ("outlet_id", "cluster_id")
-CLUSTER_STATS_FIELDS = tuple(f.name for f in fields(ClusterStatsRow))
+CLUSTER_FIELDS, CLUSTER_STATS_FIELDS = (
+    tuple(f.name for f in table.fields) for table in (ClusterTable, ClusterStatsTable)
+)
 
 
 def write_edges_csv(graph: AudienceGraph, stream: TextIO) -> None:
@@ -439,11 +461,14 @@ def write_edges_csv(graph: AudienceGraph, stream: TextIO) -> None:
 
 
 def write_clusters_csv(partition: Mapping[str, int], stream: TextIO) -> None:
-    write_csv(CLUSTER_FIELDS, sorted(partition.items()), stream)
+    """clusters.csv, outlets sorted by id."""
+    outlets = sorted(partition)
+    table = ClusterTable.from_columns([outlets, [partition[o] for o in outlets]])
+    _write(ClusterTable, table, stream)
 
 
 def write_cluster_stats_csv(rows: Sequence[ClusterStatsRow], stream: TextIO) -> None:
-    write_csv(CLUSTER_STATS_FIELDS, map(attrgetter(*CLUSTER_STATS_FIELDS), rows), stream)
+    _write(ClusterStatsTable, rows, stream)
 
 
 def write_graphml(graph: AudienceGraph, stream: TextIO) -> None:

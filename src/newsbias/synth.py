@@ -18,6 +18,7 @@ from .corpus import (
     NARRATIVE_ORDER,
     ArticleRecord,
     FollowerRecord,
+    InputError,
     OutletKind,
     OutletProfile,
     Platform,
@@ -58,7 +59,9 @@ def generate(
     is well identified.
     """
     if n_outlets < n_clusters or n_clusters < 1:
-        raise ValueError("need at least one outlet per cluster")
+        raise InputError("need at least one outlet per cluster")
+    if window[0] > window[1]:
+        raise InputError("window start must be <= window end")
     rng = np.random.default_rng(seed)
     start, end = window
     n_days = (end - start).days + 1

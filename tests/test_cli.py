@@ -1,14 +1,16 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
+import math
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from newsbias import cli, corpus, latent
+from newsbias import cli, corpus, latent, metrics
 from newsbias.cli import main
 
 
@@ -449,6 +451,11 @@ class TestStageTable:
     ("engagement.csv", "contents", " 7", "report"),
     ("cluster_stats.csv", "size", " 3", "report"),
     ("clusters.csv", "cluster_id", "+1", "report"),
+    ("posterior.csv", "event_type", "sideways", "bias"),
+    ("posterior.csv", "param", "beta", "bias"),
+    ("posterior.csv", "rhat", "NaN", "bias"),
+    ("engagement.csv", "followers", "1e3", "report"),
+    ("cluster_stats.csv", "size", "", "report"),
 ])
 def test_bad_artifact_value_exits_2_naming_file_and_line(
     artifact, column, value, stage, full_run, tmp_path, capsys
@@ -463,7 +470,139 @@ def test_bad_artifact_value_exits_2_naming_file_and_line(
         csv.writer(handle, lineterminator="\n").writerows(rows)
     capsys.readouterr()
     assert run(stage, "--out", out) == 2
-    assert f"{out / artifact}: invalid {column} '{value}' at line 2" in capsys.readouterr().err
+    message = ARTIFACT_MESSAGES.get((column, value), f"invalid {column} '{value}'")
+    assert f"{out / artifact}: {message} at line 2" in capsys.readouterr().err
+
+
+# faults that the input tables' fields report in their own words
+ARTIFACT_MESSAGES = {
+    ("reliability", "garbage"): "unknown reliability label 'garbage'",
+    ("interactions", "9223372036854775808"):
+        "interactions must be <= 9223372036854775807, got '9223372036854775808'",
+    ("event_type", "sideways"): "unknown event label 'sideways'",
+    ("param", "beta"): "unknown parameter 'beta'",
+}
+
+
+@pytest.mark.parametrize("artifact, stage, change, key", [
+    ("bias.csv", "report", {"reliability": "reliable"}, ("outlet_id",)),
+    ("posterior.csv", "bias", {"mean": "9.5"}, ("outlet_id", "event_type", "param")),
+    ("engagement.csv", "report", {"engagement": "0.5"}, ("outlet_id", "event_type")),
+    ("clusters.csv", "report", {"cluster_id": "7"}, ("outlet_id",)),
+    ("cluster_stats.csv", "report", {}, ("cluster_id",)),
+], ids=["bias", "posterior", "engagement", "clusters", "cluster_stats"])
+def test_repeated_artifact_key_exits_2(artifact, stage, change, key, full_run, tmp_path, capsys):
+    # a repeated key once read as last-wins: a second bias.csv row could relabel an outlet
+    _, full = full_run
+    out = tmp_path / "run"
+    shutil.copytree(full, out)
+    with open(out / artifact, newline="") as handle:
+        rows = list(csv.reader(handle))
+    repeat = [change.get(name, value) for name, value in zip(rows[0], rows[1])]
+    with open(out / artifact, "a", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(repeat)
+    capsys.readouterr()
+    assert run(stage, "--out", out) == 2
+    values = ", ".join(f"'{rows[1][rows[0].index(k)]}'" for k in key)
+    shown = f"{key[0]} {values}" if len(key) == 1 else f"cell ({values})"
+    expected = f"{out / artifact}: duplicate {shown} at line {len(rows) + 1}"
+    assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--iters", 0], "iterations must be >= 1"),
+    (["fit", "--iters", 10, "--burnin", 10], "burn_in must satisfy 0 <= burn_in < iterations"),
+    (["fit", "--chains", 0], "chains must be >= 1"),
+    (["fit", "--prior-alpha-sd", 0], "prior standard deviations must be > 0"),
+    (["fit", "--prior-x-sd", -1], "prior standard deviations must be > 0"),
+    (["fit", "--proposal-sd", 0], "initial_proposal_sd must be > 0"),
+    (["bias", "--theta", math.pi / 2], "theta must lie in (0, pi/2)"),
+    (["bias", "--theta", "nan"], "theta must lie in (0, pi/2)"),
+    (["engagement", "--from", "2021-06-01", "--to", "2021-01-01"],
+     "window start must be <= window end"),
+    (["simulate", "--from", "2022-01-01"], "window start must be <= window end"),
+    (["simulate", "--n-outlets", 2, "--clusters", 3], "need at least one outlet per cluster"),
+    (["simulate", "--clusters", 0], "need at least one outlet per cluster"),
+], ids=["iters", "burnin", "chains", "prior-alpha-sd", "prior-x-sd", "proposal-sd", "theta",
+        "theta-nan", "engagement-window", "simulate-window", "clusters-above-outlets",
+        "no-clusters"])
+def test_bad_option_value_exits_2(argv, message, full_run, tmp_path, capsys):
+    _, full = full_run
+    out = tmp_path / "run"
+    shutil.copytree(full, out)
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["fit", "network", "simulate"])
+def test_negative_seed_exits_2(stage, full_run, tmp_path, capsys):
+    _, full = full_run
+    out = tmp_path / "run"
+    shutil.copytree(full, out)
+    config = tmp_path / "run.conf"
+    config.write_text("seed = -1\n")
+    capsys.readouterr()
+    assert run(stage, "--config", config, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "bad config value for 'seed': expected an integer >= 0, got '-1'" in err
+    with pytest.raises(SystemExit) as exc:
+        run(stage, "--out", out, "--seed", -1)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("articles, message", [
+    ("o1,twitter,2021-01-01,pro,adverse,1\no2,twitter,2021-01-01,pro,adverse,1\n",
+     "article references unregistered outlet 'o2'"),
+    ("", "no articles"),
+])
+def test_articles_the_registry_cannot_count_exit_2(articles, message, tmp_path, capsys):
+    path = tmp_path / "articles.csv"
+    path.write_text("outlet_id,platform,date,narrative,event,interactions\n" + articles)
+    outlets = tmp_path / "outlets.csv"
+    outlets.write_text("outlet_id,name,reliability,kind\no1,One,reliable,\n")
+    assert run("ingest", "--articles", path, "--outlets", outlets, "--out", tmp_path / "out") == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "articles.csv"
+    path.write_bytes(b"outlet_id,platform,date,narrative,event,interactions\n\xff\xfe,,\n")
+    outlets = tmp_path / "outlets.csv"
+    outlets.write_text("outlet_id,name,reliability,kind\no1,One,reliable,\n")
+    assert run("ingest", "--articles", path, "--outlets", outlets, "--out", tmp_path / "out") == 2
+    assert f"error: {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_value_error_inside_a_stage_is_internal_and_exits_1(
+    full_run, tmp_path, monkeypatch, caplog
+):
+    _, full = full_run
+    out = tmp_path / "run"
+    shutil.copytree(full, out)
+
+    def broken(*args, **kwargs):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setattr(metrics, "build_bias_table", broken)
+    assert run("bias", "--out", out) == 1
+    assert "internal error" in caplog.text and "a fault of the program" in caplog.text
+
+
+def test_draws_written_from_arrays_read_as_one_row_per_value():
+    rng = np.random.default_rng(4)
+    chains, iterations, n = 2, 5, 3
+    draws = latent.ChainDraws(rng.normal(size=(chains, iterations, n)),
+                              rng.normal(size=(chains, iterations, n)), None, None)
+    buf = io.StringIO()
+    cli._write_draws(draws, buf)
+    expected = ["chain,iter,param_index,value"] + [
+        f"{c},{h},{j},{values[j]!r}"
+        for c in range(chains) for h in range(iterations)
+        for values in [draws.alpha[c, h].tolist() + draws.x[c, h].tolist()]
+        for j in range(2 * n)
+    ]
+    assert buf.getvalue() == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("stage, name, column", [

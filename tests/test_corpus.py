@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_helpers
-from newsbias import corpus, metrics, synth
+from newsbias import corpus, latent, metrics, network, synth
 from newsbias.corpus import (
     EVENT_ORDER,
     NARRATIVE_ORDER,
@@ -823,3 +823,118 @@ class TestInt64Bound:
         assert corpus.dataset_breakdown(fits, make_registry("o1")).total.interactions == 2**63 - 1
         (row,) = metrics.build_engagement_table(fits, followers, window)
         assert row.interactions == 2**63 - 1
+
+
+class TestArtifactFields:
+    @pytest.mark.parametrize("text", ["0.5", "-0.0", "5e-324", "1e+16", "inf", "-inf", "1.5e-07"])
+    def test_float_reads_its_shortest_repr(self, text):
+        value = corpus.FloatField("mean").convert(text, 1)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "1e16", "1.50", " 0.5", "1_0.5", "Infinity",
+                                       "", None, True, float("nan")])
+    def test_float_rejects_other_spellings_and_nan(self, value):
+        with pytest.raises(ParseError, match=f"^invalid mean '{value}' at line 4$"):
+            corpus.FloatField("mean").convert(value, 4)
+
+    def test_optional_float_reads_empty_as_none(self):
+        field = corpus.FloatField("mean_x_adv", optional=True)
+        assert np.isnan(field.convert("", 1)) and np.isnan(field.convert(None, 1))
+        with pytest.raises(ParseError, match="invalid mean_x_adv 'nan'"):
+            field.convert("nan", 1)
+
+    @pytest.mark.parametrize("value", ["True", "1", "", "TRUE", None, 1])
+    def test_flag_reads_true_and_false_only(self, value):
+        field = corpus.FlagField("adverse_lean")
+        assert field.convert("true", 1) is True and field.convert("false", 1) is False
+        assert field.convert(False, 1) is False
+        with pytest.raises(ParseError, match=f"^invalid adverse_lean '{value}' at line 2$"):
+            field.convert(value, 2)
+
+
+def _round_trip(cls, table):
+    """`table` written, parsed back under `cls` and written again: (parsed, text, text again)."""
+    first = io.StringIO()
+    corpus._write(cls, table, first)
+    parsed = corpus._parse(io.StringIO(first.getvalue()), "csv", cls)
+    second = io.StringIO()
+    corpus._write(cls, parsed, second)
+    return parsed, first.getvalue(), second.getvalue()
+
+
+# floats whose spelling a careless writer or reader would change
+EDGE_FLOATS = [float("inf"), -0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5]
+
+
+class TestArtifactRoundTrips:
+    def test_posterior(self):
+        stats = [latent.ParamStats(*(np.array(EDGE_FLOATS[k:] + EDGE_FLOATS[:k]) for k in range(6)))
+                 for _ in range(2)]
+        summaries = {EventType.POSITIVE: latent.ParamSummary(*stats, n_draws=10),
+                     EventType.ADVERSE: latent.ParamSummary(*stats[::-1], n_draws=10)}
+        outlets = tuple(f"o{i}" for i in range(6))
+        table = latent.PosteriorTable.of(outlets, summaries)
+        parsed, text, again = _round_trip(latent.PosteriorTable, table)
+        assert text == again and parsed == table and len(parsed) == 24
+        lines = text.splitlines()
+        assert lines[0] == "outlet_id,event_type,param,mean,sd,q05,q95,rhat,ess"
+        assert lines[1] == "o0,positive,alpha,inf,-0.0,5e-324,1e+16,0.30000000000000004,-1.5"
+        assert lines[7].startswith("o0,positive,x,") and lines[13].startswith("o0,adverse,alpha,")
+        assert np.signbit(parsed.mean[1]) and parsed.rhat[2] == float("inf")
+
+    def test_empty_posterior(self):
+        parsed, text, again = _round_trip(latent.PosteriorTable, latent.PosteriorTable.of(("o1",), {}))
+        assert text == again == "outlet_id,event_type,param,mean,sd,q05,q95,rhat,ess\n"
+        assert len(parsed) == 0
+
+    def test_bias(self):
+        rows = [metrics.BiasRow(f"o{i}", *(EDGE_FLOATS[i:] + EDGE_FLOATS[:i])[:6], v, i % 2 == 0)
+                for i, v in enumerate(EDGE_FLOATS)]
+        labels = {"o0": Reliability.QUESTIONABLE, "o2": Reliability.RELIABLE}
+        table = metrics.BiasTable.of(rows, labels)
+        parsed, text, again = _round_trip(metrics.BiasTable, table)
+        assert text == again and parsed.rows() == rows
+        assert [label for _, label, *_ in parsed] == [labels.get(r.outlet_id) for r in rows]
+        assert text.splitlines()[2] == "o1,,-0.0,5e-324,1e+16,0.30000000000000004,-1.5,inf,-0.0,false"
+
+    def test_engagement(self):
+        records = [metrics.EngagementRecord(f"o{i // 3}", event, i + 1, 2**63 - 1 - i, 1e16 + 2 * i, v)
+                   for i, (event, v) in enumerate(zip(EVENT_ORDER * 2, EDGE_FLOATS))]
+        parsed, text, again = _round_trip(metrics.EngagementTable, records)
+        assert text == again and parsed == records
+        assert text.splitlines()[2] == "o0,neutral,2,9223372036854775806,1.0000000000000002e+16,-0.0"
+
+    def test_clusters(self):
+        buf = io.StringIO()
+        network.write_clusters_csv({"b": 2**63 - 1, "a, \"c\"": 0}, buf)
+        parsed = corpus._parse(io.StringIO(buf.getvalue()), "csv", network.ClusterTable)
+        assert dict(parsed) == {"a, \"c\"": 0, "b": 2**63 - 1}
+
+    def test_cluster_stats_with_none(self):
+        rows = [network.ClusterStatsRow(0, 3, None, None, None, None, None),
+                network.ClusterStatsRow(1, 1, 1.0, -0.0, 5e-324, float("inf"), 0.5)]
+        buf = io.StringIO()
+        network.write_cluster_stats_csv(rows, buf)
+        assert buf.getvalue().splitlines()[1:] == ["0,3,,,,,", "1,1,1.0,-0.0,5e-324,inf,0.5"]
+        parsed, text, again = _round_trip(network.ClusterStatsTable, rows)
+        assert text == again == buf.getvalue() and parsed == rows
+        assert np.signbit(parsed[1].mean_x_adv)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("posterior", "o1,adverse,alpha,1.0,1.0,1.0,1.0,1.0,1.0\no1,adverse,x,1.0,1.0,1.0,1.0,1.0,1.0\n"
+         "o1,adverse,alpha,2.0,1.0,1.0,1.0,1.0,1.0\n",
+         r"duplicate cell \('o1', 'adverse', 'alpha'\) at line 4"),
+        ("bias", "o1,,1.0,1.0,1.0,1.0,1.0,1.0,1.0,true\no1,reliable,1.0,1.0,1.0,1.0,1.0,1.0,1.0,true\n",
+         "duplicate outlet_id 'o1' at line 3"),
+        ("engagement", "o1,adverse,1,1,1.0,1.0\no1,positive,1,1,1.0,1.0\no1,adverse,2,1,1.0,0.5\n",
+         r"duplicate cell \('o1', 'adverse'\) at line 4"),
+        ("clusters", "o1,0\no2,0\no1,1\n", "duplicate outlet_id 'o1' at line 4"),
+        ("cluster_stats", "0,1,,,,,\n0,2,,,,,\n", "duplicate cluster_id '0' at line 3"),
+    ])
+    def test_repeated_key_rejected_at_its_line(self, name, text, message):
+        cls = {"posterior": latent.PosteriorTable, "bias": metrics.BiasTable,
+               "engagement": metrics.EngagementTable, "clusters": network.ClusterTable,
+               "cluster_stats": network.ClusterStatsTable}[name]
+        header = ",".join(f.name for f in cls.fields) + "\n"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            corpus._parse(io.StringIO(header + text), "csv", cls)
