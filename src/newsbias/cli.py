@@ -6,9 +6,10 @@ it produces, and a `run` function that does only that stage's work. One
 runner does the rest for every command: it resolves options from defaults <
 config file < flags, creates `--out`, stops with exit 3 naming the producing
 stage when a required artifact is absent, runs the stage, and records the
-resolved configuration plus input-file digests in run_manifest.json. The
-argparse subcommands are built from the same table. Identical inputs and seed
-produce byte-identical outputs.
+resolved configuration plus input-file digests in run_manifest.json, then
+logs the stage's wall time and the process's peak RSS as one INFO line on
+stderr. The argparse subcommands are built from the same table. Identical
+inputs and seed produce byte-identical outputs.
 
 Each artifact a later stage reads back has one Table schema, next to the
 records it carries, and is written with `corpus._write` and read with
@@ -26,7 +27,9 @@ import hashlib
 import json
 import logging
 import math
+import resource
 import sys
+import time
 from dataclasses import asdict, dataclass
 from itertools import chain, product, repeat
 from pathlib import Path
@@ -35,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import corpus, latent, metrics, network, synth
-from .corpus import EVENT_ORDER, EventType, InputError
+from .corpus import EVENT_ORDER, InputError
 
 log = logging.getLogger(__name__)
 
@@ -221,19 +224,6 @@ def _write_records(out: Path, articles, outlets, followers, retweets) -> None:
     _save(out / "retweets.csv", corpus.write_retweets, retweets)
 
 
-def _read_posterior(path: Path) -> dict[EventType, dict[str, metrics.OutletEstimate]]:
-    """Per event, each outlet with both posterior means, in order of its alpha row."""
-    means = {param: {event: {} for event in EVENT_ORDER} for param in latent.PARAMS}
-    for outlet, event, param, mean, *_ in _read(path, latent.PosteriorTable):
-        means[param][event][outlet] = mean
-    alpha, x = means.values()
-    return {
-        event: {o: metrics.OutletEstimate(a, x[event][o]) for o, a in alpha[event].items()
-                if o in x[event]}
-        for event in EVENT_ORDER
-    }
-
-
 def _write_draws(draws: latent.ChainDraws, stream) -> None:
     """draws_<event>.csv: (chain, iter, param_index, value) rows, alphas as params
     0..n-1 and stances as n..2n-1, formatted one iteration's value array at a time."""
@@ -341,15 +331,8 @@ def _fit(opts: dict, out: Path) -> str:
 
 def _bias(opts: dict, out: Path) -> str:
     registry = _load(out / "outlets.csv", corpus.parse_outlets, "csv")
-    estimates = _read_posterior(out / "posterior.csv")
-    for event in EVENT_ORDER:
-        if not estimates[event]:
-            raise InputError(
-                f"posterior.csv has no rows for event type '{event.value}'; "
-                "cannot build the bias table"
-            )
-    rows = metrics.build_bias_table(estimates, theta=opts["theta"])
-    table = metrics.BiasTable.of(rows, registry.reliability_of())
+    posterior = _read(out / "posterior.csv", latent.PosteriorTable)
+    table = metrics.build_bias_table(posterior, registry.reliability_of(), theta=opts["theta"])
     _save(out / "bias.csv", corpus._write, metrics.BiasTable, table)
     return f"bias: wrote bias.csv ({len(table)} outlets) -> {out}"
 
@@ -362,13 +345,13 @@ def _engagement(opts: dict, out: Path) -> str:
         raise InputError("--from and --to must be given together")
     articles = _load(out / "articles.csv", corpus.parse_articles, "csv")
     followers = _load(out / "followers.csv", corpus.parse_followers, "csv")
-    bias_rows = _read(out / "bias.csv", metrics.BiasTable).rows()
+    bias = _read(out / "bias.csv", metrics.BiasTable)
 
     table = metrics.build_engagement_table(
         articles, followers, window=window, duration_weighted=opts["duration_weighted"]
     )
     _save(out / "engagement.csv", corpus._write, metrics.EngagementTable, table)
-    _write_json(out / "fits.json", metrics.engagement_bias_fits(bias_rows, table))
+    _write_json(out / "fits.json", metrics.engagement_bias_fits(bias, table))
     return f"engagement: wrote engagement.csv ({len(table)} rows) and fits.json -> {out}"
 
 
@@ -377,7 +360,7 @@ def _network(opts: dict, out: Path) -> str:
     retweets = _load(out / "retweets.csv", corpus.parse_retweets, "csv")
     if not retweets:
         raise InputError("retweets.csv is empty; cannot build the audience network")
-    bias_rows = _read(out / "bias.csv", metrics.BiasTable).rows()
+    bias = _read(out / "bias.csv", metrics.BiasTable)
 
     matrix = network.build_matrix(retweets)
     graph = network.build_graph(matrix, registry.reliability_of())
@@ -390,7 +373,7 @@ def _network(opts: dict, out: Path) -> str:
     )
     partition = network.louvain(graph, seed=opts["seed"])
     graph = network.with_clusters(graph, partition)
-    stats = network.cluster_stats(partition, bias_rows, registry)
+    stats = network.cluster_stats(partition, bias, registry)
 
     _save(out / "edges.csv", network.write_edges_csv, graph)
     _save(out / "graph.graphml", network.write_graphml, graph)
@@ -406,11 +389,11 @@ def _report(opts: dict, out: Path) -> str:
     clusters = dict(_read(out / "clusters.csv", network.ClusterTable))
     bias = _read(out / "bias.csv", metrics.BiasTable)
     outlets: dict[str, dict] = {}
-    for outlet, label, *values in bias:
-        outlets[outlet] = {
-            "reliability": "" if label is None else label.value,
-            "bias": {f.name: value for f, value in zip(bias.fields[2:], values)},
-            "cluster": clusters.get(outlet),
+    for row in bias:
+        outlets[row.outlet_id] = {
+            "reliability": "" if row.reliability is None else row.reliability.value,
+            "bias": {f.name: getattr(row, f.name) for f in bias.fields[2:]},
+            "cluster": clusters.get(row.outlet_id),
             "engagement": {},
         }
     engagement = _read(out / "engagement.csv", metrics.EngagementTable)
@@ -518,6 +501,7 @@ def _producer(artifact: str) -> str:
 
 
 def _run_stage(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     stage = STAGES[args.command]
     cfg = _load_config(args.config) if args.config else {}
     opts = _resolve(args, cfg, (*stage.options, "out"))
@@ -533,6 +517,10 @@ def _run_stage(args: argparse.Namespace) -> int:
     inputs = [Path(opts[key]) for key in _INPUT_FILES if opts.get(key)]
     inputs += [out / artifact for artifact in stage.requires]
     _write_manifest(out, args.command, opts, inputs)
+    # wall time and peak RSS vary run to run, so they go to the log, never into --out
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    log.info("%s: %.3f s wall, peak RSS %.1f MB", args.command, time.perf_counter() - start,
+             peak_kib / 1024)
     print(summary)
     return EXIT_OK
 

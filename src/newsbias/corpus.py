@@ -440,11 +440,13 @@ class CountField(_Field):
 @dataclass(frozen=True)
 class FloatField(_Field):
     """A float, spelled as its shortest repr if a string; NaN is no value, while
-    +-inf is legal. The column holds float64 values. An optional field reads an
-    empty or null value as None, held as NaN and written empty."""
+    +-inf is legal unless the field is `finite`. The column holds float64 values.
+    An optional field reads an empty or null value as None, held as NaN and
+    written empty."""
 
     name: str
     optional: bool = False
+    finite: bool = False
     dtype = np.float64
 
     def convert(self, value, line: int) -> float:
@@ -452,7 +454,7 @@ class FloatField(_Field):
             return math.nan
         try:
             out = float(value)
-            if math.isnan(out) or isinstance(value, bool) or (
+            if math.isnan(out) or (self.finite and math.isinf(out)) or isinstance(value, bool) or (
                     isinstance(value, str) and repr(out) != value):
                 raise ValueError
         except (TypeError, ValueError):

@@ -134,11 +134,13 @@ PARAMS = ("alpha", "x")
 
 class PosteriorTable(Table):
     """posterior.csv: per fitted event type, the ParamStats of every outlet's
-    alpha, then of its x; its rule: one row per (outlet, event type, param)."""
+    alpha, then of its x; its rule: one row per (outlet, event type, param).
+    Finite draws give finite statistics, so only `rhat` may be inf."""
 
     fields = (IdField("outlet_id"), EnumField("event_type", EVENT_ORDER, "event label"),
               EnumField("param", PARAMS, "parameter"),
-              *(FloatField(f.name) for f in dataclasses.fields(ParamStats)))
+              *(FloatField(f.name, finite=f.name != "rhat")
+                for f in dataclasses.fields(ParamStats)))
     key = ("outlet_id", "event_type", "param")
 
     @classmethod

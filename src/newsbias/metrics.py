@@ -1,9 +1,10 @@
 """Selection index, adjusted engagement, and bias-vs-engagement regressions.
 
-Inputs are posterior point estimates (means) from the latent fits plus the
-raw corpus articles (an ArticleTable or records); everything here is
-closed-form arithmetic. The bias and engagement tables are the schemas of
-bias.csv and engagement.csv, which later stages read back.
+Inputs are the posterior means of the latent fits (a PosteriorTable) plus
+the raw corpus articles (an ArticleTable or records); everything here is
+closed-form array arithmetic on table columns. The bias and engagement
+tables are the schemas of bias.csv and engagement.csv, which later stages
+read back; both are built straight from columns, with no record per outlet.
 """
 
 from __future__ import annotations
@@ -13,23 +14,24 @@ import datetime
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import (EVENT_ORDER, ArticleRecord, ArticleTable, CountField, EnumField, EventType,
                      FlagField, FloatField, FollowerRecord, FollowerTable, IdField, InputError,
                      Reliability, Table, filter_articles)
+from .latent import PARAMS, PosteriorTable
 
 log = logging.getLogger(__name__)
 
 
-def selection_index(pf_adv: float, pf_pos: float, theta: float = math.pi / 4) -> float:
+def selection_index(pf_adv, pf_pos, theta: float = math.pi / 4):
     """Distance of (pf_adv, pf_pos) from the theta-line through the origin.
 
     |sin(theta) * pf_adv - cos(theta) * pf_pos|; at theta = pi/4 this is
     |pf_adv - pf_pos| / sqrt(2), zero for outlets that report both event
-    types with equal propensity.
+    types with equal propensity. Floats give a float; arrays broadcast.
     """
     if not 0.0 < theta < math.pi / 2:
         raise InputError("theta must lie in (0, pi/2)")
@@ -105,18 +107,13 @@ def quadratic_fit(xs: Sequence[float], ys: Sequence[float]) -> QuadFit:
     return QuadFit(c0=float(coef[0]), c1=float(coef[1]), c2=float(coef[2]), rss=rss)
 
 
-class OutletEstimate(NamedTuple):
-    """Posterior means for one outlet under one event type."""
-
-    alpha_mean: float
-    x_mean: float
-
-
 @dataclass(frozen=True)
 class BiasRow:
-    """Narrative-bias coordinates, propensity factors, and the selection index."""
+    """One outlet's registry reliability label (None if the registry lacks it),
+    narrative-bias coordinates, propensity factors, and the selection index."""
 
     outlet_id: str
+    reliability: Reliability | None
     x_adv: float
     x_neu: float
     x_pos: float
@@ -128,69 +125,60 @@ class BiasRow:
 
 
 class BiasTable(Table):
-    """bias.csv: each outlet's BiasRow after its registry reliability label,
-    None (written empty) for an outlet the registry lacks; one row per outlet."""
+    """bias.csv: one BiasRow per outlet, an unknown reliability written empty."""
 
     fields = (IdField("outlet_id"),
               EnumField("reliability", tuple(Reliability), "reliability label", optional=True),
-              *(FloatField(f.name) for f in dataclasses.fields(BiasRow)[1:-1]),
+              *(FloatField(f.name) for f in dataclasses.fields(BiasRow)[2:-1]),
               FlagField("adverse_lean"))
+    record = BiasRow
     key = ("outlet_id",)
-
-    @classmethod
-    def of(cls, rows: Sequence[BiasRow], reliability: Mapping[str, Reliability]) -> BiasTable:
-        """`rows`, each labelled `reliability.get(outlet_id)`."""
-        columns = [[getattr(row, f.name) for row in rows] for f in dataclasses.fields(BiasRow)]
-        columns.insert(1, [reliability.get(row.outlet_id) for row in rows])
-        return cls.from_columns(columns)
-
-    def rows(self) -> list[BiasRow]:
-        """The BiasRows, without their labels."""
-        return [BiasRow(outlet_id, *values) for outlet_id, _, *values in self]
 
 
 def build_bias_table(
-    estimates: Mapping[EventType, Mapping[str, OutletEstimate]],
+    posterior: PosteriorTable,
+    reliability: Mapping[str, Reliability],
     theta: float = math.pi / 4,
-) -> list[BiasRow]:
-    """Join the three per-event fits into one row per outlet.
+) -> BiasTable:
+    """Join the three per-event fits of posterior.csv into one row per outlet,
+    sorted by id and labelled `reliability.get(outlet_id)`.
 
-    Outlets missing any event-type fit are excluded (and logged). The
+    An event type no outlet has both means of raises InputError. Outlets
+    missing any of their six means are excluded (and logged). The
     adverse_lean flag is the strict comparison pf_adv > pf_pos, so an exact
     tie counts as not adverse-leaning.
     """
-    for event in EVENT_ORDER:
-        if event not in estimates:
-            raise ValueError(f"missing fit for event type '{event.value}'")
-    adv, neu, pos = (estimates[e] for e in EVENT_ORDER)
-    union = set(adv) | set(neu) | set(pos)
-    common = set(adv) & set(neu) & set(pos)
-    excluded = sorted(union - common)
+    ids = posterior.outlet_ids
+    cell = (posterior.outlet_id, posterior.event_type, posterior.param)
+    means = np.zeros((len(ids), len(EVENT_ORDER), len(PARAMS)))
+    means[cell] = posterior.mean
+    fitted = np.zeros(means.shape, dtype=bool)
+    fitted[cell] = True
+    fitted = fitted.all(axis=2)  # outlet x event: both means present
+    for event, any_fit in zip(EVENT_ORDER, fitted.any(axis=0).tolist()):
+        if not any_fit:
+            raise InputError(f"posterior.csv has no rows for event type '{event.value}'; "
+                             "cannot build the bias table")
+    common = fitted.all(axis=1)
+    excluded = sorted(ids[i] for i in np.flatnonzero(fitted.any(axis=1) & ~common).tolist())
     if excluded:
         log.warning(
             "excluding %d outlet(s) without all three event fits: %s",
             len(excluded),
             ", ".join(excluded),
         )
-    rows = []
-    for outlet in sorted(common):
-        pf_adv, x_adv = adv[outlet].alpha_mean, adv[outlet].x_mean
-        pf_neu, x_neu = neu[outlet].alpha_mean, neu[outlet].x_mean
-        pf_pos, x_pos = pos[outlet].alpha_mean, pos[outlet].x_mean
-        rows.append(
-            BiasRow(
-                outlet_id=outlet,
-                x_adv=x_adv,
-                x_neu=x_neu,
-                x_pos=x_pos,
-                pf_adv=pf_adv,
-                pf_neu=pf_neu,
-                pf_pos=pf_pos,
-                selection_index=selection_index(pf_adv, pf_pos, theta),
-                adverse_lean=pf_adv > pf_pos,
-            )
-        )
-    return rows
+    kept = sorted(np.flatnonzero(common).tolist(), key=ids.__getitem__)
+    kept_ids = [ids[i] for i in kept]
+    (pf_adv, pf_neu, pf_pos), stances = means[kept].T  # params x events x outlets
+    labels = {label: k for k, label in enumerate(Reliability)}
+    columns = [
+        np.arange(len(kept)),
+        [labels.get(reliability.get(oid), len(labels)) for oid in kept_ids],
+        *stances, pf_adv, pf_neu, pf_pos,
+        selection_index(pf_adv, pf_pos, theta),
+        pf_adv > pf_pos,
+    ]
+    return BiasTable(columns, {"outlet_id": kept_ids})
 
 
 @dataclass(frozen=True)
@@ -224,8 +212,9 @@ def build_engagement_table(
     follower_records: Iterable[FollowerRecord],
     window: tuple[datetime.date, datetime.date] | None = None,
     duration_weighted: bool = False,
-) -> list[EngagementRecord]:
-    """Per (outlet, event type) adjusted engagement over the window.
+) -> EngagementTable:
+    """Per (outlet, event type) adjusted engagement over the window, outlets
+    sorted by id.
 
     The window defaults to the full article date range. Outlets without
     follower data, with zero average followers, or with no articles of an
@@ -233,7 +222,7 @@ def build_engagement_table(
     """
     table = ArticleTable.from_records(articles)
     if not len(table):
-        return []
+        return EngagementTable.from_records(())
     if window is None:
         window = (
             datetime.date.fromordinal(int(table.date.min())),
@@ -243,79 +232,58 @@ def build_engagement_table(
     followers = average_followers(follower_records, window, duration_weighted)
 
     # group g = outlet code * 3 + event position
+    ids, n_groups = kept.outlet_ids, 3 * len(kept.outlet_ids)
     groups = kept.outlet_id.astype(np.intp) * 3 + kept.event
-    n_groups = 3 * len(kept.outlet_ids)
-    contents = np.bincount(groups, minlength=n_groups).tolist()
-    interactions = kept.interaction_totals(groups, n_groups)
-    present = {
-        oid: code
-        for code, oid in enumerate(kept.outlet_ids)
-        if any(contents[3 * code : 3 * code + 3])
-    }
+    contents = np.bincount(groups, minlength=n_groups).reshape(-1, 3)
+    interactions = np.array(kept.interaction_totals(groups, n_groups), np.int64).reshape(-1, 3)
+    present = contents.any(axis=1)
+    average = np.array([followers.get(oid, math.nan) for oid in ids])  # NaN: no data
 
-    missing = sorted(set(present) - set(followers))
+    missing = sorted(ids[i] for i in np.flatnonzero(present & np.isnan(average)).tolist())
     if missing:
         log.warning(
             "no follower data in window for %d outlet(s): %s",
             len(missing),
             ", ".join(missing),
         )
-    rows = []
-    for oid in sorted(present):
-        f = followers.get(oid)
-        if f is None:
-            continue
-        if f <= 0:
-            log.warning("outlet '%s' has zero average followers; skipped", oid)
-            continue
-        for k, event in enumerate(EVENT_ORDER):
-            g = 3 * present[oid] + k
-            c = contents[g]
-            if c == 0:
-                continue
-            i = interactions[g]
-            rows.append(
-                EngagementRecord(
-                    outlet_id=oid,
-                    event=event,
-                    contents=c,
-                    interactions=i,
-                    followers=f,
-                    engagement=adjusted_engagement(i, c, f),
-                )
-            )
-    return rows
+    for oid in sorted(ids[i] for i in np.flatnonzero(present & (average <= 0)).tolist()):
+        log.warning("outlet '%s' has zero average followers; skipped", oid)
+    order = np.array(sorted(np.flatnonzero(present & (average > 0)).tolist(),
+                            key=ids.__getitem__), dtype=np.intp)
+    rows, events = np.nonzero(contents[order] > 0)  # by outlet, then event
+    outlets = order[rows]
+    c = contents[outlets, events]
+    i = interactions[outlets, events]
+    f = average[outlets]
+    return EngagementTable([outlets, events, c, i, f, i / (c * f)], {"outlet_id": ids})
+
+
+# the BiasTable stance column of each event type, in EVENT_ORDER
+_STANCES = ("x_adv", "x_neu", "x_pos")
 
 
 def engagement_bias_fits(
-    bias_rows: Sequence[BiasRow], engagement: Sequence[EngagementRecord]
+    bias: Iterable[BiasRow], engagement: Iterable[EngagementRecord]
 ) -> dict:
     """Quadratic fits of engagement against each bias dimension per event type.
 
     Mirrors the six-panel view: narrative bias (per-event stance) and
-    selection index on the x-axis, adjusted engagement on the y-axis. Panels
-    with fewer than 3 usable points or a degenerate design are reported as
-    null with a reason.
+    selection index on the x-axis, adjusted engagement on the y-axis, over
+    the engagement rows (in order) whose outlet has a bias row. Panels with
+    fewer than 3 usable points or a degenerate design are reported as null
+    with a reason. Either argument may be its table or a list of its records.
     """
-    bias_by_outlet = {row.outlet_id: row for row in bias_rows}
-    narrative_coord = {
-        EventType.ADVERSE: lambda r: r.x_adv,
-        EventType.NEUTRAL: lambda r: r.x_neu,
-        EventType.POSITIVE: lambda r: r.x_pos,
-    }
+    bias = BiasTable.from_records(bias)
+    engagement = EngagementTable.from_records(engagement)
+    row_of = {bias.outlet_ids[code]: row for row, code in enumerate(bias.outlet_id.tolist())}
+    bias_row = np.array([row_of.get(oid, -1) for oid in engagement.outlet_ids], dtype=np.intp)
+    bias_row = bias_row[engagement.outlet_id]
     out: dict = {"narrative": {}, "selection": {}}
-    for event in EVENT_ORDER:
-        points = [
-            (bias_by_outlet[rec.outlet_id], rec.engagement)
-            for rec in engagement
-            if rec.event == event and rec.outlet_id in bias_by_outlet
-        ]
-        for dimension in ("narrative", "selection"):
-            if dimension == "narrative":
-                xs = [narrative_coord[event](row) for row, _ in points]
-            else:
-                xs = [row.selection_index for row, _ in points]
-            ys = [e for _, e in points]
+    for k, event in enumerate(EVENT_ORDER):
+        panel = (engagement.event_type == k) & (bias_row >= 0)
+        ys = engagement.engagement[panel]
+        for dimension, column in (("narrative", _STANCES[k]), ("selection", "selection_index")):
+            xs = getattr(bias, column)[bias_row[panel]]
             try:
                 fit = quadratic_fit(xs, ys)
             except ValueError as exc:

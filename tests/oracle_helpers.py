@@ -9,6 +9,7 @@ package's columnar coding, its validation and its table rules.
 """
 
 import datetime
+import math
 from math import comb
 
 import numpy as np
@@ -347,4 +348,28 @@ def build_engagement_table_by_row(articles, follower_records, window=None,
                 outlet_id=oid, event=event, contents=c, interactions=i, followers=f,
                 engagement=metrics.adjusted_engagement(i, c, f),
             ))
+    return rows
+
+
+def build_bias_table_by_row(posterior, reliability, theta=math.pi / 4):
+    """One BiasRow per outlet with both means of every event type, sorted by
+    id, joined one posterior row and then one outlet at a time."""
+    means = {(outlet, event, param): mean for outlet, event, param, mean, *_ in posterior}
+    fits = {event: {} for event in EVENT_ORDER}
+    for outlet, event, param in means:
+        if param == "alpha" and (outlet, event, "x") in means:
+            fits[event][outlet] = (means[outlet, event, "alpha"], means[outlet, event, "x"])
+    for event in EVENT_ORDER:
+        if not fits[event]:
+            raise corpus.InputError(f"posterior.csv has no rows for event type '{event.value}'")
+    adv, neu, pos = (fits[e] for e in EVENT_ORDER)
+    rows = []
+    for outlet in sorted(set(adv) & set(neu) & set(pos)):
+        (pf_adv, x_adv), (pf_neu, x_neu), (pf_pos, x_pos) = adv[outlet], neu[outlet], pos[outlet]
+        rows.append(metrics.BiasRow(
+            outlet_id=outlet, reliability=reliability.get(outlet),
+            x_adv=x_adv, x_neu=x_neu, x_pos=x_pos, pf_adv=pf_adv, pf_neu=pf_neu, pf_pos=pf_pos,
+            selection_index=abs(math.sin(theta) * pf_adv - math.cos(theta) * pf_pos),
+            adverse_lean=pf_adv > pf_pos,
+        ))
     return rows

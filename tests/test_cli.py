@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -474,6 +475,41 @@ def test_bad_artifact_value_exits_2_naming_file_and_line(
     assert f"{out / artifact}: {message} at line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value", [
+    ("mean", "inf"), ("sd", "inf"), ("q05", "-inf"), ("q95", "inf"), ("ess", "inf"),
+])
+def test_non_finite_posterior_statistic_exits_2(column, value, full_run, tmp_path, capsys):
+    # inf adverse and positive alpha means once made a NaN selection index and exit 1
+    _, full = full_run
+    out = tmp_path / "run"
+    shutil.copytree(full, out)
+    with open(out / "posterior.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    edited = [i for i, row in enumerate(rows)
+              if row[:3] in (["o000", "adverse", "alpha"], ["o000", "positive", "alpha"])]
+    for i in edited:
+        rows[i][rows[0].index(column)] = value
+    with open(out / "posterior.csv", "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+    assert run("bias", "--out", out) == 2
+    message = f"{out / 'posterior.csv'}: invalid {column} '{value}' at line {edited[0] + 1}"
+    assert message in capsys.readouterr().err
+
+
+def test_infinite_rhat_is_read_back(full_run, tmp_path):
+    _, full = full_run
+    out = tmp_path / "run"
+    shutil.copytree(full, out)
+    with open(out / "posterior.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[1][rows[0].index("rhat")] = "inf"
+    with open(out / "posterior.csv", "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    assert run("bias", "--out", out) == 0
+    assert (out / "bias.csv").read_bytes() == (full / "bias.csv").read_bytes()
+
+
 # faults that the input tables' fields report in their own words
 ARTIFACT_MESSAGES = {
     ("reliability", "garbage"): "unknown reliability label 'garbage'",
@@ -587,6 +623,19 @@ def test_value_error_inside_a_stage_is_internal_and_exits_1(
     monkeypatch.setattr(metrics, "build_bias_table", broken)
     assert run("bias", "--out", out) == 1
     assert "internal error" in caplog.text and "a fault of the program" in caplog.text
+
+
+def test_stage_cost_is_one_info_line_outside_out(tmp_path, caplog):
+    out = tmp_path / "sim"
+    with caplog.at_level("INFO", logger="newsbias.cli"):
+        assert run("simulate", "--out", out, "--n-outlets", 4, "--clusters", 1) == 0
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "newsbias.cli"]
+    wall, peak = re.fullmatch(r"simulate: (\d+\.\d{3}) s wall, peak RSS (\d+\.\d) MB", line).groups()
+    assert float(wall) >= 0 and float(peak) > 1
+    # --out holds only the stage's artifacts and its manifest, none with the cost in it
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted([*cli.STAGES["simulate"].produces, "run_manifest.json"])
+    assert not any(b"peak RSS" in (out / name).read_bytes() for name in names)
 
 
 def test_draws_written_from_arrays_read_as_one_row_per_value():

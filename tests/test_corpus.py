@@ -1,7 +1,10 @@
 import csv
+import dataclasses
 import datetime
 import io
 import json
+import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -868,7 +871,11 @@ EDGE_FLOATS = [float("inf"), -0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5]
 
 class TestArtifactRoundTrips:
     def test_posterior(self):
-        stats = [latent.ParamStats(*(np.array(EDGE_FLOATS[k:] + EDGE_FLOATS[:k]) for k in range(6)))
+        # only an R-hat may be inf: the other statistics hold the largest float in its place
+        finite = [v if math.isfinite(v) else sys.float_info.max for v in EDGE_FLOATS]
+        columns = [(EDGE_FLOATS if f.name == "rhat" else finite)
+                   for f in dataclasses.fields(latent.ParamStats)]
+        stats = [latent.ParamStats(*(np.array(c[k:] + c[:k]) for k, c in enumerate(columns)))
                  for _ in range(2)]
         summaries = {EventType.POSITIVE: latent.ParamSummary(*stats, n_draws=10),
                      EventType.ADVERSE: latent.ParamSummary(*stats[::-1], n_draws=10)}
@@ -878,7 +885,8 @@ class TestArtifactRoundTrips:
         assert text == again and parsed == table and len(parsed) == 24
         lines = text.splitlines()
         assert lines[0] == "outlet_id,event_type,param,mean,sd,q05,q95,rhat,ess"
-        assert lines[1] == "o0,positive,alpha,inf,-0.0,5e-324,1e+16,0.30000000000000004,-1.5"
+        assert lines[1] == ("o0,positive,alpha,1.7976931348623157e+308,-0.0,5e-324,1e+16,"
+                            "0.30000000000000004,-1.5")
         assert lines[7].startswith("o0,positive,x,") and lines[13].startswith("o0,adverse,alpha,")
         assert np.signbit(parsed.mean[1]) and parsed.rhat[2] == float("inf")
 
@@ -888,13 +896,14 @@ class TestArtifactRoundTrips:
         assert len(parsed) == 0
 
     def test_bias(self):
-        rows = [metrics.BiasRow(f"o{i}", *(EDGE_FLOATS[i:] + EDGE_FLOATS[:i])[:6], v, i % 2 == 0)
-                for i, v in enumerate(EDGE_FLOATS)]
         labels = {"o0": Reliability.QUESTIONABLE, "o2": Reliability.RELIABLE}
-        table = metrics.BiasTable.of(rows, labels)
+        rows = [metrics.BiasRow(f"o{i}", labels.get(f"o{i}"),
+                                *(EDGE_FLOATS[i:] + EDGE_FLOATS[:i])[:6], v, i % 2 == 0)
+                for i, v in enumerate(EDGE_FLOATS)]
+        table = metrics.BiasTable.from_records(rows)
         parsed, text, again = _round_trip(metrics.BiasTable, table)
-        assert text == again and parsed.rows() == rows
-        assert [label for _, label, *_ in parsed] == [labels.get(r.outlet_id) for r in rows]
+        assert text == again and parsed == rows
+        assert [row.reliability for row in parsed] == [labels.get(r.outlet_id) for r in rows]
         assert text.splitlines()[2] == "o1,,-0.0,5e-324,1e+16,0.30000000000000004,-1.5,inf,-0.0,false"
 
     def test_engagement(self):

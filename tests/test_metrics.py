@@ -1,20 +1,22 @@
 import datetime
+import io
 import math
 
 import numpy as np
 import pytest
 
 import oracle_helpers
-from newsbias import metrics
+from newsbias import corpus, latent, metrics
 from newsbias.corpus import (
+    EVENT_ORDER,
     ArticleRecord,
     EventType,
     FollowerRecord,
     Narrative,
     Platform,
+    Reliability,
 )
 from newsbias.metrics import (
-    OutletEstimate,
     adjusted_engagement,
     average_followers,
     build_bias_table,
@@ -196,29 +198,24 @@ class TestQuadraticFit:
         assert (quadratic_fit(xs, ys).c2 > 0) == (shifted.c2 > 0)
 
 
-def estimates_for(rows: dict[str, tuple[float, float, float, float, float, float]]):
-    """rows: outlet -> (pf_adv, x_adv, pf_neu, x_neu, pf_pos, x_pos)."""
-    return {
-        EventType.ADVERSE: {
-            o: OutletEstimate(v[0], v[1]) for o, v in rows.items()
-        },
-        EventType.NEUTRAL: {
-            o: OutletEstimate(v[2], v[3]) for o, v in rows.items()
-        },
-        EventType.POSITIVE: {
-            o: OutletEstimate(v[4], v[5]) for o, v in rows.items()
-        },
-    }
+def posterior_for(rows: dict[str, tuple[float, float, float, float, float, float]], drop=()):
+    """rows: outlet -> (pf_adv, x_adv, pf_neu, x_neu, pf_pos, x_pos), as a
+    PosteriorTable without the (outlet, event, param) cells in `drop`."""
+    cells = [(o, event, param, v[2 * k + j]) for o, v in rows.items()
+             for k, event in enumerate(EVENT_ORDER) for j, param in enumerate(latent.PARAMS)
+             if (o, event, param) not in drop]
+    columns = [list(c) for c in zip(*cells)] or [[], [], [], []]
+    return latent.PosteriorTable.from_columns([*columns, *[[1.0] * len(cells)] * 5])
 
 
 class TestBuildBiasTable:
     def test_tie_is_not_adverse_leaning(self):
-        table = build_bias_table(estimates_for({"o1": (1.0, 0.1, 0.0, 0.0, 1.0, -0.1)}))
+        table = build_bias_table(posterior_for({"o1": (1.0, 0.1, 0.0, 0.0, 1.0, -0.1)}), {})
         assert table[0].selection_index == pytest.approx(0.0, abs=1e-12)
         assert table[0].adverse_lean is False
 
     def test_adverse_leaning_outlet(self):
-        table = build_bias_table(estimates_for({"o1": (1.0, 0.0, 0.0, 0.0, -1.0, 0.0)}))
+        table = build_bias_table(posterior_for({"o1": (1.0, 0.0, 0.0, 0.0, -1.0, 0.0)}), {})
         assert table[0].selection_index == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert table[0].adverse_lean is True
 
@@ -227,7 +224,7 @@ class TestBuildBiasTable:
         rows = {
             f"o{i}": tuple(rng.normal(0, 2, 6)) for i in range(40)
         }
-        table = build_bias_table(estimates_for(rows))
+        table = build_bias_table(posterior_for(rows), {})
         assert len(table) == 40
         for row in table:
             assert row.selection_index >= 0
@@ -237,24 +234,64 @@ class TestBuildBiasTable:
             )
 
     def test_outlet_missing_one_fit_excluded(self, caplog):
-        estimates = estimates_for({"o1": (1, 0, 1, 0, 1, 0), "o2": (2, 0, 2, 0, 2, 0)})
-        del estimates[EventType.NEUTRAL]["o2"]
+        rows = {"o1": (1, 0, 1, 0, 1, 0), "o2": (2, 0, 2, 0, 2, 0)}
+        posterior = posterior_for(rows, drop={("o2", EventType.NEUTRAL, p) for p in latent.PARAMS})
         with caplog.at_level("WARNING"):
-            table = build_bias_table(estimates)
+            table = build_bias_table(posterior, {})
         assert [row.outlet_id for row in table] == ["o1"]
         assert "o2" in caplog.text
 
     def test_missing_event_type_raises(self):
-        estimates = estimates_for({"o1": (1, 0, 1, 0, 1, 0)})
-        del estimates[EventType.POSITIVE]
+        posterior = posterior_for({"o1": (1, 0, 1, 0, 1, 0)},
+                                  drop={("o1", EventType.POSITIVE, p) for p in latent.PARAMS})
         with pytest.raises(ValueError, match="positive"):
-            build_bias_table(estimates)
+            build_bias_table(posterior, {})
 
     def test_rows_sorted_by_outlet(self):
         table = build_bias_table(
-            estimates_for({"z": (1, 0, 1, 0, 1, 0), "a": (1, 0, 1, 0, 1, 0)})
+            posterior_for({"z": (1, 0, 1, 0, 1, 0), "a": (1, 0, 1, 0, 1, 0)}), {}
         )
         assert [row.outlet_id for row in table] == ["a", "z"]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_columns_match_the_by_row_oracle(self, seed, caplog):
+        """Random posteriors with incomplete outlets, pf ties, -0.0 means, an
+        unregistered outlet and a random theta: the columnar table spells
+        exactly what the per-outlet loop builds, and names the same exclusions."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        values = rng.choice([-0.0, 0.0, 0.5, -1.25], size=(n, 6))
+        drawn = rng.random((n, 6)) < 0.5
+        values[drawn] = rng.normal(0, 2, int(drawn.sum()))
+        values[0, 4] = values[0, 0]  # a pf_adv == pf_pos tie
+        values[0, 1] = -0.0
+        ids = [f"o{i:02d}" for i in rng.permutation(n)]  # not in sorted order
+        rows = dict(zip(ids, map(tuple, values.tolist())))
+        drop = {(ids[1], EVENT_ORDER[int(rng.integers(3))], "x")}  # one event's x row
+        if rng.random() < 0.5:
+            drop.add((ids[2], EVENT_ORDER[int(rng.integers(3))], "alpha"))
+        excluded = sorted(o for o, *_ in drop)
+        if seed % 2:  # an outlet with one alpha row and no event fit is dropped unnamed
+            drop.update((ids[3], e, p) for e in EVENT_ORDER[1:] for p in latent.PARAMS)
+            drop.add((ids[3], EVENT_ORDER[0], "x"))
+        posterior = posterior_for(rows, drop)
+        labels = list(Reliability)
+        reliability = {oid: labels[int(rng.integers(2))] for oid in ids[1:]}  # ids[0] unregistered
+        theta = float(rng.uniform(0.05, math.pi / 2 - 0.05)) if seed % 4 else math.pi / 4
+        with caplog.at_level("WARNING"):
+            table = build_bias_table(posterior, reliability, theta)
+        columnar = [r.message for r in caplog.records]
+        expected = oracle_helpers.build_bias_table_by_row(posterior, reliability, theta)
+        assert len(table) == n - len(excluded) - seed % 2 and table == expected
+        assert text_of(metrics.BiasTable, table) == text_of(metrics.BiasTable, expected)
+        assert columnar == [f"excluding {len(excluded)} outlet(s) without all three event fits: "
+                            + ", ".join(excluded)]
+
+
+def text_of(cls, records) -> str:
+    buf = io.StringIO()
+    corpus._write(cls, records, buf)
+    return buf.getvalue()
 
 
 def article(outlet, event, interactions, day=15):
@@ -315,6 +352,7 @@ class TestEngagementBiasFits:
             bias_rows.append(
                 metrics.BiasRow(
                     outlet_id=f"o{i:02d}",
+                    reliability=None,
                     x_adv=x,
                     x_neu=x,
                     x_pos=x,

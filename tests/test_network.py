@@ -530,6 +530,7 @@ class TestNetworkxCrossCheck:
 def bias_row(outlet, x_adv=0.0, x_pos=0.0, selection=0.0, lean=False):
     return BiasRow(
         outlet_id=outlet,
+        reliability=None,
         x_adv=x_adv,
         x_neu=0.0,
         x_pos=x_pos,
