@@ -502,6 +502,7 @@ def _producer(artifact: str) -> str:
 
 def _run_stage(args: argparse.Namespace) -> int:
     start = time.perf_counter()
+    peak_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     stage = STAGES[args.command]
     cfg = _load_config(args.config) if args.config else {}
     opts = _resolve(args, cfg, (*stage.options, "out"))
@@ -517,10 +518,11 @@ def _run_stage(args: argparse.Namespace) -> int:
     inputs = [Path(opts[key]) for key in _INPUT_FILES if opts.get(key)]
     inputs += [out / artifact for artifact in stage.requires]
     _write_manifest(out, args.command, opts, inputs)
-    # wall time and peak RSS vary run to run, so they go to the log, never into --out
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    log.info("%s: %.3f s wall, peak RSS %.1f MB", args.command, time.perf_counter() - start,
-             peak_kib / 1024)
+    # wall time and peak RSS vary run to run, so they go to the log, never into --out;
+    # the peak is the process's, so a mark an earlier stage set in it is named as such
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    log.info("%s: %.3f s wall, peak RSS %.1f MB%s", args.command, time.perf_counter() - start,
+             peak / 1024, " (set before this stage)" if peak <= peak_before else "")
     print(summary)
     return EXIT_OK
 

@@ -166,6 +166,16 @@ class AudienceGraph:
         return np.bincount(self.src, self.weight, n) + np.bincount(self.dst, self.weight, n)
 
 
+# Gram entries (rows x remaining columns) that one row block of `build_graph`
+# may span; bounds the sparse product's transient, whatever the outlet count
+_GRAM_BLOCK = 1 << 18
+
+# weights per chunk of `_exact_mean`; bounds its temporaries
+_MEAN_CHUNK = 1 << 16
+# frexp's exponent of the least positive float, 5e-324 = 0.5 * 2**-1073
+_LEAST_EXPONENT = -1073
+
+
 def build_graph(
     matrix: RetweetMatrix, reliability: Mapping[str, Reliability] | None = None
 ) -> AudienceGraph:
@@ -173,7 +183,9 @@ def build_graph(
 
     Zero-weight pairs (disjoint audiences) are omitted as edges; outlets that
     were never retweeted are omitted as nodes. Weights come from the nonzero
-    upper triangle of the sparse Gram matrix; no dense N x N array is formed.
+    upper triangle of the sparse Gram matrix, computed in row blocks of at
+    most `_GRAM_BLOCK` entries, so beyond the returned edge arrays memory
+    holds one block; no dense N x N array is formed.
     """
     counts = matrix.counts.astype(np.float64)
     sq_norms = np.asarray(counts.multiply(counts).sum(axis=0)).ravel()
@@ -182,31 +194,50 @@ def build_graph(
     if dropped:
         log.info("dropping %d outlet(s) with no retweets: %s", len(dropped), ", ".join(dropped))
     nodes = tuple(matrix.outlets[j] for j in keep)
+    n = len(nodes)
     sub = counts[:, keep]
+    sub_t = sub.T.tocsr()
     sq = sq_norms[keep]
-    gram = sparse.triu(sub.T @ sub, k=1, format="csr")
-    gram.sort_indices()
-    src = np.repeat(np.arange(len(nodes), dtype=np.int64), np.diff(gram.indptr))
-    dst = gram.indices.astype(np.int64)
-    weight = np.clip(gram.data / np.sqrt(sq[src] * sq[dst]), 0.0, 1.0)
-    positive = weight > 0.0
-    return AudienceGraph._from_arrays(
-        nodes, src[positive], dst[positive], weight[positive], reliability=reliability
-    )
+    src, dst, weight = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
+    a = 0
+    while a < n:
+        b = min(n, a + max(1, _GRAM_BLOCK // (n - a)))
+        # rows a..b-1 against columns a..; integer counts make every entry exact
+        # through CSC: converting it to CSR leaves each row's columns
+        # ascending, as edge order needs, in less time and memory than
+        # CSR output plus sort_indices
+        block = sparse.triu(sub_t[a:b] @ sub[:, a:], k=1, format="csc").tocsr()
+        rows = np.repeat(np.arange(a, b, dtype=np.int64), np.diff(block.indptr))
+        cols = block.indices.astype(np.int64) + a
+        cosine = np.clip(block.data / np.sqrt(sq[rows] * sq[cols]), 0.0, 1.0)
+        positive = cosine > 0.0
+        kept = int(np.count_nonzero(positive))
+        for out, values in ((src, rows), (dst, cols), (weight, cosine)):
+            # resize reallocs: an array in a mapping of its own grows by
+            # remapping its pages, and no list of parts is joined at the end
+            out.resize(len(out) + kept, refcheck=False)
+            np.compress(positive, values, out=out[len(out) - kept:])
+        a = b
+    return AudienceGraph._from_arrays(nodes, src, dst, weight, reliability=reliability)
 
 
 def _exact_mean(weights: np.ndarray) -> float:
     """Correctly rounded mean of floats in [0, 1], equal to `statistics.mean`.
 
     Each weight is an integer mantissa m < 2**53 times 2**(e - 53) with e <= 1;
-    the mantissas' exact sums per exponent add up as Python ints to the exact
-    total, and one integer division rounds total / n once.
+    the mantissas' exact sums per exponent, taken over chunks of `_MEAN_CHUNK`
+    weights, add up as Python ints to the exact total in units of
+    2**(_LEAST_EXPONENT - 53), and one integer division rounds total / n once.
     """
-    mantissa, exponent = np.frexp(weights)
-    mantissa = (mantissa * 2.0**53).astype(np.int64)
-    low = int(exponent.min())
-    sums = exact_sums(mantissa, exponent - low, int(exponent.max()) - low + 1)
-    return sum(s << e for e, s in enumerate(sums)) / (len(weights) << (53 - low))
+    total = 0
+    for start in range(0, len(weights), _MEAN_CHUNK):
+        mantissa, exponent = np.frexp(weights[start:start + _MEAN_CHUNK])
+        low = int(exponent.min())
+        sums = exact_sums(
+            (mantissa * 2.0**53).astype(np.int64), exponent - low, int(exponent.max()) - low + 1
+        )
+        total += sum(s << (e + low - _LEAST_EXPONENT) for e, s in enumerate(sums))
+    return total / (len(weights) << (53 - _LEAST_EXPONENT))
 
 
 def threshold_graph(

@@ -630,12 +630,31 @@ def test_stage_cost_is_one_info_line_outside_out(tmp_path, caplog):
     with caplog.at_level("INFO", logger="newsbias.cli"):
         assert run("simulate", "--out", out, "--n-outlets", 4, "--clusters", 1) == 0
     (line,) = [r.getMessage() for r in caplog.records if r.name == "newsbias.cli"]
-    wall, peak = re.fullmatch(r"simulate: (\d+\.\d{3}) s wall, peak RSS (\d+\.\d) MB", line).groups()
+    wall, peak = re.fullmatch(
+        r"simulate: (\d+\.\d{3}) s wall, peak RSS (\d+\.\d) MB(?: \(set before this stage\))?",
+        line,
+    ).groups()
     assert float(wall) >= 0 and float(peak) > 1
     # --out holds only the stage's artifacts and its manifest, none with the cost in it
     names = sorted(p.name for p in out.iterdir())
     assert names == sorted([*cli.STAGES["simulate"].produces, "run_manifest.json"])
     assert not any(b"peak RSS" in (out / name).read_bytes() for name in names)
+
+
+@pytest.mark.parametrize("peaks_kib, suffix", [
+    ([227020, 227020], " (set before this stage)"),
+    ([100000, 227020], ""),
+])
+def test_stage_cost_says_when_an_earlier_stage_set_the_peak(
+    peaks_kib, suffix, tmp_path, monkeypatch, caplog
+):
+    readings = iter(peaks_kib)
+    monkeypatch.setattr(cli.resource, "getrusage",
+                        lambda who: argparse.Namespace(ru_maxrss=next(readings)))
+    with caplog.at_level("INFO", logger="newsbias.cli"):
+        assert run("simulate", "--out", tmp_path, "--n-outlets", 4, "--clusters", 1) == 0
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "newsbias.cli"]
+    assert line.endswith(f" s wall, peak RSS 221.7 MB{suffix}")
 
 
 def test_draws_written_from_arrays_read_as_one_row_per_value():

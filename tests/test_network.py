@@ -167,30 +167,41 @@ class TestBuildGraph:
             assert abs(w - oracle) < 1e-12
 
     def test_equals_dense_pair_loop(self):
-        # reference: dense Gram matrix, elementwise cosine, one loop over
-        # pairs; integer counts make every Gram entry exact, so the weights
-        # must match bit for bit
         rng = np.random.default_rng(14)
         records = [
             RetweetRecord(f"u{rng.integers(40)}", f"o{rng.integers(25):02d}", int(rng.integers(1, 6)))
             for _ in range(300)
         ]
         matrix = build_matrix(records)
-        dense = matrix.counts.toarray().astype(np.float64)
-        sq = (dense * dense).sum(axis=0)
-        weights = np.clip(dense.T @ dense / np.sqrt(np.outer(sq, sq)), 0.0, 1.0)
-        names = matrix.outlets
-        expected = [
-            (names[a], names[b], float(weights[a, b]))
-            for a in range(len(names)) for b in range(a + 1, len(names))
-            if weights[a, b] > 0.0
-        ]
-        graph = build_graph(matrix)
-        found = list(zip(
-            [graph.nodes[i] for i in graph.src], [graph.nodes[i] for i in graph.dst],
-            graph.weight.tolist(),
-        ))
-        assert found == expected
+        assert graph_edges(build_graph(matrix)) == dense_pair_edges(matrix)
+
+    def test_row_blocks_equal_dense_pair_loop(self, monkeypatch):
+        # 24 outlets plus a never-retweeted one in the middle; outlets o20-o23
+        # share no retweeter with any outlet, so their rows have no upper
+        # entries. Budget 1 gives one-row blocks, down to a last block of one
+        # row; the largest budget gives one block
+        rng = np.random.default_rng(15)
+        records = [
+            RetweetRecord(f"u{rng.integers(30)}", f"o{rng.integers(20):02d}", int(rng.integers(1, 6)))
+            for _ in range(200)
+        ] + [RetweetRecord(f"v{i}", f"o{i:02d}", 1) for i in range(20, 24)]
+        retweeted = build_matrix(records)
+        counts = retweeted.counts.toarray()
+        matrix = network.RetweetMatrix(
+            users=retweeted.users,
+            outlets=retweeted.outlets[:10] + ("o09z",) + retweeted.outlets[10:],
+            counts=network.sparse.csc_array(np.insert(counts, 10, 0, axis=1)),
+        )
+        expected = dense_pair_edges(matrix)
+        assert len(expected) > 100
+        for budget in (1, 2, 5, 23, 24, 25, 47, 48, 100, 24 * 24):
+            monkeypatch.setattr(network, "_GRAM_BLOCK", budget)
+            graph = build_graph(matrix)
+            assert "o09z" not in graph.nodes
+            assert graph_edges(graph) == expected, budget
+            # scipy's indices here are int32; the edge arrays must not be
+            assert graph.src.dtype == graph.dst.dtype == np.int64
+            assert graph.weight.dtype == np.float64
 
     def test_never_retweeted_outlet_dropped(self):
         matrix = build_matrix([RetweetRecord("u1", "o1", 1)])
@@ -203,6 +214,31 @@ class TestBuildGraph:
         )
         graph = build_graph(extended)
         assert graph.nodes == ("o1",)
+
+
+def dense_pair_edges(matrix) -> list[tuple[str, str, float]]:
+    """Reference: dense Gram matrix over the outlets with retweets, elementwise
+    cosine, one loop over pairs; integer counts make every Gram entry exact, so
+    `build_graph` must match these weights bit for bit."""
+    dense = matrix.counts.toarray().astype(np.float64)
+    retweeted = (dense > 0).any(axis=0)
+    dense = dense[:, retweeted]
+    names = [o for o, r in zip(matrix.outlets, retweeted) if r]
+    sq = (dense * dense).sum(axis=0)
+    weights = np.clip(dense.T @ dense / np.sqrt(np.outer(sq, sq)), 0.0, 1.0)
+    return [
+        (names[a], names[b], float(weights[a, b]))
+        for a in range(len(names)) for b in range(a + 1, len(names))
+        if weights[a, b] > 0.0
+    ]
+
+
+def graph_edges(graph: AudienceGraph) -> list[tuple[str, str, float]]:
+    """The graph's edges in their stored order, as (u, v, weight)."""
+    return list(zip(
+        [graph.nodes[i] for i in graph.src], [graph.nodes[i] for i in graph.dst],
+        graph.weight.tolist(),
+    ))
 
 
 class TestThresholdGraph:
@@ -307,6 +343,16 @@ class TestExactCutoff:
             assert out.edges == graph.edges
             assert out.nodes == graph.nodes
 
+    def test_mean_is_exact_across_chunks(self, monkeypatch):
+        # the least subnormal, 0.5 and 1.0 each land in their own chunk
+        sets = weights_at_their_mean(np.random.default_rng(21), 6)
+        for chunk in (1, 2, 3, 7, 64):
+            monkeypatch.setattr(network, "_MEAN_CHUNK", chunk)
+            for weights in sets:
+                spread = [5e-324, *[0.25] * chunk, *weights, 0.5, *[0.25] * chunk, 1.0]
+                for values in (weights, spread):
+                    assert network._exact_mean(np.array(values)) == statistics.mean(values)
+
     def test_inclusive_cutoff_drops_equal_weights(self):
         for n_edges in (3, 7, 50):
             out = threshold_graph(path_graph([0.1] * n_edges), strict=False)
@@ -335,6 +381,26 @@ class TestMemoryBound:
         assert 0 < graph.n_edges <= n // 2
         # one dense n x n float64 array is 18 MB
         assert peak < n * n * 8 / 20
+
+    def test_build_peak_is_its_edges_plus_one_block(self, monkeypatch):
+        # three users retweet every outlet, so all n(n-1)/2 pairs are edges;
+        # one block's temporaries hold at most about 80 bytes per Gram entry
+        rng = np.random.default_rng(16)
+        n, budget = 600, 4096
+        matrix = build_matrix([
+            RetweetRecord(f"u{u}", f"o{i:04d}", int(rng.integers(1, 6)))
+            for u in range(3) for i in range(n)
+        ])
+        monkeypatch.setattr(network, "_GRAM_BLOCK", budget)
+        tracemalloc.start()
+        try:
+            graph = build_graph(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.n_edges == n * (n - 1) // 2
+        returned = graph.src.nbytes + graph.dst.nbytes + graph.weight.nbytes
+        assert peak <= 1.5 * returned + 80 * budget
 
 
 def pinned_graph(k: int) -> AudienceGraph:
