@@ -94,8 +94,6 @@ _OPTIONS: dict[str, tuple] = {
     "chains": (int, 4, "MCMC chains per event type"),
     "iters": (int, 5000, "MCMC iterations per chain"),
     "burnin": (int, 1000, "burn-in iterations per chain"),
-    "proposal_sd": (float, 0.5, "initial random-walk proposal sd"),
-    "adapt": (_onoff, True, "tune proposal scales during burn-in"),
     "prior_alpha_sd": (float, 15.0, "prior sd of the intercepts"),
     "prior_x_sd": (float, 1.0, "prior sd of the stances"),
     "dump_draws": (_onoff, False, "also write raw draws per event type"),
@@ -291,8 +289,6 @@ def _fit(opts: dict, out: Path) -> str:
         burn_in=opts["burnin"],
         chains=opts["chains"],
         seed=opts["seed"],
-        initial_proposal_sd=opts["proposal_sd"],
-        adapt=opts["adapt"],
     )
 
     summaries = {}
@@ -452,8 +448,8 @@ STAGES: dict[str, Stage] = {
     ),
     "fit": Stage(
         "run the latent-model MCMC per event type",
-        options=("seed", "chains", "iters", "burnin", "proposal_sd", "adapt",
-                 "prior_alpha_sd", "prior_x_sd", "dump_draws"),
+        options=("seed", "chains", "iters", "burnin", "prior_alpha_sd", "prior_x_sd",
+                 "dump_draws"),
         requires=("counts.csv",),
         produces=("posterior.csv",),
         run=_fit,

@@ -312,6 +312,40 @@ class _Coder:
     def codes(self) -> np.ndarray:
         return np.concatenate(self.chunks) if self.chunks else np.zeros(0, np.int32)
 
+    def column(self, field: _Field, rows: int) -> tuple[np.ndarray, tuple[str, ...] | None]:
+        """The field's column of the first `rows` coded rows, and the ids it codes, if any."""
+        lookup, distinct = field.decode(self.values)
+        return lookup[self.codes()[:rows]], distinct
+
+
+class _Converter:
+    """Converts one float column value by value, chunk by chunk, with the
+    interface of _Coder: its values are nearly all distinct, so coding them
+    would only add a dict lookup per value."""
+
+    def __init__(self, convert: Callable[[object, int], float]):
+        self.convert = convert
+        self.chunks: list[np.ndarray] = []
+
+    def add(self, keys: Sequence, raw: Sequence) -> tuple[int, str] | None:
+        """Convert one chunk; as `_Coder.add`, but `keys` are not used."""
+        try:
+            converted = map(self.convert, raw, itertools.repeat(0))
+            self.chunks.append(np.fromiter(converted, np.float64, len(raw)))
+            return None
+        except ParseError:
+            pass
+        # a bad value: convert the rows before the first one
+        try:
+            for row, value in enumerate(raw):
+                self.convert(value, 0)
+        except ParseError as exc:
+            self.add(keys[:row], raw[:row])
+            return row, exc.reason
+
+    def column(self, field: _Field, rows: int) -> tuple[np.ndarray, None]:
+        return (np.concatenate(self.chunks) if self.chunks else np.zeros(0))[:rows], None
+
 
 PLATFORMS = tuple(Platform)
 
@@ -327,6 +361,10 @@ class _Field:
 
     dtype: type = np.int64
     optional = False
+
+    def coder(self) -> _Coder | _Converter:
+        """What builds the field's column as it is read."""
+        return _Coder(self.convert)
 
     def decode(self, values: list) -> tuple[np.ndarray, tuple[str, ...] | None]:
         """The column value of each converted value, and the ids they code, if any."""
@@ -461,6 +499,9 @@ class FloatField(_Field):
             raise ParseError(f"invalid {self.name} '{value}'", line) from None
         return out
 
+    def coder(self):
+        return _Converter(self.convert)
+
     def values(self, table):
         column = super().values(table)
         return [None if math.isnan(v) else v for v in column] if self.optional else column
@@ -526,13 +567,13 @@ class Table(abc.Sequence):
         return {f.name: getattr(self, f.name + "s") for f in self.fields if isinstance(f, IdField)}
 
     @classmethod
-    def _from_coders(cls, coders: Sequence[_Coder], lines: Sequence[int]) -> Table:
+    def _from_coders(cls, coders: Sequence[_Coder | _Converter], lines: Sequence[int]) -> Table:
         """The table of the first len(lines) coded rows under the class's rule;
         `lines[i]` is row i's input line, which a broken rule is reported at."""
         columns, ids = [], {}
         for field, coder in zip(cls.fields, coders):
-            lookup, distinct = field.decode(coder.values)
-            columns.append(lookup[coder.codes()[: len(lines)]])
+            column, distinct = coder.column(field, len(lines))
+            columns.append(column)
             if distinct is not None:
                 ids[field.name] = distinct
         return cls(columns, ids)._checked(lines)
@@ -551,7 +592,7 @@ class Table(abc.Sequence):
     def from_columns(cls, columns: Iterable[list]) -> Table:
         """The table whose field j holds the record values of the j-th column,
         checked as `from_records` checks records."""
-        coders = [_Coder(field.convert) for field in cls.fields]
+        coders = [field.coder() for field in cls.fields]
         try:
             for coder, column in zip(coders, columns, strict=True):
                 failed = coder.add(_record_keys(column), column)
@@ -737,7 +778,7 @@ def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
     own rule counting as the row's last field, unless a row before it is
     malformed.
     """
-    coders = [_Coder(field.convert) for field in cls.fields]
+    coders = [field.coder() for field in cls.fields]
     key = _json_key if format == "jsonl" else None
     rows = _iter_values(stream, format, [field.name for field in cls.fields],
                         [field.name for field in cls.fields if field.optional])

@@ -8,12 +8,14 @@ with y_ij ~ Poisson(lambda_ij) and
 where z = (-1, 0, 1) anchors the anti/neutral/pro classes, alpha_i is the
 outlet's baseline publishing intensity and x_i its latent stance. Priors are
 alpha_i ~ N(0, sd_alpha^2) (vague) and x_i ~ N(0, sd_x^2) (soft identification
-constraint). Inference is Metropolis-within-Gibbs on beta_i = alpha_i +
-log S(x_i), S(x) = sum_j exp(-|x - z_j|), and x_i: the likelihood splits into
+constraint). Inference is on beta_i = alpha_i + log S(x_i), S(x) =
+sum_j exp(-|x - z_j|), and x_i: the likelihood splits into
 Poisson(y_i. | e^beta_i) x Multinomial(y_i | pi(x_i)), which removes the
 alpha-x ridge, and the Jacobian is 1, so the (alpha, x) posterior is unchanged.
-The conditionals factorize by outlet, so each update moves every outlet of
-every chain in one array step. PosteriorTable is the schema of posterior.csv.
+The posterior factorizes by outlet, and run_chain moves each outlet by an
+independence Metropolis-Hastings kernel whose proposal follows that outlet's
+own posterior, every outlet of every chain in one array step.
+PosteriorTable is the schema of posterior.csv.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.fft
 from scipy.special import gammaln
 
 from .corpus import EVENT_ORDER, EnumField, EventType, FloatField, IdField, InputError, Table
@@ -72,8 +75,6 @@ class ChainConfig:
     burn_in: int = 1000
     chains: int = 4
     seed: int = 0
-    initial_proposal_sd: float = 0.5
-    adapt: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -84,8 +85,6 @@ class ChainConfig:
             raise InputError("chains must be >= 1")
         if self.seed < 0:
             raise InputError("seed must be a nonnegative integer")
-        if self.initial_proposal_sd <= 0:
-            raise InputError("initial_proposal_sd must be > 0")
 
 
 @dataclass(frozen=True)
@@ -237,21 +236,42 @@ def _accept(delta, u):
     return u < np.exp(np.minimum(delta, 0.0))
 
 
-# Acceptance-rate target and multiplicative step for burn-in proposal tuning.
-_ADAPT_TARGET = 0.44
-_ADAPT_EVERY = 50
-_ADAPT_UP = 1.1
-_ADAPT_DOWN = 0.9
-
 # Cap on the log intensity; exp() overflows just above 709.
 _MAX_LOG_INTENSITY = 700.0
 
+# Iterations whose proposals are drawn and weighed together; the draws depend on it.
+_BLOCK = 256
+# The x proposal: _CELLS equal cells over each outlet's support, found on a coarse
+# grid of _COARSE_STEP prior sds over +-_COARSE_HALF prior sds as the points within
+# _SUPPORT_DROP nats of the maximum, widened by _SUPPORT_PAD coarse steps; mixed
+# with weight _DEFENSIVE with the N(0, sd_x^2) prior, so it covers the real line.
+_CELLS = 128
+_COARSE_STEP = 0.1
+_COARSE_HALF = 6.0
+_SUPPORT_DROP = 20.0
+_SUPPORT_PAD = 1.5
+_DEFENSIVE = 0.05
+# Values per array call when building grids and drawing and weighing
+# proposals: 128 KB of float64, so a call's temporaries stay in cache.
+_CHUNK = 16384
+# Buckets of the guide table that starts each cell search; a power of 2, so
+# that bucket edges and a uniform's bucket are exact.
+_GUIDE = 1024
+
+
+def _log_rates(x: np.ndarray, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The log rates of stance x at alpha = 0, one array per anchor rather
+    than a trailing axis of 3 (which numpy reduces slowly), and log S(x)."""
+    log_rates = [log_intensity(0.0, x, z_j) for z_j in z.tolist()]
+    s0, s1, s2 = map(np.exp, log_rates)
+    return log_rates, np.log(s0 + s1 + s2)
+
 
 def _stance_terms(x: np.ndarray, Y: np.ndarray, totals: np.ndarray, z: np.ndarray):
-    """log S(x) and the multinomial log likelihood sum_j y_j log pi_j(x)."""
-    log_rates = log_intensity(0.0, x[..., None], z)
-    log_s = np.log(np.exp(log_rates).sum(axis=-1))
-    return log_s, (Y * log_rates).sum(axis=-1) - totals * log_s
+    """log S(x) and the multinomial log likelihood sum_j y_j log pi_j(x);
+    x broadcasts against Y[..., j] and totals."""
+    (r0, r1, r2), log_s = _log_rates(x, z)
+    return log_s, Y[..., 0] * r0 + Y[..., 1] * r1 + Y[..., 2] * r2 - totals * log_s
 
 
 def _log_target(beta, x, log_s, multinomial, totals, consts: ModelConstants):
@@ -270,91 +290,240 @@ def _log_target(beta, x, log_s, multinomial, totals, consts: ModelConstants):
     return np.where(alpha > _MAX_LOG_INTENSITY, -np.inf, lp)
 
 
+def _shape_terms(x: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+    """The functions of x that _shape_weights weighs: the log rates, log S(x),
+    its square and x^2."""
+    log_rates, log_s = _log_rates(x, z)
+    return [*log_rates, log_s, log_s * log_s, x * x]
+
+
+def _shape_weights(Y: np.ndarray, totals: np.ndarray, consts: ModelConstants) -> np.ndarray:
+    """(N, 6) weights of _shape_terms whose sum is the log shape of each
+    outlet's x proposal, up to a constant: the x posterior with beta fixed at
+    log T, sum_j y_j log pi_j(x) - (log T - log S(x))^2 / (2 sd_alpha^2)
+    - x^2 / (2 sd_x^2) with the square expanded; the x prior alone where T = 0."""
+    counted = (totals > 0).astype(float)
+    var_alpha = consts.prior_sd_alpha**2
+    log_s_weight = -totals + counted * np.log(np.maximum(totals, 1.0)) / var_alpha
+    return np.column_stack([
+        Y, log_s_weight, -counted / (2.0 * var_alpha),
+        np.full_like(totals, -1.0 / (2.0 * consts.prior_sd_x**2)),
+    ])
+
+
+@dataclass(frozen=True)
+class _StanceProposal:
+    """Per outlet i, _CELLS equal cells of `width[i]` from `lo[i]`. Outlets
+    with equal counts share one grid: the flat (rows, _CELLS) arrays `cdf`,
+    the cells' cumulative probabilities ending at 1, and `log_density`, the
+    log density of the grid part in each cell, and the (rows, _GUIDE + 1)
+    table `guide` of how many cells have cdf <= k / _GUIDE. `cell_base[i]` is
+    the flat index of outlet i's first cell, `guide_base[i]` its guide row's."""
+
+    cell_base: np.ndarray
+    guide_base: np.ndarray
+    lo: np.ndarray
+    width: np.ndarray
+    cdf: np.ndarray
+    log_density: np.ndarray
+    guide: np.ndarray
+    sd: float
+
+    @classmethod
+    def of(cls, Y: np.ndarray, consts: ModelConstants) -> _StanceProposal:
+        counts, row = np.unique(Y, axis=0, return_inverse=True)
+        totals = counts.sum(axis=1)
+        z = np.asarray(consts.stances)
+        step = _COARSE_STEP * consts.prior_sd_x
+        coarse = step * np.arange(-_COARSE_HALF / _COARSE_STEP, _COARSE_HALF / _COARSE_STEP + 1)
+        weights = _shape_weights(counts, totals, consts)
+        shape = weights @ np.array(_shape_terms(coarse, z))
+        kept = shape >= shape.max(axis=1, keepdims=True) - _SUPPORT_DROP
+        lo = coarse[kept.argmax(axis=1)] - _SUPPORT_PAD * step
+        hi = coarse[-1 - kept[:, ::-1].argmax(axis=1)] + _SUPPORT_PAD * step
+        width = (hi - lo) / _CELLS
+
+        rows = len(counts)
+        cdf = np.empty((rows, _CELLS))
+        log_density = np.empty_like(cdf)
+        for i in range(0, rows, _CHUNK // _CELLS):
+            block = slice(i, i + _CHUNK // _CELLS)
+            mid = lo[block, None] + (np.arange(_CELLS) + 0.5) * width[block, None]
+            shape = sum(w[:, None] * t for w, t in zip(weights[block].T, _shape_terms(mid, z)))
+            p = np.cumsum(np.exp(shape - shape.max(axis=1, keepdims=True)), axis=1)
+            p /= p[:, -1:]
+            p[:, -1] = 1.0
+            cdf[block] = p
+            # cells whose probability underflows get log density -inf
+            with np.errstate(divide="ignore"):
+                log_density[block] = np.log(np.diff(p, axis=1, prepend=0.0)) + np.log(
+                    (1.0 - _DEFENSIVE) / width[block, None])
+        # cdf <= k / _GUIDE exactly when ceil(cdf * _GUIDE) <= k, so a row of
+        # the guide holds c from bucket ceil(cdf[c - 1] * _GUIDE) up to ceil(cdf[c] * _GUIDE)
+        spans = np.diff(np.ceil(cdf * _GUIDE).astype(np.intp), axis=1, prepend=0,
+                        append=_GUIDE + 1)
+        guide = np.repeat(np.tile(np.arange(_CELLS + 1, dtype=np.uint8), rows), spans.ravel())
+        row = row.reshape(-1)
+        return cls(row * _CELLS, row * (_GUIDE + 1), lo[row], width[row], cdf.ravel(),
+                   log_density.ravel(), guide, consts.prior_sd_x)
+
+    def draw(self, u: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Stances from uniforms u (3, ..., N), plus the flat index of each
+        one's cell (or of where it would lie): u[0] picks the defensive part,
+        u[1] the cell by inverse cdf and u[2] the point in the cell; defensive
+        stances take normals from rng."""
+        # u[1]'s cell lies between the guide counts at the edges of its bucket
+        at = self.guide_base + (u[1] * _GUIDE).astype(np.intp)
+        first = self.guide.take(at)
+        cell = self.cell_base + first
+        split = np.flatnonzero(first != self.guide.take(at + 1))
+        if split.size:  # a bucket holding cell edges: binary search in the cdf row
+            v = u[1].ravel()[split]
+            found = self.cell_base[split % len(self.cell_base)]
+            for half in (64, 32, 16, 8, 4, 2, 1):
+                found += half * (self.cdf.take(found + (half - 1)) <= v)
+            cell.ravel()[split] = found
+        x = self.lo + (cell - self.cell_base + u[2]) * self.width
+        defensive = u[0] < _DEFENSIVE
+        x[defensive] = self.sd * rng.standard_normal(np.count_nonzero(defensive))
+        cell[defensive] = self.locate(x[defensive], np.nonzero(defensive)[-1])
+        return x, cell
+
+    def locate(self, x: np.ndarray, outlet) -> np.ndarray:
+        """The flat cell index of each stance x of outlet `outlet`; -1 outside the grid."""
+        k = np.floor((x - self.lo[outlet]) / self.width[outlet])
+        return np.where((k >= 0) & (k < _CELLS), k + self.cell_base[outlet], -1).astype(np.intp)
+
+    def log_pdf(self, x: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """Log proposal density of stances x, each in flat cell `cell` (-1: none)."""
+        grid = np.where(cell >= 0, self.log_density.take(cell), -np.inf)
+        defensive = math.log(_DEFENSIVE / self.sd) - 0.5 * _LOG_2PI - x * x / (2.0 * self.sd**2)
+        return np.logaddexp(grid, defensive)
+
+
+def _log_weight(beta, x, cell, proposal: _StanceProposal, Y, totals, consts: ModelConstants):
+    """log pi(beta, x) - log q(beta | x) - log q(x), up to a constant per outlet,
+    and alpha = beta - log S(x). q(beta | x) is Gamma(T, 1) in e^beta if T > 0,
+    whose density exp(T beta - e^beta) cancels the Poisson factor; else the
+    alpha prior N(log S(x), sd_alpha^2)."""
+    log_s, multinomial = _stance_terms(x, Y, totals, np.asarray(consts.stances))
+    alpha = beta - log_s
+    log_q_beta = np.where(totals > 0, totals * beta - np.exp(beta),
+                          -alpha * alpha / (2.0 * consts.prior_sd_alpha**2))
+    target = _log_target(beta, x, log_s, multinomial, totals, consts)
+    return target - log_q_beta - proposal.log_pdf(x, cell), alpha
+
+
 def run_chain(
     Y_k, config: ChainConfig, consts: ModelConstants, *, event_index: int = 0
 ) -> ChainDraws:
-    """Run config.chains independent Metropolis-within-Gibbs chains on (beta, x).
+    """Run config.chains independent independence-Metropolis chains on (beta, x).
 
+    Each iteration makes one joint move per outlet: x' from the outlet's
+    _StanceProposal, then beta' given x' (see _log_weight); it is accepted
+    with probability min(1, exp(w' - w)), w the importance weight of
+    _log_weight, and alpha = beta - log S(x) is recorded. Proposals do not
+    depend on the state, so each block of _BLOCK iterations draws and weighs
+    its proposals at once, and a per-iteration loop only accepts or rejects.
     Chain c draws from default_rng(SeedSequence([config.seed, event_index, c])),
     so each (seed, event type, chain) has its own stream. Chains start at
     alpha = 0 and x = +0.5 / -0.5 (alternating by chain index, so multi-chain
-    starts are overdispersed in x). Each iteration moves every beta, then every
-    x, and records alpha = beta - log S(x). During burn-in, per-parameter
-    proposal scales are rescaled every 50 iterations toward a 0.44 acceptance
-    rate (x1.1 if above, x0.9 if below) and frozen afterwards. accepted_alpha
-    counts accepted beta moves. Identical inputs produce identical draws.
+    starts are overdispersed in x). accepted_alpha and accepted_x both count
+    the accepted joint moves. Identical inputs produce identical draws.
     """
     Y = _check_counts(Y_k)
     n = Y.shape[0]
     chains, iterations = config.chains, config.iterations
     z = np.asarray(consts.stances)
     totals = Y.sum(axis=1)
+    empty = np.nonzero(totals == 0)[0]
     rngs = [
         np.random.default_rng(np.random.SeedSequence([config.seed, event_index, c]))
         for c in range(chains)
     ]
-
-    x = np.empty((chains, n))
-    x[0::2], x[1::2] = 0.5, -0.5
-    log_s, multinomial = _stance_terms(x, Y, totals, z)
-    beta = log_s.copy()
-    lp = _log_target(beta, x, log_s, multinomial, totals, consts)
-    # index 0 is beta, index 1 is x
-    scale = np.full((2, chains, n), config.initial_proposal_sd)
-    accepted = np.zeros((2, chains, n), dtype=np.int64)
-    window_start = accepted.copy()
-    noise = np.empty((chains, 2, n))
-    uniform = np.empty_like(noise)
     out_a = np.empty((chains, iterations, n))
     out_x = np.empty_like(out_a)
+    accepted = np.zeros((chains, n), dtype=np.int64)
+    rows = max(1, _CHUNK // max(n, 1))  # iterations per array call
 
-    # exp(beta) may overflow and log S(x) underflow on far-out proposals;
-    # the resulting inf/NaN log ratios are rejections
+    # exp(beta) may overflow on far-out prior draws of beta, and cells and
+    # weights may be -inf; such proposals are rejected
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for h in range(iterations):
+        proposal = _StanceProposal.of(Y, consts)
+        x = np.empty((chains, n))
+        x[0::2], x[1::2] = 0.5, -0.5
+        beta = _stance_terms(x, Y, totals, z)[0]
+        w, alpha = _log_weight(beta, x, proposal.locate(x, np.arange(n)), proposal,
+                               Y, totals, consts)
+
+        for start in range(0, iterations, _BLOCK):
+            size = min(_BLOCK, iterations - start)
+            # slot 0 of `stance` and `alpha_all` holds the state before the block
+            stance = np.empty((chains, size + 1, n))
+            alpha_all = np.empty_like(stance)
+            stance[:, 0], alpha_all[:, 0] = x, alpha
+            u = np.empty((3, size, n))
+            bar = np.empty((chains, size, n))  # -log u of each accept test
+            cell = np.empty(bar.shape, dtype=np.intp)
+            # e^beta; zero-count outlets take a Gamma(1) placeholder, replaced below
+            beta = np.empty_like(bar)
+            normal = np.empty((chains, size, len(empty)))
+            parts = [slice(i, i + rows) for i in range(0, size, rows)]
             for c, rng in enumerate(rngs):
-                rng.standard_normal(out=noise[c])
-                rng.random(out=uniform[c])
+                rng.random(out=u)
+                rng.standard_exponential(out=bar[c])
+                for part in parts:
+                    stance[c, 1:][part], cell[c, part] = proposal.draw(u[:, part], rng)
+                rng.standard_gamma(np.maximum(totals, 1.0), out=beta[c])
+                rng.standard_normal(out=normal[c])
+            np.log(beta, out=beta)
+            beta[..., empty] = consts.prior_sd_alpha * normal + _stance_terms(
+                stance[:, 1:, empty], Y[empty], totals[empty], z)[0]
+            block_w = np.empty_like(bar)
+            for c in range(chains):
+                for part in parts:
+                    block_w[c, part], alpha_all[c, 1:][part] = _log_weight(
+                        beta[c, part], stance[c, 1:][part], cell[c, part], proposal,
+                        Y, totals, consts)
 
-            prop = beta + scale[0] * noise[:, 0]
-            lp_prop = _log_target(prop, x, log_s, multinomial, totals, consts)
-            ok = _accept(lp_prop - lp, uniform[:, 0])
-            beta = np.where(ok, prop, beta)
-            lp = np.where(ok, lp_prop, lp)
-            accepted[0] += ok
+            # accept iff log u < w' - w, i.e. w' - log u > w
+            bar += block_w
+            slot = np.zeros((chains, n), dtype=np.intp)
+            picks = np.empty((chains, size, n), dtype=np.intp)
+            for h in range(size):
+                ok = bar[:, h] > w
+                np.copyto(w, block_w[:, h], where=ok)
+                np.copyto(slot, h + 1, where=ok)
+                picks[:, h] = slot
+            accepted += (picks == np.arange(1, size + 1)[:, None]).sum(axis=1)
+            out_a[:, start : start + size] = np.take_along_axis(alpha_all, picks, axis=1)
+            out_x[:, start : start + size] = np.take_along_axis(stance, picks, axis=1)
+            alpha, x = out_a[:, start + size - 1], out_x[:, start + size - 1]
 
-            prop = x + scale[1] * noise[:, 1]
-            prop_s, prop_m = _stance_terms(prop, Y, totals, z)
-            lp_prop = _log_target(beta, prop, prop_s, prop_m, totals, consts)
-            ok = _accept(lp_prop - lp, uniform[:, 1])
-            x = np.where(ok, prop, x)
-            log_s = np.where(ok, prop_s, log_s)
-            multinomial = np.where(ok, prop_m, multinomial)
-            lp = np.where(ok, lp_prop, lp)
-            accepted[1] += ok
+    return ChainDraws(alpha=out_a, x=out_x, accepted_alpha=accepted, accepted_x=accepted.copy())
 
-            out_a[:, h] = beta - log_s
-            out_x[:, h] = x
 
-            if config.adapt and h < config.burn_in and (h + 1) % _ADAPT_EVERY == 0:
-                rate = (accepted - window_start) / _ADAPT_EVERY
-                window_start = accepted.copy()
-                scale[rate > _ADAPT_TARGET] *= _ADAPT_UP
-                scale[rate < _ADAPT_TARGET] *= _ADAPT_DOWN
-
-    return ChainDraws(
-        alpha=out_a, x=out_x, accepted_alpha=accepted[0], accepted_x=accepted[1]
-    )
+# Zero-padded values per FFT call in _mean_autocovariance (4 MB of float64),
+# which bounds its transients.
+_FFT_VALUES = 1 << 19
 
 
 def _mean_autocovariance(seqs: np.ndarray) -> np.ndarray:
-    """Chain-averaged biased autocovariances via FFT; seqs is (chains, n, N)."""
-    n = seqs.shape[1]
-    centered = seqs - seqs.mean(axis=1, keepdims=True)
-    m = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(centered, m, axis=1)
-    power = (f.real**2 + f.imag**2).mean(axis=0)
-    return np.fft.irfft(power, m, axis=0)[:n] / n
+    """Chain-averaged biased autocovariances via FFT, shaped (n, N); seqs is
+    (chains, n, N). The FFT runs along a contiguous axis, zero-padded to a
+    fast length >= 2n - 1, for as many parameters at a time as _FFT_VALUES
+    allows."""
+    chains, n, n_params = seqs.shape
+    m = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    step = max(1, _FFT_VALUES // (chains * m))
+    out = np.empty((n, n_params))
+    for i in range(0, n_params, step):
+        part = seqs[:, :, i : i + step].transpose(2, 0, 1)
+        f = scipy.fft.rfft(part - part.mean(axis=2, keepdims=True), m, axis=2)
+        power = np.square(f.real)
+        power += np.square(f.imag)
+        out[:, i : i + step] = scipy.fft.irfft(power.mean(axis=1), m, axis=1)[:, :n].T
+    return out / n
 
 
 def _split_rhat(seqs: np.ndarray) -> np.ndarray:

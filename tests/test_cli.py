@@ -297,6 +297,17 @@ class TestConfigAndOptions:
         assert run("fit", "--config", config, "--out", tmp_path) == 2
         assert "itters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("proposal_sd", "0.5"), ("adapt", "on")])
+    def test_removed_sampler_options_rejected(self, key, value, tmp_path, capsys):
+        # the independence kernel has no proposal scale to set or tune
+        config = tmp_path / "old.conf"
+        config.write_text(f"{key} = {value}\n")
+        assert run("fit", "--config", config, "--out", tmp_path) == 2
+        assert key in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--" + key.replace("_", "-"), value, "--out", tmp_path)
+        assert exc.value.code == 2
+
     def test_explicit_theta_matches_default(self, pipeline_dirs):
         _, out = pipeline_dirs
         assert fit_fast(out) == 0
@@ -551,7 +562,6 @@ def test_repeated_artifact_key_exits_2(artifact, stage, change, key, full_run, t
     (["fit", "--chains", 0], "chains must be >= 1"),
     (["fit", "--prior-alpha-sd", 0], "prior standard deviations must be > 0"),
     (["fit", "--prior-x-sd", -1], "prior standard deviations must be > 0"),
-    (["fit", "--proposal-sd", 0], "initial_proposal_sd must be > 0"),
     (["bias", "--theta", math.pi / 2], "theta must lie in (0, pi/2)"),
     (["bias", "--theta", "nan"], "theta must lie in (0, pi/2)"),
     (["engagement", "--from", "2021-06-01", "--to", "2021-01-01"],
@@ -559,9 +569,8 @@ def test_repeated_artifact_key_exits_2(artifact, stage, change, key, full_run, t
     (["simulate", "--from", "2022-01-01"], "window start must be <= window end"),
     (["simulate", "--n-outlets", 2, "--clusters", 3], "need at least one outlet per cluster"),
     (["simulate", "--clusters", 0], "need at least one outlet per cluster"),
-], ids=["iters", "burnin", "chains", "prior-alpha-sd", "prior-x-sd", "proposal-sd", "theta",
-        "theta-nan", "engagement-window", "simulate-window", "clusters-above-outlets",
-        "no-clusters"])
+], ids=["iters", "burnin", "chains", "prior-alpha-sd", "prior-x-sd", "theta", "theta-nan",
+        "engagement-window", "simulate-window", "clusters-above-outlets", "no-clusters"])
 def test_bad_option_value_exits_2(argv, message, full_run, tmp_path, capsys):
     _, full = full_run
     out = tmp_path / "run"

@@ -869,6 +869,23 @@ def _round_trip(cls, table):
 EDGE_FLOATS = [float("inf"), -0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5]
 
 
+class TestFloatColumns:
+    @pytest.mark.parametrize("bad_row", [0, 5, corpus._CHUNK_ROWS + 3])
+    def test_first_bad_float_is_reported_at_its_line(self, bad_row):
+        # float columns are converted value by value, not dict-coded; the first
+        # bad row still wins over a later row's bad earlier field, across chunks
+        rows = [f"o{i},adverse,alpha,1.5,0.25,1.0,2.0,1.0,100.0"
+                for i in range(corpus._CHUNK_ROWS + 10)]
+        rows[bad_row] = rows[bad_row].replace(",0.25,", ",0.250,")
+        rows[bad_row + 1] = rows[bad_row + 1].replace("adverse", "sideways")
+        text = "outlet_id,event_type,param,mean,sd,q05,q95,rhat,ess\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseError, match=f"^invalid sd '0.250' at line {bad_row + 2}$"):
+            corpus._parse(io.StringIO(text), "csv", latent.PosteriorTable)
+        good = text.replace(",0.250,", ",0.25,").replace("sideways", "adverse")
+        parsed = corpus._parse(io.StringIO(good), "csv", latent.PosteriorTable)
+        assert parsed.sd.dtype == np.float64 and (parsed.sd == 0.25).all()
+
+
 class TestArtifactRoundTrips:
     def test_posterior(self):
         # only an R-hat may be inf: the other statistics hold the largest float in its place

@@ -182,7 +182,7 @@ class TestRunChain:
 
     def test_overdispersed_starts_alternate(self):
         counts = np.ones((2, 3), dtype=int)
-        config = ChainConfig(iterations=5, burn_in=1, chains=2, seed=9, adapt=False)
+        config = ChainConfig(iterations=5, burn_in=1, chains=2, seed=9)
         draws = run_chain(counts, config, CONSTS)
         assert draws.alpha.shape == (2, 5, 2)
 
@@ -191,8 +191,6 @@ class TestRunChain:
             ChainConfig(iterations=10, burn_in=10)
         with pytest.raises(ValueError):
             ChainConfig(chains=0)
-        with pytest.raises(ValueError):
-            ChainConfig(initial_proposal_sd=0.0)
         with pytest.raises(ValueError):
             ChainConfig(seed=-1)
 
@@ -217,6 +215,91 @@ class TestRunChain:
             config = ChainConfig(iterations=5000, burn_in=1000, chains=4, seed=11 + k)
             summary = posterior_summary(run_chain(counts, config, CONSTS), config.burn_in)
             assert max(summary.alpha.rhat.max(), summary.x.rhat.max()) <= 1.05, k
+
+    @pytest.mark.parametrize("data_seed", [105, 111])
+    def test_fresh_c05_style_data_converge(self, data_seed):
+        # c05-style data on which the random-walk kernel this one replaced
+        # reached split R-hat 1.13 and 1.20
+        rng = np.random.default_rng(data_seed)
+        alpha_true = rng.uniform(5.2, 6.2, 50)
+        x_true = rng.uniform(-0.9, 0.9, 50)
+        counts = simulate_counts(alpha_true, x_true, CONSTS, rng)
+        config = ChainConfig(iterations=5000, burn_in=1000, chains=4, seed=11)
+        summary = posterior_summary(run_chain(counts, config, CONSTS), config.burn_in)
+        assert max(summary.alpha.rhat.max(), summary.x.rhat.max()) <= 1.05
+        assert min(summary.alpha.ess.min(), summary.x.ess.min()) >= 1000
+
+    def test_matches_quadrature_oracle_on_zero_small_and_plateau_rows(self):
+        # an all-zero row (prior-driven), small counts, and a large row whose
+        # stance sits near the plateau beyond -1, fitted together: the posterior
+        # factorizes by outlet
+        rows = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 7], [504, 234, 83]])
+        config = ChainConfig(iterations=20_000, burn_in=2000, chains=4, seed=3)
+        summary = posterior_summary(run_chain(rows, config, CONSTS), config.burn_in)
+        for i, row in enumerate(rows):
+            step = 0.04 if row.sum() == 0 else 0.01  # the zero row's alpha range is wide
+            oracle = latent.grid_posterior_oracle(
+                row, latent.default_grid(row, CONSTS, step), CONSTS)
+            for param, expected in (("alpha", oracle.mean_alpha), ("x", oracle.mean_x)):
+                fitted = getattr(summary, param)
+                # 5 Monte Carlo standard errors, plus the quadrature's own error
+                tolerance = 5.0 * fitted.sd[i] / math.sqrt(fitted.ess[i]) + 0.005
+                assert abs(fitted.mean[i] - expected) <= tolerance, (row, param)
+
+    def test_simulation_based_calibration(self):
+        # SBC (Talts et al. 2018, arXiv:1804.06788): for truths drawn from the
+        # prior and counts simulated from them, the rank of each truth among
+        # independent posterior draws is uniform exactly when the kernel targets
+        # the posterior, so a wrong proposal density in the weights shows. The
+        # posterior factorizes by outlet: 2000 replicates are one fit of 2000
+        # outlets. Thinning by 6 exceeds the median integrated autocorrelation
+        # time measured on these replicates, 1.45 pooled and 3.9 for zero-count
+        # outlets (lag-6 autocorrelation 0.01 pooled, 0.03 zero-count). 399 kept draws
+        # give 400 equally likely ranks, 20 to each of 20 bins. The seeds and
+        # the chi^2(19) bound (p = 0.001) were fixed before the first run.
+        consts = ModelConstants(prior_sd_alpha=2.0)
+        rng = np.random.default_rng(1804)
+        truth = {"alpha": rng.normal(0.0, consts.prior_sd_alpha, 2000),
+                 "x": rng.normal(0.0, consts.prior_sd_x, 2000)}
+        counts = simulate_counts(truth["alpha"], truth["x"], consts, rng)
+        config = ChainConfig(iterations=700, burn_in=100, chains=4, seed=42)
+        draws = run_chain(counts, config, consts)
+        zero = counts.sum(axis=1) == 0
+        assert zero.sum() > 500
+        for param, values in truth.items():
+            kept = getattr(draws, param)[:, config.burn_in :: 6].reshape(-1, 2000)[:399]
+            bins = (kept < values).sum(axis=0) // 20
+            for subset in (np.ones(2000, dtype=bool), zero):
+                hist = np.bincount(bins[subset], minlength=20)
+                chi2 = float(((hist - hist.mean()) ** 2 / hist.mean()).sum())
+                assert chi2 <= 43.8, (param, int(subset.sum()), hist.tolist())
+
+    def test_proposal_draws_follow_its_density(self):
+        # the weights divide by the proposal's log_pdf, so it must be the
+        # density draw() samples: the share of draws in each half of each grid
+        # cell, and outside the grid, matches the integral of exp(log_pdf) there
+        rows = np.array([[0, 0, 0], [3, 0, 40], [504, 234, 83]], dtype=float)
+        proposal = latent._StanceProposal.of(rows, CONSTS)
+        rng = np.random.default_rng(4)
+        n_draws = 100_000
+        x, cell = proposal.draw(rng.random((3, n_draws, 3)), rng)
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        halves = 2 * latent._CELLS
+        for i in range(3):
+            assert np.mean(proposal.locate(x[:, i], i) != cell[:, i]) < 1e-4
+            lo, half = proposal.lo[i], proposal.width[i] / 2.0
+            offsets = np.arange(halves)[:, None]
+            points = lo + half * (offsets + (nodes + 1.0) / 2.0)
+            cells = np.broadcast_to(proposal.cell_base[i] + offsets // 2, points.shape)
+            mass = half / 2.0 * np.exp(proposal.log_pdf(points, cells)) @ weights
+            expected = n_draws * np.append(mass, 1.0 - mass.sum())
+            first = 2 * (cell[:, i] - proposal.cell_base[i])
+            which = np.clip(np.floor((x[:, i] - lo) / half), first, first + 1).astype(int)
+            observed = np.bincount(np.where(cell[:, i] < 0, halves, which), minlength=halves + 1)
+            big = expected >= 5.0
+            observed = np.append(observed[big], observed[~big].sum())
+            expected = np.append(expected[big], expected[~big].sum())
+            assert stats.chisquare(observed, expected).pvalue > 1e-3, rows[i]
 
     def test_beta_x_target_is_the_alpha_x_posterior(self):
         # beta = alpha + log S(x) has Jacobian 1, so target differences at
@@ -266,6 +349,17 @@ def constant_draws(value: float, chains=2, iters=60, n=1) -> ChainDraws:
 
 
 class TestPosteriorSummary:
+    def test_mean_autocovariance_matches_direct_sums(self, monkeypatch):
+        # 16 parameters per FFT call (3 chains x 80 padded values each), so
+        # the 70 parameters take five calls
+        monkeypatch.setattr(latent, "_FFT_VALUES", 3 * 80 * 16)
+        rng = np.random.default_rng(14)
+        seqs = rng.normal(size=(3, 40, 70))
+        centered = seqs - seqs.mean(axis=1, keepdims=True)
+        direct = [(centered[:, : 40 - k] * centered[:, k:]).sum(axis=1).mean(axis=0) / 40
+                  for k in range(40)]
+        np.testing.assert_allclose(latent._mean_autocovariance(seqs), direct, rtol=0, atol=1e-12)
+
     def test_constant_draws(self):
         summary = posterior_summary(constant_draws(3.25), burn_in=10)
         assert summary.alpha.mean[0] == 3.25
