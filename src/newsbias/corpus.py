@@ -2,8 +2,9 @@
 
 Everything here is pure. Each input table and each read-back stage artifact
 has one schema, a tuple of typed fields, and one reader: `_parse` reads a
-character stream into a Table of dict-coded numpy columns (the input tables
-here, the artifact tables next to the records they carry), and one writer,
+character stream into a Table of numpy columns, dict-coded except for float
+fields, which are converted value by value (the input tables here, the
+artifact tables next to the records they carry), and one writer,
 `_write`, spells a table back. Aggregation folds the article columns into an
 outlet x narrative x event count tensor with one bincount, and nothing
 mutates its inputs.
@@ -771,8 +772,9 @@ _CHUNK_ROWS = 1024
 def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
     """Parse CSV (with header) or JSONL into a `cls` table, order preserved.
 
-    Every field is dict-coded as it is read and each distinct value is
-    converted once (JSONL values keyed by type and value). A bad input raises
+    Every field but a float field is dict-coded as it is read and each
+    distinct value is converted once (JSONL values keyed by type and value);
+    a float field converts each value (see _Converter). A bad input raises
     the ParseError a row-by-row parse would raise first: the earliest row,
     and in it the first field in schema order, with a bad value, the table's
     own rule counting as the row's last field, unless a row before it is

@@ -89,7 +89,8 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainDraws:
-    """Raw draws, shaped (chains, iterations, N), plus per-parameter accept counts."""
+    """Raw draws, shaped (chains, iterations, N), plus accept counts shaped
+    (chains, N); alpha and x move jointly, so both count the joint moves."""
 
     alpha: np.ndarray
     x: np.ndarray
@@ -223,17 +224,10 @@ def rwmh_update(
     lp_cur = (
         conditional_logpdf(current_value) if current_logpdf is None else current_logpdf
     )
-    if _accept(lp_prop - lp_cur, u):
+    # a NaN or -inf log ratio is a rejection
+    if u < math.exp(min(lp_prop - lp_cur, 0.0)):
         return proposal, True
     return current_value, False
-
-
-def _accept(delta, u):
-    """Metropolis rule: accept iff u < exp(min(delta, 0)), u ~ U[0, 1).
-
-    Works elementwise on arrays; a NaN or -inf log ratio is a rejection.
-    """
-    return u < np.exp(np.minimum(delta, 0.0))
 
 
 # Cap on the log intensity; exp() overflows just above 709.
@@ -259,56 +253,32 @@ _CHUNK = 16384
 _GUIDE = 1024
 
 
-def _log_rates(x: np.ndarray, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The log rates of stance x at alpha = 0, one array per anchor rather
-    than a trailing axis of 3 (which numpy reduces slowly), and log S(x)."""
-    log_rates = [log_intensity(0.0, x, z_j) for z_j in z.tolist()]
-    s0, s1, s2 = map(np.exp, log_rates)
-    return log_rates, np.log(s0 + s1 + s2)
-
-
 def _stance_terms(x: np.ndarray, Y: np.ndarray, totals: np.ndarray, z: np.ndarray):
     """log S(x) and the multinomial log likelihood sum_j y_j log pi_j(x);
-    x broadcasts against Y[..., j] and totals."""
-    (r0, r1, r2), log_s = _log_rates(x, z)
+    x broadcasts against Y[..., j] and totals. The log rates are one array
+    per anchor rather than a trailing axis of 3, which numpy reduces slowly."""
+    r0, r1, r2 = (log_intensity(0.0, x, z_j) for z_j in z.tolist())
+    log_s = np.log(np.exp(r0) + np.exp(r1) + np.exp(r2))
     return log_s, Y[..., 0] * r0 + Y[..., 1] * r1 + Y[..., 2] * r2 - totals * log_s
 
 
-def _log_target(beta, x, log_s, multinomial, totals, consts: ModelConstants):
-    """Per-outlet log posterior in (beta, x), up to a constant.
+def _log_ratio(beta, x, Y, totals, consts: ModelConstants):
+    """log pi(beta, x) - log q(beta | x), up to a constant per outlet, and
+    alpha = beta - log S(x); the arguments broadcast.
 
-    -inf where alpha = beta - log S(x) exceeds the log-intensity cap.
+    q(beta | x) is Gamma(T, 1) in e^beta if T > 0, whose density
+    exp(T beta - e^beta) cancels the Poisson factor and leaves the alpha
+    prior; else the alpha prior N(log S(x), sd_alpha^2), which leaves the
+    Poisson factor exp(-e^beta). At beta = log max(T, 1) this is the x
+    posterior with beta held there, so it is also the log shape of the x
+    proposal. -inf where alpha exceeds the log-intensity cap.
     """
+    log_s, multinomial = _stance_terms(x, Y, totals, np.asarray(consts.stances))
     alpha = beta - log_s
-    lp = (
-        totals * beta
-        - np.exp(beta)
-        + multinomial
-        - alpha * alpha / (2.0 * consts.prior_sd_alpha**2)
-        - x * x / (2.0 * consts.prior_sd_x**2)
-    )
-    return np.where(alpha > _MAX_LOG_INTENSITY, -np.inf, lp)
-
-
-def _shape_terms(x: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
-    """The functions of x that _shape_weights weighs: the log rates, log S(x),
-    its square and x^2."""
-    log_rates, log_s = _log_rates(x, z)
-    return [*log_rates, log_s, log_s * log_s, x * x]
-
-
-def _shape_weights(Y: np.ndarray, totals: np.ndarray, consts: ModelConstants) -> np.ndarray:
-    """(N, 6) weights of _shape_terms whose sum is the log shape of each
-    outlet's x proposal, up to a constant: the x posterior with beta fixed at
-    log T, sum_j y_j log pi_j(x) - (log T - log S(x))^2 / (2 sd_alpha^2)
-    - x^2 / (2 sd_x^2) with the square expanded; the x prior alone where T = 0."""
-    counted = (totals > 0).astype(float)
-    var_alpha = consts.prior_sd_alpha**2
-    log_s_weight = -totals + counted * np.log(np.maximum(totals, 1.0)) / var_alpha
-    return np.column_stack([
-        Y, log_s_weight, -counted / (2.0 * var_alpha),
-        np.full_like(totals, -1.0 / (2.0 * consts.prior_sd_x**2)),
-    ])
+    remainder = np.where(totals > 0, alpha * alpha / (2.0 * consts.prior_sd_alpha**2),
+                         np.exp(beta))
+    lp = multinomial - x * x / (2.0 * consts.prior_sd_x**2) - remainder
+    return np.where(alpha > _MAX_LOG_INTENSITY, -np.inf, lp), alpha
 
 
 @dataclass(frozen=True)
@@ -332,12 +302,12 @@ class _StanceProposal:
     @classmethod
     def of(cls, Y: np.ndarray, consts: ModelConstants) -> _StanceProposal:
         counts, row = np.unique(Y, axis=0, return_inverse=True)
-        totals = counts.sum(axis=1)
-        z = np.asarray(consts.stances)
+        counts = counts[:, None]  # broadcasts against a row of stances
+        totals = counts.sum(axis=2)
+        log_t = np.log(np.maximum(totals, 1.0))
         step = _COARSE_STEP * consts.prior_sd_x
         coarse = step * np.arange(-_COARSE_HALF / _COARSE_STEP, _COARSE_HALF / _COARSE_STEP + 1)
-        weights = _shape_weights(counts, totals, consts)
-        shape = weights @ np.array(_shape_terms(coarse, z))
+        shape = _log_ratio(log_t, coarse, counts, totals, consts)[0]
         kept = shape >= shape.max(axis=1, keepdims=True) - _SUPPORT_DROP
         lo = coarse[kept.argmax(axis=1)] - _SUPPORT_PAD * step
         hi = coarse[-1 - kept[:, ::-1].argmax(axis=1)] + _SUPPORT_PAD * step
@@ -349,7 +319,7 @@ class _StanceProposal:
         for i in range(0, rows, _CHUNK // _CELLS):
             block = slice(i, i + _CHUNK // _CELLS)
             mid = lo[block, None] + (np.arange(_CELLS) + 0.5) * width[block, None]
-            shape = sum(w[:, None] * t for w, t in zip(weights[block].T, _shape_terms(mid, z)))
+            shape = _log_ratio(log_t[block], mid, counts[block], totals[block], consts)[0]
             p = np.cumsum(np.exp(shape - shape.max(axis=1, keepdims=True)), axis=1)
             p /= p[:, -1:]
             p[:, -1] = 1.0
@@ -401,30 +371,18 @@ class _StanceProposal:
         return np.logaddexp(grid, defensive)
 
 
-def _log_weight(beta, x, cell, proposal: _StanceProposal, Y, totals, consts: ModelConstants):
-    """log pi(beta, x) - log q(beta | x) - log q(x), up to a constant per outlet,
-    and alpha = beta - log S(x). q(beta | x) is Gamma(T, 1) in e^beta if T > 0,
-    whose density exp(T beta - e^beta) cancels the Poisson factor; else the
-    alpha prior N(log S(x), sd_alpha^2)."""
-    log_s, multinomial = _stance_terms(x, Y, totals, np.asarray(consts.stances))
-    alpha = beta - log_s
-    log_q_beta = np.where(totals > 0, totals * beta - np.exp(beta),
-                          -alpha * alpha / (2.0 * consts.prior_sd_alpha**2))
-    target = _log_target(beta, x, log_s, multinomial, totals, consts)
-    return target - log_q_beta - proposal.log_pdf(x, cell), alpha
-
-
 def run_chain(
     Y_k, config: ChainConfig, consts: ModelConstants, *, event_index: int = 0
 ) -> ChainDraws:
     """Run config.chains independent independence-Metropolis chains on (beta, x).
 
     Each iteration makes one joint move per outlet: x' from the outlet's
-    _StanceProposal, then beta' given x' (see _log_weight); it is accepted
-    with probability min(1, exp(w' - w)), w the importance weight of
-    _log_weight, and alpha = beta - log S(x) is recorded. Proposals do not
-    depend on the state, so each block of _BLOCK iterations draws and weighs
-    its proposals at once, and a per-iteration loop only accepts or rejects.
+    _StanceProposal, then beta' given x' (see _log_ratio); it is accepted
+    with probability min(1, exp(w' - w)), w the importance weight _log_ratio
+    less the proposal's log q(x), and alpha = beta - log S(x) is recorded.
+    Proposals do not depend on the state, so each block of _BLOCK iterations
+    draws and weighs its proposals at once, and a per-iteration loop only
+    accepts or rejects.
     Chain c draws from default_rng(SeedSequence([config.seed, event_index, c])),
     so each (seed, event type, chain) has its own stream. Chains start at
     alpha = 0 and x = +0.5 / -0.5 (alternating by chain index, so multi-chain
@@ -453,8 +411,8 @@ def run_chain(
         x = np.empty((chains, n))
         x[0::2], x[1::2] = 0.5, -0.5
         beta = _stance_terms(x, Y, totals, z)[0]
-        w, alpha = _log_weight(beta, x, proposal.locate(x, np.arange(n)), proposal,
-                               Y, totals, consts)
+        w, alpha = _log_ratio(beta, x, Y, totals, consts)
+        w -= proposal.log_pdf(x, proposal.locate(x, np.arange(n)))
 
         for start in range(0, iterations, _BLOCK):
             size = min(_BLOCK, iterations - start)
@@ -482,9 +440,10 @@ def run_chain(
             block_w = np.empty_like(bar)
             for c in range(chains):
                 for part in parts:
-                    block_w[c, part], alpha_all[c, 1:][part] = _log_weight(
-                        beta[c, part], stance[c, 1:][part], cell[c, part], proposal,
-                        Y, totals, consts)
+                    x_new = stance[c, 1:][part]
+                    ratio, alpha_all[c, 1:][part] = _log_ratio(
+                        beta[c, part], x_new, Y, totals, consts)
+                    block_w[c, part] = ratio - proposal.log_pdf(x_new, cell[c, part])
 
             # accept iff log u < w' - w, i.e. w' - log u > w
             bar += block_w

@@ -302,18 +302,25 @@ class TestRunChain:
             assert stats.chisquare(observed, expected).pvalue > 1e-3, rows[i]
 
     def test_beta_x_target_is_the_alpha_x_posterior(self):
-        # beta = alpha + log S(x) has Jacobian 1, so target differences at
-        # the mapped points equal log posterior differences
+        # beta = alpha + log S(x) has Jacobian 1, so _log_ratio plus log q(beta | x)
+        # differs between mapped points as the log posterior does. q(beta | x)
+        # is Gamma(T, 1) in e^beta (its log pdf plus beta, the log Jacobian) for
+        # T > 0 and N(log S(x), sd_alpha^2) for T = 0; row 0 counts nothing
         rng = np.random.default_rng(8)
         counts = rng.integers(0, 40, size=(5, 3)).astype(float)
+        counts[0] = 0.0
         totals = counts.sum(axis=1)
+        z = np.asarray(CONSTS.stances)
 
         def target(params):
-            log_s, multinomial = latent._stance_terms(
-                params.x, counts, totals, np.asarray(CONSTS.stances)
-            )
+            log_s = np.log(np.exp(-np.abs(params.x[:, None] - z)).sum(axis=1))
             beta = params.alpha + log_s
-            return latent._log_target(beta, params.x, log_s, multinomial, totals, CONSTS).sum()
+            ratio, alpha = latent._log_ratio(beta, params.x, counts, totals, CONSTS)
+            np.testing.assert_allclose(alpha, params.alpha, rtol=0, atol=1e-12)
+            log_q = np.where(totals > 0,
+                             stats.gamma.logpdf(np.exp(beta), np.maximum(totals, 1.0)) + beta,
+                             stats.norm.logpdf(beta, log_s, CONSTS.prior_sd_alpha))
+            return (ratio + log_q).sum()
 
         for _ in range(10):
             p1 = LatentParams(rng.normal(2, 1, 5), rng.normal(0, 1.5, 5))
@@ -322,8 +329,34 @@ class TestRunChain:
                 log_posterior(p1, counts, CONSTS) - log_posterior(p2, counts, CONSTS),
                 abs=1e-9,
             )
-        capped = LatentParams(np.array([701.0, 0, 0, 0, 0]), np.zeros(5))
-        assert target(capped) == -math.inf
+        # alpha = beta - log S(0) passes the cap of 700 by 1 on every row
+        beta = np.full(5, 701.0 + math.log(1.0 + 2.0 * math.exp(-1.0)))
+        ratio, _ = latent._log_ratio(beta, np.zeros(5), counts, totals, CONSTS)
+        assert (ratio == -math.inf).all()
+
+    def test_stance_proposal_follows_the_x_posterior(self):
+        # the x proposal's grid part is the x posterior with beta held at log T,
+        # and the x prior where T = 0: over the cells that hold its mass, its
+        # log density less the log posterior at the cell midpoints is constant.
+        # A wrong shape leaves the kernel exact and only slows its mixing, so
+        # the SBC and oracle tests would not see it
+        rows = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 7], [504, 234, 83], [369, 178, 72]],
+                        dtype=float)
+        proposal = latent._StanceProposal.of(rows, CONSTS)
+        z = np.asarray(CONSTS.stances)
+        for i, y in enumerate(rows):
+            cells = proposal.cell_base[i] + np.arange(latent._CELLS)
+            held = cells[np.diff(proposal.cdf[cells], prepend=0.0) >= 1e-6]
+            mid = proposal.lo[i] + (held - proposal.cell_base[i] + 0.5) * proposal.width[i]
+            if y.sum() > 0:
+                log_s = np.log(np.exp(-np.abs(mid[:, None] - z)).sum(axis=1))
+                alpha = math.log(y.sum()) - log_s
+                target = [log_posterior(LatentParams([a], [m]), y[None], CONSTS)
+                          for a, m in zip(alpha, mid)]
+            else:
+                target = stats.norm.logpdf(mid, 0.0, CONSTS.prior_sd_x)
+            gap = proposal.log_density[held] - target
+            assert len(held) > 10 and np.ptp(gap) < 1e-6, (y, np.ptp(gap))
 
     def test_balanced_outlet_has_small_selection_index(self):
         # equal planted propensity for both polar event types must land the
