@@ -8,11 +8,18 @@ artifact tables next to the records they carry), and one writer,
 `_write`, spells a table back. Aggregation folds the article columns into an
 outlet x narrative x event count tensor with one bincount, and nothing
 mutates its inputs.
+
+CSV is read and written a block at a time. `_parse` has two read paths, and
+the input picks one: a block of lines with no quote, CR, NUL or blank line,
+in which every line has the schema's field count, is split into its columns
+as one string; from the first block that is not, csv.reader reads the rest
+row by row. `_write` spells each distinct value of a column once and quotes
+it by one rule, the one csv.reader undoes: a text holding a comma, quote, CR
+or LF is quoted, its quotes doubled. Rows are joined a block at a time.
 """
 
 from __future__ import annotations
 
-import array
 import csv
 import datetime
 import itertools
@@ -82,6 +89,7 @@ class ParseError(InputError):
     the message without it."""
 
     def __init__(self, message: str, line: int):
+        line = int(line)  # a numpy integer, say
         super().__init__(f"{message} at line {line}")
         self.reason = message
         self.line = line
@@ -202,27 +210,7 @@ def _iter_values(stream: TextIO, format: str, fields: Sequence[str], optional: S
     `optional` fields, which then read as None.
     """
     if format == "csv":
-        reader = csv.reader(stream)
-        try:
-            header = next(reader, None)
-            if header is None:
-                return
-            if header != list(fields):
-                raise ParseError(
-                    f"bad header {header!r}, expected {','.join(fields)}", 1
-                )
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(fields):
-                    raise ParseError(
-                        f"malformed row: expected {len(fields)} fields, got {len(row)}",
-                        reader.line_num,
-                    )
-                yield reader.line_num, row
-        except csv.Error as exc:
-            # for example a field longer than csv.field_size_limit()
-            raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+        yield from _csv_rows(stream, fields)
     elif format == "jsonl":
         for line, raw in enumerate(stream, start=1):
             if not raw.strip():
@@ -242,6 +230,32 @@ def _iter_values(stream: TextIO, format: str, fields: Sequence[str], optional: S
             yield line, [obj.get(key) for key in fields]
     else:
         raise ValueError(f"unknown format '{format}', expected 'csv' or 'jsonl'")
+
+
+def _csv_rows(lines: Iterable[str], fields: Sequence[str], header: bool = True, offset: int = 0):
+    """Yield (line_number, row) for each non-blank row csv.reader reads from
+    `lines`, after a header row equal to `fields` if `header`; line numbers
+    count `offset` lines before the first of `lines`."""
+    reader = csv.reader(lines)
+    try:
+        if header:
+            row = next(reader, None)
+            if row is None:
+                return
+            if row != list(fields):
+                raise ParseError(f"bad header {row!r}, expected {','.join(fields)}", 1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(fields):
+                raise ParseError(
+                    f"malformed row: expected {len(fields)} fields, got {len(row)}",
+                    offset + reader.line_num,
+                )
+            yield offset + reader.line_num, row
+    except csv.Error as exc:
+        # for example a field longer than csv.field_size_limit()
+        raise ParseError(f"malformed CSV: {exc}", offset + reader.line_num) from None
 
 
 def _iter_rows(stream: TextIO, format: str, fields: Sequence[str], optional: Sequence[str] = ()):
@@ -294,6 +308,11 @@ class _Coder:
         caller raises at that row's line.
         """
         index = self.index
+        try:  # most chunks hold no new value
+            self.chunks.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
+            return None
+        except KeyError:
+            pass
         new = [key for key in dict.fromkeys(keys) if key not in index]
         failed = None
         if new:
@@ -355,6 +374,13 @@ def _lookup(values: Sequence, codes: np.ndarray):
     return map(values.__getitem__, codes.tolist())
 
 
+def _distinct(column: np.ndarray, spell: Callable) -> tuple[np.ndarray, list]:
+    """(codes, spelled): row i's value spelled is spelled[codes[i]], and each
+    distinct value of `column` is spelled once, by `spell`."""
+    values, codes = np.unique(column, return_inverse=True)
+    return codes, list(map(spell, values.tolist()))
+
+
 class _Field:
     """One column of a table schema: `convert(value, line)` checks a raw value
     and gives its converted value; `values` and `text` give the column's
@@ -374,8 +400,9 @@ class _Field:
     def values(self, table: Table) -> list:
         return getattr(table, self.name).tolist()
 
-    def text(self, table: Table) -> Iterable:
-        return self.values(table)
+    def text(self, table: Table) -> tuple[np.ndarray, list[str]]:
+        """(codes, texts): row i's CSV field, unquoted, is texts[codes[i]]."""
+        return _distinct(getattr(table, self.name), str)
 
 
 @dataclass(frozen=True)
@@ -398,6 +425,9 @@ class IdField(_Field):
 
     def values(self, table):
         return _lookup(getattr(table, self.name + "s"), getattr(table, self.name))
+
+    def text(self, table):
+        return getattr(table, self.name), list(getattr(table, self.name + "s"))
 
 
 @dataclass(frozen=True)
@@ -423,8 +453,8 @@ class EnumField(_Field):
         return _lookup((*self.order, None), getattr(table, self.name))
 
     def text(self, table):
-        spelled = (getattr(label, "value", label) for label in self.order)
-        return _lookup((*spelled, ""), getattr(table, self.name))
+        spelled = [getattr(label, "value", label) for label in self.order]
+        return getattr(table, self.name), [*spelled, ""]
 
 
 @dataclass(frozen=True)
@@ -442,12 +472,13 @@ class DateField(_Field):
         except (TypeError, ValueError):
             raise ParseError(f"malformed {self.name} '{value}'", line) from None
 
-    def values(self, table, spell=lambda day: day):
-        days, codes = np.unique(getattr(table, self.name), return_inverse=True)
-        return _lookup([spell(datetime.date.fromordinal(d)) for d in days.tolist()], codes)
+    def values(self, table):
+        codes, days = _distinct(getattr(table, self.name), datetime.date.fromordinal)
+        return _lookup(days, codes)
 
     def text(self, table):
-        return self.values(table, datetime.date.isoformat)
+        return _distinct(getattr(table, self.name),
+                         lambda day: datetime.date.fromordinal(day).isoformat())
 
 
 @dataclass(frozen=True)
@@ -508,7 +539,10 @@ class FloatField(_Field):
         return [None if math.isnan(v) else v for v in column] if self.optional else column
 
     def text(self, table):
-        return ["" if v is None else repr(v) for v in self.values(table)]
+        # distinct by bit pattern, so -0.0 stays apart from 0.0
+        bits, codes = np.unique(getattr(table, self.name).view(np.int64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        return codes, ["" if self.optional and math.isnan(v) else repr(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -526,7 +560,7 @@ class FlagField(_Field):
         return value == "true"
 
     def text(self, table):
-        return _lookup(("false", "true"), getattr(table, self.name))
+        return getattr(table, self.name).view(np.int8), ["false", "true"]
 
 
 class Table(abc.Sequence):
@@ -608,8 +642,8 @@ class Table(abc.Sequence):
         row = _first_repeat(*(getattr(self, name) for name in self.key)) if self.key else None
         if row is not None:
             one = self.take([row])
-            key = ", ".join(f"'{next(iter(f.text(one)))}'"
-                            for f in self.fields if f.name in self.key)
+            key = ", ".join(f"'{texts[codes[0]]}'" for codes, texts in
+                            (f.text(one) for f in self.fields if f.name in self.key))
             key = f"{self.key[0]} {key}" if len(self.key) == 1 else f"cell ({key})"
             raise ParseError(f"duplicate {key}", lines[row])
         return self
@@ -763,50 +797,130 @@ def _int64_total(total: int) -> int:
     return total
 
 
-# rows read and coded per pass: a pass's row lists are freed while still in
-# the young garbage-collector generations, so full collections never rescan
-# them (one pass over all 343k rows of a paper-scale file parsed 2-3x slower)
+# rows read and coded per pass of the row path (JSONL, and CSV from its first
+# block that does not split, see _split_block): a pass's row lists are freed
+# while still in the young garbage-collector generations, so full collections
+# never rescan them (one pass over all 343k rows of a paper-scale file parsed
+# 2-3x slower). A split block makes one list per column, not one per row.
 _CHUNK_ROWS = 1024
+# characters of CSV lines read per block; a block ends at a line end. Parse
+# speed was flat from 2**13 to 2**18; smaller blocks hold fewer line and field
+# strings at once, and left 3.8 MB of a 64,700-row file's parse in the
+# process where 2**18 left 6-7 MB
+_BLOCK_CHARS = 2**15
+
+
+def _row_chunks(rows: Iterable[tuple[int, Sequence]]):
+    """Yield (line numbers, columns) for each _CHUNK_ROWS of `rows`; a ValueError
+    (a ParseError, say) from `rows` is raised after the chunk of the rows before it."""
+    while True:
+        lines, chunk = [], []
+        try:
+            for line, values in itertools.islice(rows, _CHUNK_ROWS):
+                lines.append(line)
+                chunk.append(values)
+        except ValueError:
+            yield lines, list(zip(*chunk))
+            raise
+        yield lines, list(zip(*chunk))
+        if len(chunk) < _CHUNK_ROWS:
+            return
+
+
+def _split_block(lines: list[str], k: int) -> list[list[str]] | None:
+    """The k columns of a block of CSV lines, each ending in a line feed but
+    perhaps the last, if the block is plain, else None.
+
+    A block is plain when it holds no `"`, CR or NUL (which csv.reader rejects
+    before Python 3.11), no blank line, and every line has exactly k - 1
+    commas and is no longer than csv.field_size_limit(): csv.reader then reads
+    each line as its split at the commas, so the block splits as one string.
+    """
+    text = "".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"  # the last line of a file without a final line break
+    if ('"' in text or "\r" in text or "\0" in text or "\n\n" in text or text[0] == "\n"
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    # every line feed becomes a field of its own, so k fields per line put
+    # the feeds at every (k + 1)-th place
+    flat = text.replace("\n", ",\n,").split(",")
+    del flat[-1]
+    n = len(lines)
+    if len(flat) != n * (k + 1) or flat[k :: k + 1].count("\n") != n:
+        return None
+    return [flat[j :: k + 1] for j in range(k)]
+
+
+def _csv_chunks(stream: TextIO, fields: Sequence[str]):
+    """Yield (line numbers, columns) for the rows of a CSV stream with a header.
+
+    Lines are read a block of about _BLOCK_CHARS characters at a time, as
+    the stream splits them. While the header line is `fields` alone and each
+    block is plain (see _split_block), a block is split into its columns at
+    once; from the first block that is not, csv.reader reads the rest row by
+    row (see _csv_rows). Either way a malformed row raises its ParseError
+    after the rows before it are yielded.
+    """
+    header = ",".join(fields)
+    lines = stream.readlines(_BLOCK_CHARS)
+    done = 0  # lines before `lines`
+    # a header line ended by a line feed: the stream splits lines at line feeds
+    if lines and lines[0] in (header, header + "\n"):
+        done = 1
+        lines = lines[1:] or stream.readlines(_BLOCK_CHARS)
+        while lines and (columns := _split_block(lines, len(fields))) is not None:
+            yield np.arange(done + 1, done + 1 + len(lines)), columns
+            done += len(lines)
+            lines = stream.readlines(_BLOCK_CHARS)
+        if not lines:
+            return
+    yield from _row_chunks(_csv_rows(itertools.chain(lines, stream), fields, not done, done))
 
 
 def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
     """Parse CSV (with header) or JSONL into a `cls` table, order preserved.
 
-    Every field but a float field is dict-coded as it is read and each
-    distinct value is converted once (JSONL values keyed by type and value);
-    a float field converts each value (see _Converter). A bad input raises
-    the ParseError a row-by-row parse would raise first: the earliest row,
-    and in it the first field in schema order, with a bad value, the table's
-    own rule counting as the row's last field, unless a row before it is
-    malformed.
+    CSV is read a block of lines at a time, and a block of plain rows (no
+    quotes, CR, NUL or blank line, and each line's field count right) is
+    split into its columns as one string; the first block that is not, and
+    every block after it, is read by csv.reader, as is JSONL by json, in
+    chunks of _CHUNK_ROWS rows. Every field but a float field is dict-coded
+    as it is read and each distinct value is converted once (JSONL values
+    keyed by type and value); a float field converts each value (see
+    _Converter). A bad input raises the ParseError a row-by-row parse would
+    raise first: the earliest row, and in it the first field in schema
+    order, with a bad value, the table's own rule counting as the row's last
+    field, unless a row before it is malformed.
     """
     coders = [field.coder() for field in cls.fields]
-    key = _json_key if format == "jsonl" else None
-    rows = _iter_values(stream, format, [field.name for field in cls.fields],
-                        [field.name for field in cls.fields if field.optional])
-    lines = array.array("q")
+    names = [field.name for field in cls.fields]
+    if format == "csv":
+        chunks, key = _csv_chunks(stream, names), None
+    else:
+        optional = [field.name for field in cls.fields if field.optional]
+        chunks, key = _row_chunks(_iter_values(stream, format, names, optional)), _json_key
+    lines = []  # each chunk's line numbers
     fault = None
     while fault is None:
-        chunk_lines, chunk = [], []
         try:
-            for line, values in itertools.islice(rows, _CHUNK_ROWS):
-                chunk_lines.append(line)
-                chunk.append(values)
-        except ValueError as exc:
+            chunk_lines, columns = next(chunks)
+        except StopIteration:
+            break
+        except ValueError as exc:  # a malformed row, or undecodable text
             fault = exc
+            break
         bad = None
-        for coder, raw in zip(coders, zip(*chunk)):
-            keys = raw if key is None else list(map(key, raw))
-            failed = coder.add(keys, raw)
+        for coder, raw in zip(coders, columns):
+            failed = coder.add(raw if key is None else list(map(key, raw)), raw)
             if failed is not None and (bad is None or failed[0] < bad[0]):
                 bad = failed
         if bad is not None:
             fault = ParseError(bad[1], chunk_lines[bad[0]])
-            del chunk_lines[bad[0]:]
-        lines.extend(chunk_lines)
-        if len(chunk) < _CHUNK_ROWS:
-            break
+            chunk_lines = chunk_lines[: bad[0]]
+        lines.append(chunk_lines)
     # the rule sees only rows before the fault, so a rule error is earlier
+    lines = np.concatenate([np.zeros(0, np.int64), *(np.asarray(c, np.int64) for c in lines)])
     table = cls._from_coders(coders, lines)
     if fault is not None:
         raise fault
@@ -942,11 +1056,42 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], stream: TextIO) -
     writer.writerows(rows)
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+# rows joined per write
+_WRITE_ROWS = 8192
+
+
+def _quoted(texts: list[str]) -> list[str]:
+    """`texts` as CSV fields: a text holding a comma, quote, CR or LF is quoted,
+    its quotes doubled, and any other text is written as is."""
+    if not _NEEDS_QUOTES.search("".join(texts)):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
+
+
+def _write_columns(header: Sequence[str], columns: Sequence[tuple[np.ndarray, list[str]]],
+                  stream: TextIO) -> None:
+    """Write a CSV file of `header` and one column per (codes, texts) pair, whose
+    row i holds texts[codes[i]].
+
+    Each text is quoted once (see _quoted), and rows are joined with `,` and
+    written _WRITE_ROWS at a time: no row is a csv.writer call, and only one
+    block's row texts are held at once.
+    """
+    stream.write(",".join(_quoted(list(header))) + "\n")
+    texts = [np.array(_quoted(t), dtype=object) for _, t in columns]
+    for start in range(0, len(columns[0][0]), _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        block = [t[codes[rows]].tolist() for t, (codes, _) in zip(texts, columns)]
+        stream.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
 def _write(cls: type[Table], records: Iterable, stream: TextIO) -> None:
     """Write `records` (or a `cls` table) as a `cls` CSV file, in the spelling
-    `_parse` reads back."""
+    `_parse` reads back: each field's distinct values spelled and quoted once
+    (see _write_columns)."""
     table = cls.from_records(records)
-    write_csv([f.name for f in cls.fields], zip(*(f.text(table) for f in cls.fields)), stream)
+    _write_columns([f.name for f in cls.fields], [f.text(table) for f in cls.fields], stream)
 
 
 def write_articles(records: Iterable[ArticleRecord], stream: TextIO) -> None:

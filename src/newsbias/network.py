@@ -24,7 +24,7 @@ from scipy import sparse
 
 from .corpus import (
     CountField, FloatField, IdField, OutletProfile, OutletTable, Reliability, RetweetRecord,
-    RetweetTable, Table, _write, exact_sums, write_csv,
+    RetweetTable, Table, _write, _write_columns, exact_sums,
 )
 from .metrics import BiasRow
 
@@ -482,13 +482,11 @@ CLUSTER_FIELDS, CLUSTER_STATS_FIELDS = (
 
 
 def write_edges_csv(graph: AudienceGraph, stream: TextIO) -> None:
-    names = graph.nodes
-    rows = zip(
-        map(names.__getitem__, graph.src.tolist()),
-        map(names.__getitem__, graph.dst.tolist()),
-        graph.weight_text,
-    )
-    write_csv(EDGE_FIELDS, rows, stream)
+    """edges.csv: one (src, dst, weight) row per edge, each outlet id spelled once."""
+    names = list(graph.nodes)
+    columns = [(graph.src, names), (graph.dst, names),
+               (np.arange(graph.n_edges), graph.weight_text)]
+    _write_columns(EDGE_FIELDS, columns, stream)
 
 
 def write_clusters_csv(partition: Mapping[str, int], stream: TextIO) -> None:

@@ -375,6 +375,22 @@ class TestQuoting:
         report = json.loads((out / "report.json").read_text())
         assert report["outlets"][odd]["cluster"] is not None
 
+    def test_user_id_with_carriage_return_survives_every_stage(self, tmp_path):
+        # ingest once wrote the id bare, and network then read its retweets.csv
+        # back as "expected 3 fields, got 1 at line 2"
+        sim, out = tmp_path / "sim", tmp_path / "run"
+        assert run("simulate", "--out", sim, "--n-outlets", 10, "--clusters", 2, "--seed", 3) == 0
+        header, first, rest = (sim / "retweets.csv").read_text().split("\n", 2)
+        first = '"u\r0"' + first[first.index(","):]
+        (sim / "retweets.csv").write_text("\n".join([header, first, rest]), newline="")
+
+        assert run(*ingest_args(sim, out)) == 0
+        assert fit_fast(out) == 0
+        for stage in ("bias", "engagement", "network", "report"):
+            assert run(stage, "--out", out) == 0, stage
+        with open(out / "retweets.csv", newline="") as handle:
+            assert "u\r0" in corpus.parse_retweets(handle).user_ids
+
 
 # artifact -> stage named in the missing-artifact message, in check order
 REQUIRED = {

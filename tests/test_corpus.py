@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import datetime
+import enum
 import io
+import itertools
 import json
 import math
 import sys
@@ -203,7 +205,9 @@ class TestParseOutletsFollowers:
             with pytest.raises(ParseError, match=f"{message}.* at line 2"):
                 corpus.parse_followers(io.StringIO(header + row + "\n"), "csv")
 
-    def test_rule_fault_before_a_later_bad_value_wins(self):
+    def test_rule_fault_before_a_later_bad_value_wins(self, monkeypatch):
+        # the bad value lies chunks and blocks after the rule fault
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 256)
         rows = "u1,o1,9223372036854775807\nu1,o1,1\n" + "u2,o1,1\n" * 3 * corpus._CHUNK_ROWS
         text = "user_id,outlet_id,count\n" + rows + "u2,o1,0\n"
         with pytest.raises(ParseError, match=r"count total 9223372036854775808 .* at line 3$"):
@@ -469,9 +473,9 @@ def render(rng, rows, fmt, fields=corpus.ARTICLE_FIELDS) -> str:
     return out.getvalue()
 
 
-def outcome(parse, text, fmt):
+def outcome(parse, text, fmt, newline=""):
     try:
-        result = parse(io.StringIO(text, newline=""), fmt)
+        result = parse(io.StringIO(text, newline=newline), fmt)
     except ParseError as exc:
         return "error", str(exc), exc.line
     if isinstance(result, corpus.CountTensor):
@@ -681,10 +685,13 @@ class TestParserParity:
         with pytest.raises(ParseError, match=r"unknown event label 'bogus' at line 2"):
             corpus.parse_articles(io.StringIO(text), "csv")
 
-    def test_error_in_a_later_chunk_names_its_line(self):
+    @pytest.mark.parametrize("first", ["o1", '"o1"'])  # split blocks, or csv.reader chunks
+    def test_error_in_a_later_chunk_names_its_line(self, first, monkeypatch):
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 4096)
         good = "o1,twitter,2021-03-01,anti,adverse,1\n"
         n = 3 * corpus._CHUNK_ROWS
-        text = ARTICLE_HEADER + good * n + "o1,twitter,2021-03-01,anti,adverse,01\n"
+        text = (ARTICLE_HEADER + first + good[2:] + good * (n - 1)
+                + "o1,twitter,2021-03-01,anti,adverse,01\n")
         with pytest.raises(ParseError, match=rf"invalid interactions '01' at line {n + 2}"):
             corpus.parse_articles(io.StringIO(text), "csv")
 
@@ -702,6 +709,135 @@ class TestParserParity:
         bad = text + f'{{"outlet_id": 1, {fields}, "interactions": true}}\n'
         with pytest.raises(ParseError, match="invalid interactions 'True' at line 6"):
             corpus.parse_articles(io.StringIO(bad), "jsonl")
+
+
+def article_rows(n):
+    return [f"o{i % 3},twitter,2021-03-0{i % 9 + 1},anti,adverse,{i}" for i in range(n)]
+
+
+def article_text(rows, ends=None, final="\n"):
+    """An articles.csv text of `rows`, row i ended by ends.get(i, "\\n"), the last by `final`."""
+    ends = ends or {}
+    lines = [ARTICLE_HEADER.rstrip("\n"), *rows]
+    return "".join(line + ends.get(i - 1, "\n") for i, line in enumerate(lines[:-1])) + lines[-1] + final
+
+
+def replaced(rows, **at):
+    """`rows` with row i replaced by at[f"r{i}"]."""
+    rows = list(rows)
+    for key, row in at.items():
+        rows[int(key[1:])] = row
+    return rows
+
+
+QUOTED = '"a,""b""\nc",twitter,2021-03-01,pro,neutral,3'
+LIMIT = csv.field_size_limit()
+# name -> (text, outcome when read as opened with newline="", None where the Python version decides)
+BLOCK_CASES = {
+    "quoted comma, quote and line break in a later block":
+        (article_text(replaced(article_rows(14), r7=QUOTED)), "ok"),
+    "bad value after a quoted line break":
+        (article_text(replaced(article_rows(14), r7=QUOTED,
+                               r10="o1,twitter,2021-03-01,anti,adverse,01")), "error"),
+    "crlf line ends":
+        (article_text(article_rows(12), {i: "\r\n" for i in range(-1, 12)}, final="\r\n"), "ok"),
+    "crlf line ends from a later row":
+        (article_text(article_rows(12), {i: "\r\n" for i in range(6, 12)}), "ok"),
+    "lone cr line end": (article_text(article_rows(12), {5: "\r"}), "ok"),
+    "lone cr inside a field":
+        (article_text(replaced(article_rows(12), r8="o\r8,twitter,2021-03-01,anti,adverse,8")),
+         "error"),
+    "blank lines at block edges":
+        (article_text(replaced(article_rows(12), r3="", r4="", r10=""), final="\n\n"), "ok"),
+    "no final line break": (article_text(article_rows(12), final=""), "ok"),
+    # csv.reader reads a NUL as text from Python 3.11 on, and rejects it before
+    "nul byte": (article_text(replaced(article_rows(12), r6="o\x006,twitter,2021-03-01,pro,neutral,6")),
+                 None),
+    "field at the size limit":
+        (article_text(replaced(article_rows(8), r5="x" * LIMIT + ",twitter,2021-03-01,pro,neutral,1")),
+         "ok"),
+    "field past the size limit":
+        (article_text(replaced(article_rows(8), r5="x" * (LIMIT + 1) + ",twitter,2021-03-01,anti,pro,1")),
+         "error"),
+    "short row at a block edge":
+        (article_text(replaced(article_rows(12), r5="o1,twitter,2021-03-01,anti,adverse")), "error"),
+    "long row at a block edge":
+        (article_text(replaced(article_rows(12), r9="o1,twitter,2021-03-01,anti,adverse,1,x")),
+         "error"),
+    "bad value before a short row":
+        (article_text(replaced(article_rows(12), r4="o1,twitter,2021-03-01,bogus,adverse,1",
+                               r5="o1,twitter")), "error"),
+    "short row before a bad value":
+        (article_text(replaced(article_rows(12), r4="o1,twitter",
+                               r5="o1,twitter,2021-03-01,bogus,adverse,1")), "error"),
+    "quoted header": ('"outlet_id",platform,date,narrative,event,interactions\n'
+                      + "\n".join(article_rows(6)) + "\n", "ok"),
+    "bad header": ("outlet_id,platform,date\n" + "\n".join(article_rows(6)) + "\n", "error"),
+    "header only": (ARTICLE_HEADER, "ok"),
+    "header without a line break": (ARTICLE_HEADER.rstrip("\n"), "ok"),
+    "empty file": ("", "ok"),
+}
+
+
+class TestBlockReader:
+    """The block reader against the row-by-row reference, with blocks of a
+    few dozen characters, so that every case crosses a block edge."""
+
+    @pytest.mark.parametrize("block_chars", [1, 40, 100])
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_case_matches_row_by_row_reference(self, case, block_chars, monkeypatch):
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", block_chars)
+        text, kind = BLOCK_CASES[case]
+        for newline in ("", "\n"):  # as the CLI opens files, and as io.StringIO splits lines
+            expected = outcome(oracle_helpers.parse_articles_by_row, text, "csv", newline)
+            assert outcome(corpus.parse_articles, text, "csv", newline) == expected, newline
+            if newline == "" and kind is not None:
+                assert expected[0] == kind
+
+    def test_random_texts_match_row_by_row_reference(self, monkeypatch):
+        split_block, splits = corpus._split_block, Counter()
+
+        def counted(lines, k):
+            columns = split_block(lines, k)
+            splits[columns is not None] += 1
+            return columns
+
+        monkeypatch.setattr(corpus, "_split_block", counted)
+        rng = np.random.default_rng(19)
+        oddities = ["quoted", "crlf", "cr", "blank", "nul", "short", "long", "bad"]
+        errors = 0
+        for _ in range(300):
+            monkeypatch.setattr(corpus, "_BLOCK_CHARS", int(rng.integers(1, 160)))
+            rows, ends = article_rows(int(rng.integers(0, 25))), {}
+            for _ in range(int(rng.integers(0, 3)) if rows else 0):
+                i, odd = int(rng.integers(len(rows))), pick(rng, oddities)
+                if odd in ("crlf", "cr"):
+                    ends[i] = "\r\n" if odd == "crlf" else "\r"
+                else:
+                    rows[i] = {"quoted": QUOTED, "blank": "", "nul": rows[i].replace("o", "o\x00"),
+                               "short": rows[i].rsplit(",", 1)[0], "long": rows[i] + ",x",
+                               "bad": rows[i].replace("anti", "bogus")}[odd]
+            text = article_text(rows, ends, final=pick(rng, ["\n", "\n", "\r\n", ""]))
+            for newline in ("", "\n"):
+                expected = outcome(oracle_helpers.parse_articles_by_row, text, "csv", newline)
+                assert outcome(corpus.parse_articles, text, "csv", newline) == expected, text
+                errors += expected[0] == "error"
+        assert 60 < errors < 500  # both outcomes are exercised
+        assert splits[True] > 1000 and splits[False] > 100  # and both read paths
+
+    def test_one_field_table_skips_blank_lines(self, monkeypatch):
+        # every other schema has a comma on each line, which a blank line lacks
+        class Names(corpus.Table):
+            fields = (corpus.IdField("name"),)
+            key = ("name",)
+
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 4)
+        text = "name\na\n\nb\n\n\nc\n"
+        rows = [tuple(row) for _, row in corpus._iter_values(io.StringIO(text), "csv", ["name"])]
+        assert rows == [("a",), ("b",), ("c",)]
+        assert list(corpus._parse(io.StringIO(text), "csv", Names)) == rows
+        with pytest.raises(ParseError, match="^duplicate name 'a' at line 8$"):
+            corpus._parse(io.StringIO(text + "a\n"), "csv", Names)
 
 
 class TestArticleTable:
@@ -871,9 +1007,10 @@ EDGE_FLOATS = [float("inf"), -0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5]
 
 class TestFloatColumns:
     @pytest.mark.parametrize("bad_row", [0, 5, corpus._CHUNK_ROWS + 3])
-    def test_first_bad_float_is_reported_at_its_line(self, bad_row):
+    def test_first_bad_float_is_reported_at_its_line(self, bad_row, monkeypatch):
         # float columns are converted value by value, not dict-coded; the first
-        # bad row still wins over a later row's bad earlier field, across chunks
+        # bad row still wins over a later row's bad earlier field, across blocks
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 4096)
         rows = [f"o{i},adverse,alpha,1.5,0.25,1.0,2.0,1.0,100.0"
                 for i in range(corpus._CHUNK_ROWS + 10)]
         rows[bad_row] = rows[bad_row].replace(",0.25,", ",0.250,")
@@ -964,3 +1101,154 @@ class TestArtifactRoundTrips:
         header = ",".join(f.name for f in cls.fields) + "\n"
         with pytest.raises(ParseError, match=f"^{message}$"):
             corpus._parse(io.StringIO(header + text), "csv", cls)
+
+
+def spell(value) -> str:
+    """A record value as its CSV field, spelled independently of the writer."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, datetime.date):
+        return value.isoformat()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def csv_writer_text(cls, records) -> str:
+    """`records` as the csv module's writer writes them, a row per record."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f.name for f in cls.fields])
+    writer.writerows([spell(getattr(r, f.name)) for f in cls.fields] for r in records)
+    return out.getvalue()
+
+
+# ids that csv.writer quotes as the one quoting rule does; an id holding a lone
+# CR is not among them, as csv.writer on Python 3.11 leaves it bare
+WRITER_IDS = ("o1", "a,b", 'say "hi"', "two\nlines", " pad ", "pad ", "", '"', ",", "x\r\ny")
+# 0.0 and -0.0 in one column must not be spelled alike
+WRITER_FLOATS = [*EDGE_FLOATS, 0.0]
+# ids holding a carriage return, each of which must be quoted
+CR_IDS = ("u\r0", "\r", "a\rb,c", 'q"\r', "x\r\ny", "plain")
+
+
+def writer_records(n):
+    ids = [WRITER_IDS[i % len(WRITER_IDS)] for i in range(n)]
+    labels = [Reliability.QUESTIONABLE, None, Reliability.RELIABLE]
+    return {
+        corpus.ArticleTable: [
+            ArticleRecord(oid, corpus.PLATFORMS[i % 4], datetime.date(2021, 1, 1 + i % 28),
+                          NARRATIVE_ORDER[i % 3], EVENT_ORDER[i // 3 % 3], i * 7919 % 1000)
+            for i, oid in enumerate(ids)],
+        corpus.OutletTable: [
+            OutletProfile(oid, WRITER_IDS[-1 - i], tuple(Reliability)[i % 2],
+                          (None, *corpus.OutletKind)[i % 5])
+            for i, oid in enumerate(WRITER_IDS)],
+        corpus.RetweetTable: [corpus.RetweetRecord(u, o, 1 + i)
+                              for i, (u, o) in enumerate(zip(WRITER_IDS, WRITER_IDS[::-1]))],
+        metrics.BiasTable: [
+            metrics.BiasRow(oid, labels[i % 3], *(WRITER_FLOATS * 2)[i % 7:i % 7 + 7], i % 2 == 0)
+            for i, oid in enumerate(WRITER_IDS)],
+        network.ClusterStatsTable: [
+            network.ClusterStatsRow(i, i + 1, *([None] * 5 if i % 2 else EDGE_FLOATS[1:6]))
+            for i in range(4)],
+    }
+
+
+def sample_columns(cls, ids):
+    """Record values of a valid `cls` table of one row per id, every id field holding `ids`."""
+    columns = []
+    for i, field in enumerate(cls.fields):
+        n = len(ids)
+        if isinstance(field, corpus.IdField):
+            columns.append(list(ids[i:] + ids[:i]))
+        elif isinstance(field, corpus.EnumField):
+            columns.append([field.order[(i + j) % len(field.order)] for j in range(n)])
+        elif isinstance(field, corpus.DateField):
+            columns.append([datetime.date(2021, 3, 1 + j) for j in range(n)])
+        elif isinstance(field, corpus.FloatField):
+            columns.append([EDGE_FLOATS[(i + j) % 6] if field.name == "rhat" else 0.5 + j
+                            for j in range(n)])
+        elif isinstance(field, corpus.FlagField):
+            columns.append([j % 2 == 0 for j in range(n)])
+        else:
+            columns.append([field.minimum + j for j in range(n)])
+    return columns
+
+
+ID_TABLES = (corpus.ArticleTable, corpus.OutletTable, corpus.FollowerTable, corpus.RetweetTable,
+             corpus._CountRows, latent.PosteriorTable, metrics.BiasTable, metrics.EngagementTable,
+             network.ClusterTable)
+
+
+def table_classes(cls=corpus.Table):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from table_classes(sub)
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("write_rows", [3, corpus._WRITE_ROWS])
+    @pytest.mark.parametrize("cls", list(writer_records(1)), ids=lambda cls: cls.__name__)
+    def test_matches_csv_writer_byte_for_byte(self, cls, write_rows, monkeypatch):
+        monkeypatch.setattr(corpus, "_WRITE_ROWS", write_rows)
+        records = writer_records(40)[cls]
+        out = io.StringIO()
+        corpus._write(cls, records, out)
+        assert out.getvalue() == csv_writer_text(cls, records)
+        assert corpus._parse(io.StringIO(out.getvalue(), newline=""), "csv", cls) == records
+
+    def test_table_larger_than_a_write_block(self):
+        records = writer_records(corpus._WRITE_ROWS + 5)[corpus.ArticleTable]
+        out = io.StringIO()
+        corpus.write_articles(records, out)
+        assert out.getvalue() == csv_writer_text(corpus.ArticleTable, records)
+        assert corpus.parse_articles(io.StringIO(out.getvalue(), newline="")) == records
+
+    def test_edges_match_csv_writer_byte_for_byte(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_WRITE_ROWS", 4)
+        nodes = sorted(WRITER_IDS)
+        weights = itertools.cycle([0.1 + 0.2, 1.0, 5e-324, 0.5])
+        graph = network.AudienceGraph(
+            nodes, {pair: next(weights) for pair in itertools.combinations(nodes, 2)})
+        out, expected = io.StringIO(), io.StringIO()
+        network.write_edges_csv(graph, out)
+        csv.writer(expected, lineterminator="\n").writerows(
+            [network.EDGE_FIELDS, *([u, v, repr(w)] for (u, v), w in graph.edges.items())])
+        assert out.getvalue() == expected.getvalue()
+
+
+class TestCarriageReturnIds:
+    # csv.writer on Python 3.11 wrote an id holding a lone CR bare, so a stage
+    # could not read back the artifact the stage before it wrote
+
+    def test_every_table_with_an_id_field_is_listed(self):
+        with_ids = {cls for cls in table_classes() if cls.__module__.startswith("newsbias")
+                    and any(isinstance(f, corpus.IdField) for f in cls.fields)}
+        assert with_ids == set(ID_TABLES)
+
+    @pytest.mark.parametrize("cls", ID_TABLES, ids=lambda cls: cls.__name__)
+    def test_round_trip(self, cls):
+        table = cls.from_columns(sample_columns(cls, CR_IDS))
+        out = io.StringIO()
+        corpus._write(cls, table, out)
+        text = out.getvalue()
+        assert '"u\r0"' in text and '"\r"' in text and '"q""\r"' in text
+        for newline in ("", "\n"):
+            parsed = corpus._parse(io.StringIO(text, newline=newline), "csv", cls)
+            assert parsed == table
+            again = io.StringIO()
+            corpus._write(cls, parsed, again)
+            assert again.getvalue() == text
+
+    def test_edges_read_back_by_csv_reader(self):
+        nodes = sorted(CR_IDS)
+        graph = network.AudienceGraph(
+            nodes, {pair: 0.25 for pair in itertools.combinations(nodes, 2)})
+        out = io.StringIO()
+        network.write_edges_csv(graph, out)
+        rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+        assert rows == [list(network.EDGE_FIELDS),
+                        *([u, v, "0.25"] for u, v in itertools.combinations(nodes, 2))]
