@@ -685,15 +685,15 @@ class TestParserParity:
         with pytest.raises(ParseError, match=r"unknown event label 'bogus' at line 2"):
             corpus.parse_articles(io.StringIO(text), "csv")
 
-    @pytest.mark.parametrize("first", ["o1", '"o1"'])  # split blocks, or csv.reader chunks
-    def test_error_in_a_later_chunk_names_its_line(self, first, monkeypatch):
+    def test_error_in_a_later_chunk_names_its_line(self, monkeypatch):
         monkeypatch.setattr(corpus, "_BLOCK_CHARS", 4096)
         good = "o1,twitter,2021-03-01,anti,adverse,1\n"
         n = 3 * corpus._CHUNK_ROWS
-        text = (ARTICLE_HEADER + first + good[2:] + good * (n - 1)
-                + "o1,twitter,2021-03-01,anti,adverse,01\n")
-        with pytest.raises(ParseError, match=rf"invalid interactions '01' at line {n + 2}"):
-            corpus.parse_articles(io.StringIO(text), "csv")
+        for first in ("o1", '"o1"'):  # split blocks, or csv.reader chunks from the first row
+            text = (ARTICLE_HEADER + first + good[2:] + good * (n - 1)
+                    + "o1,twitter,2021-03-01,anti,adverse,01\n")
+            with pytest.raises(ParseError, match=rf"invalid interactions '01' at line {n + 2}"):
+                corpus.parse_articles(io.StringIO(text), "csv")
 
     def test_jsonl_values_are_coded_by_type(self):
         fields = '"platform": "twitter", "date": "2021-03-01", "narrative": "pro", "event": "neutral"'
