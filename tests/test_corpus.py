@@ -722,54 +722,36 @@ def article_text(rows, ends=None, final="\n"):
     return "".join(line + ends.get(i - 1, "\n") for i, line in enumerate(lines[:-1])) + lines[-1] + final
 
 
-def replaced(rows, **at):
-    """`rows` with row i replaced by at[f"r{i}"]."""
-    rows = list(rows)
-    for key, row in at.items():
-        rows[int(key[1:])] = row
-    return rows
+def rows_with(n, at):
+    """n article rows, row i replaced by at[i]."""
+    return [at.get(i, row) for i, row in enumerate(article_rows(n))]
 
 
 QUOTED = '"a,""b""\nc",twitter,2021-03-01,pro,neutral,3'
+TAIL = ",twitter,2021-03-01,pro,neutral,1"  # a row's fields after its outlet id
+BAD, SHORT, LONG = "o1,twitter,2021-03-01,bogus,adverse,1", "o1,twitter", "o1" + TAIL + ",x"
 LIMIT = csv.field_size_limit()
 # name -> (text, outcome when read as opened with newline="", None where the Python version decides)
 BLOCK_CASES = {
     "quoted comma, quote and line break in a later block":
-        (article_text(replaced(article_rows(14), r7=QUOTED)), "ok"),
-    "bad value after a quoted line break":
-        (article_text(replaced(article_rows(14), r7=QUOTED,
-                               r10="o1,twitter,2021-03-01,anti,adverse,01")), "error"),
+        (article_text(rows_with(14, {7: QUOTED})), "ok"),
+    "bad value after a quoted line break": (article_text(rows_with(14, {7: QUOTED, 10: BAD})), "error"),
     "crlf line ends":
         (article_text(article_rows(12), {i: "\r\n" for i in range(-1, 12)}, final="\r\n"), "ok"),
     "crlf line ends from a later row":
         (article_text(article_rows(12), {i: "\r\n" for i in range(6, 12)}), "ok"),
     "lone cr line end": (article_text(article_rows(12), {5: "\r"}), "ok"),
-    "lone cr inside a field":
-        (article_text(replaced(article_rows(12), r8="o\r8,twitter,2021-03-01,anti,adverse,8")),
-         "error"),
-    "blank lines at block edges":
-        (article_text(replaced(article_rows(12), r3="", r4="", r10=""), final="\n\n"), "ok"),
+    "lone cr inside a field": (article_text(rows_with(12, {8: "o\r8" + TAIL})), "error"),
+    "blank lines at block edges": (article_text(rows_with(12, {3: "", 4: "", 10: ""}), final="\n\n"), "ok"),
     "no final line break": (article_text(article_rows(12), final=""), "ok"),
     # csv.reader reads a NUL as text from Python 3.11 on, and rejects it before
-    "nul byte": (article_text(replaced(article_rows(12), r6="o\x006,twitter,2021-03-01,pro,neutral,6")),
-                 None),
-    "field at the size limit":
-        (article_text(replaced(article_rows(8), r5="x" * LIMIT + ",twitter,2021-03-01,pro,neutral,1")),
-         "ok"),
-    "field past the size limit":
-        (article_text(replaced(article_rows(8), r5="x" * (LIMIT + 1) + ",twitter,2021-03-01,anti,pro,1")),
-         "error"),
-    "short row at a block edge":
-        (article_text(replaced(article_rows(12), r5="o1,twitter,2021-03-01,anti,adverse")), "error"),
-    "long row at a block edge":
-        (article_text(replaced(article_rows(12), r9="o1,twitter,2021-03-01,anti,adverse,1,x")),
-         "error"),
-    "bad value before a short row":
-        (article_text(replaced(article_rows(12), r4="o1,twitter,2021-03-01,bogus,adverse,1",
-                               r5="o1,twitter")), "error"),
-    "short row before a bad value":
-        (article_text(replaced(article_rows(12), r4="o1,twitter",
-                               r5="o1,twitter,2021-03-01,bogus,adverse,1")), "error"),
+    "nul byte": (article_text(rows_with(12, {6: "o\x006" + TAIL})), None),
+    "field at the size limit": (article_text(rows_with(8, {5: "x" * LIMIT + TAIL})), "ok"),
+    "field past the size limit": (article_text(rows_with(8, {5: "x" * (LIMIT + 1) + TAIL})), "error"),
+    "short row at a block edge": (article_text(rows_with(12, {5: SHORT})), "error"),
+    "long row at a block edge": (article_text(rows_with(12, {9: LONG})), "error"),
+    "bad value before a short row": (article_text(rows_with(12, {4: BAD, 5: SHORT})), "error"),
+    "short row before a bad value": (article_text(rows_with(12, {4: SHORT, 5: BAD})), "error"),
     "quoted header": ('"outlet_id",platform,date,narrative,event,interactions\n'
                       + "\n".join(article_rows(6)) + "\n", "ok"),
     "bad header": ("outlet_id,platform,date\n" + "\n".join(article_rows(6)) + "\n", "error"),
