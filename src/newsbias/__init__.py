@@ -1,7 +1,7 @@
 """Quantify narrative and selection bias of news outlets.
 
 Fits a Bayesian Poisson latent-position model to per-outlet article counts
-via Metropolis-within-Gibbs, derives a selection index and adjusted
+by independence Metropolis-Hastings, derives a selection index and adjusted
 engagement from the fits, and relates both to retweeter-audience communities
 detected with Louvain.
 """

@@ -31,7 +31,7 @@ import resource
 import sys
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain, product, repeat
+from itertools import product
 from pathlib import Path
 from typing import Callable
 
@@ -222,13 +222,32 @@ def _write_records(out: Path, articles, outlets, followers, retweets) -> None:
     _save(out / "retweets.csv", corpus.write_retweets, retweets)
 
 
+# draws per block of draws_<event>.csv, rounded down to whole iterations of
+# one chain (at least one). At 4 chains x 1000 iterations x 682 outlets, a
+# block of one iteration (1,364 draws) held 0.5 MB at once, one of six 2.4 MB,
+# and wrote no slower
+_DRAW_BLOCK_ROWS = 1024
+
+
 def _write_draws(draws: latent.ChainDraws, stream) -> None:
     """draws_<event>.csv: (chain, iter, param_index, value) rows, alphas as params
-    0..n-1 and stances as n..2n-1, formatted one iteration's value array at a time."""
-    params = range(2 * draws.n_outlets)
-    rows = (zip(repeat(c), repeat(h), params, np.append(draws.alpha[c, h], draws.x[c, h]).tolist())
-            for c, h in product(range(draws.n_chains), range(draws.n_iterations)))
-    corpus.write_csv(_DRAW_FIELDS, chain.from_iterable(rows), stream)
+    0..n-1 and stances as n..2n-1, written a block of whole iterations of one
+    chain at a time."""
+    width = 2 * draws.n_outlets
+    params = list(map(str, range(width)))
+    step = max(1, _DRAW_BLOCK_ROWS // max(width, 1))  # iterations per block
+
+    def blocks():
+        for c, start in product(range(draws.n_chains), range(0, draws.n_iterations, step)):
+            stop = min(start + step, draws.n_iterations)
+            values = np.concatenate([draws.alpha[c, start:stop], draws.x[c, start:stop]],
+                                    axis=1).ravel()
+            yield [(np.zeros(values.size, np.intp), [str(c)]),
+                   (np.repeat(np.arange(stop - start), width), list(map(str, range(start, stop)))),
+                   (np.tile(np.arange(width), stop - start), params),
+                   (np.arange(values.size), list(map(repr, values.tolist())))]
+
+    corpus._write_columns(_DRAW_FIELDS, blocks(), stream)
 
 
 # ---------------------------------------------------------------- stages
@@ -256,23 +275,11 @@ def _ingest(opts: dict, out: Path) -> str:
 
     _write_records(out, articles, registry, followers, retweets)
     _save(out / "counts.csv", corpus.write_count_tensor, tensor)
-    _save(
-        out / "breakdown.csv",
-        corpus.write_csv,
-        _BREAKDOWN_FIELDS,
-        (
-            (
-                r.category,
-                r.sources,
-                f"{r.sources_pct:.1f}",
-                r.contents,
-                f"{r.contents_pct:.1f}",
-                r.interactions,
-                f"{r.interactions_pct:.1f}",
-            )
-            for r in breakdown.rows()
-        ),
-    )
+    rows = [(r.category, str(r.sources), f"{r.sources_pct:.1f}", str(r.contents),
+             f"{r.contents_pct:.1f}", str(r.interactions), f"{r.interactions_pct:.1f}")
+            for r in breakdown.rows()]
+    block = [(np.arange(len(rows)), list(column)) for column in zip(*rows)]
+    _save(out / "breakdown.csv", corpus._write_columns, _BREAKDOWN_FIELDS, [block])
     return (
         f"ingest: {len(articles)} articles, {len(registry)} outlets, "
         f"{len(followers)} follower records, {len(retweets)} retweet records -> {out}"

@@ -4,18 +4,20 @@ Everything here is pure. Each input table and each read-back stage artifact
 has one schema, a tuple of typed fields, and one reader: `_parse` reads a
 character stream into a Table of numpy columns, dict-coded except for float
 fields, which are converted value by value (the input tables here, the
-artifact tables next to the records they carry), and one writer,
-`_write`, spells a table back. Aggregation folds the article columns into an
-outlet x narrative x event count tensor with one bincount, and nothing
-mutates its inputs.
+artifact tables next to the records they carry), and `_write` spells a table
+back. Aggregation folds the article columns into an outlet x narrative x
+event count tensor with one bincount, and nothing mutates its inputs.
 
 CSV is read and written a block at a time. `_parse` has two read paths, and
 the input picks one: a block of lines with no quote, CR, NUL or blank line,
 in which every line has the schema's field count, is split into its columns
 as one string; from the first block that is not, csv.reader reads the rest
-row by row. `_write` spells each distinct value of a column once and quotes
-it by one rule, the one csv.reader undoes: a text holding a comma, quote, CR
-or LF is quoted, its quotes doubled. Rows are joined a block at a time.
+row by row. Every CSV file the package writes goes through one writer,
+`_write_columns`, which takes its rows as blocks of one (codes, texts) pair
+per column: each text of a block is quoted once, by the one rule csv.reader
+undoes (a text holding a comma, quote, CR or LF is quoted, its quotes
+doubled), and the block's rows are joined a slice at a time. `_write` hands
+it a table as one block, each distinct value of a column spelled once.
 """
 
 from __future__ import annotations
@@ -203,36 +205,28 @@ def exact_sums(values: np.ndarray, groups: np.ndarray, n: int) -> list[int]:
     return totals.tolist()
 
 
-def _iter_values(stream: TextIO, format: str, fields: Sequence[str], optional: Sequence[str] = ()):
-    """Yield (line_number, values in `fields` order) for CSV-with-header or JSONL input.
-
-    CSV values are the row's strings; a JSONL object may omit only the
-    `optional` fields, which then read as None.
-    """
-    if format == "csv":
-        yield from _csv_rows(stream, fields)
-    elif format == "jsonl":
-        for line, raw in enumerate(stream, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError:
-                raise ParseError("malformed JSON object", line) from None
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line)
-            for key in fields:
-                if key not in obj and key not in optional:
-                    raise ParseError(f"missing field '{key}'", line)
-            for key in obj:
-                if key not in fields:
-                    raise ParseError(f"unexpected field '{key}'", line)
-            yield line, [obj.get(key) for key in fields]
-    else:
-        raise ValueError(f"unknown format '{format}', expected 'csv' or 'jsonl'")
+def _jsonl_rows(stream: TextIO, fields: Sequence[str], optional: Sequence[str]):
+    """Yield (line_number, values in `fields` order) for each JSONL object; an
+    object may omit only the `optional` fields, which then read as None."""
+    for line, raw in enumerate(stream, start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError:
+            raise ParseError("malformed JSON object", line) from None
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line)
+        for key in fields:
+            if key not in obj and key not in optional:
+                raise ParseError(f"missing field '{key}'", line)
+        for key in obj:
+            if key not in fields:
+                raise ParseError(f"unexpected field '{key}'", line)
+        yield line, [obj.get(key) for key in fields]
 
 
-def _csv_rows(lines: Iterable[str], fields: Sequence[str], header: bool = True, offset: int = 0):
+def _csv_rows(lines: Iterable[str], fields: Sequence[str], header: bool, offset: int):
     """Yield (line_number, row) for each non-blank row csv.reader reads from
     `lines`, after a header row equal to `fields` if `header`; line numbers
     count `offset` lines before the first of `lines`."""
@@ -256,12 +250,6 @@ def _csv_rows(lines: Iterable[str], fields: Sequence[str], header: bool = True, 
     except csv.Error as exc:
         # for example a field longer than csv.field_size_limit()
         raise ParseError(f"malformed CSV: {exc}", offset + reader.line_num) from None
-
-
-def _iter_rows(stream: TextIO, format: str, fields: Sequence[str], optional: Sequence[str] = ()):
-    """Yield (line_number, {field: value}) for CSV-with-header or JSONL input."""
-    for line, values in _iter_values(stream, format, fields, optional):
-        yield line, dict(zip(fields, values))
 
 
 def _json_key(value):
@@ -897,9 +885,11 @@ def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
     names = [field.name for field in cls.fields]
     if format == "csv":
         chunks, key = _csv_chunks(stream, names), None
-    else:
+    elif format == "jsonl":
         optional = [field.name for field in cls.fields if field.optional]
-        chunks, key = _row_chunks(_iter_values(stream, format, names, optional)), _json_key
+        chunks, key = _row_chunks(_jsonl_rows(stream, names, optional)), _json_key
+    else:
+        raise ValueError(f"unknown format '{format}', expected 'csv' or 'jsonl'")
     lines = []  # each chunk's line numbers
     fault = None
     while fault is None:
@@ -1045,17 +1035,6 @@ def dataset_breakdown(
     )
 
 
-def write_csv(header: Sequence[str], rows: Iterable[Sequence], stream: TextIO) -> None:
-    """Write one CSV artifact: a header row, then `rows`, RFC 4180-quoted.
-
-    Values are spelled by the csv module: None as empty, numbers by str (the
-    shortest round-trip repr for floats). A table's own spelling is `_write`'s.
-    """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # rows joined per write
 _WRITE_ROWS = 8192
@@ -1069,29 +1048,32 @@ def _quoted(texts: list[str]) -> list[str]:
     return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
 
 
-def _write_columns(header: Sequence[str], columns: Sequence[tuple[np.ndarray, list[str]]],
-                  stream: TextIO) -> None:
-    """Write a CSV file of `header` and one column per (codes, texts) pair, whose
-    row i holds texts[codes[i]].
+def _write_columns(header: Sequence[str],
+                   blocks: Iterable[Sequence[tuple[np.ndarray, list[str]]]],
+                   stream: TextIO) -> None:
+    """Write a CSV file of `header` and the rows of each block in turn. A block
+    is one (codes, texts) pair per column, and its row i holds texts[codes[i]].
 
-    Each text is quoted once (see _quoted), and rows are joined with `,` and
-    written _WRITE_ROWS at a time: no row is a csv.writer call, and only one
-    block's row texts are held at once.
+    Each text of a block is quoted once (see _quoted), and the block's rows
+    are joined with `,` and written _WRITE_ROWS at a time, so only one
+    block's texts and _WRITE_ROWS of its rows are held at once. With no
+    block, the file is the header alone.
     """
     stream.write(",".join(_quoted(list(header))) + "\n")
-    texts = [np.array(_quoted(t), dtype=object) for _, t in columns]
-    for start in range(0, len(columns[0][0]), _WRITE_ROWS):
-        rows = slice(start, start + _WRITE_ROWS)
-        block = [t[codes[rows]].tolist() for t, (codes, _) in zip(texts, columns)]
-        stream.write("\n".join(map(",".join, zip(*block))) + "\n")
+    for block in blocks:
+        texts = [np.array(_quoted(t), dtype=object) for _, t in block]
+        for start in range(0, len(block[0][0]), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            lines = [t[codes[rows]].tolist() for t, (codes, _) in zip(texts, block)]
+            stream.write("\n".join(map(",".join, zip(*lines))) + "\n")
 
 
 def _write(cls: type[Table], records: Iterable, stream: TextIO) -> None:
     """Write `records` (or a `cls` table) as a `cls` CSV file, in the spelling
-    `_parse` reads back: each field's distinct values spelled and quoted once
-    (see _write_columns)."""
+    `_parse` reads back: one block of each field's distinct values, spelled
+    and quoted once (see _write_columns)."""
     table = cls.from_records(records)
-    _write_columns([f.name for f in cls.fields], [f.text(table) for f in cls.fields], stream)
+    _write_columns([f.name for f in cls.fields], [[f.text(table) for f in cls.fields]], stream)
 
 
 def write_articles(records: Iterable[ArticleRecord], stream: TextIO) -> None:

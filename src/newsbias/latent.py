@@ -5,11 +5,11 @@ with y_ij ~ Poisson(lambda_ij) and
 
     log lambda_ij = alpha_i - |x_i - z_j|
 
-where z = (-1, 0, 1) anchors the anti/neutral/pro classes, alpha_i is the
-outlet's baseline publishing intensity and x_i its latent stance. Priors are
-alpha_i ~ N(0, sd_alpha^2) (vague) and x_i ~ N(0, sd_x^2) (soft identification
-constraint). Inference is on beta_i = alpha_i + log S(x_i), S(x) =
-sum_j exp(-|x - z_j|), and x_i: the likelihood splits into
+where z = STANCES = (-1, 0, 1) anchors the anti/neutral/pro classes, alpha_i
+is the outlet's baseline publishing intensity and x_i its latent stance.
+Priors are alpha_i ~ N(0, sd_alpha^2) (vague) and x_i ~ N(0, sd_x^2) (soft
+identification constraint). Inference is on beta_i = alpha_i + log S(x_i),
+S(x) = sum_j exp(-|x - z_j|), and x_i: the likelihood splits into
 Poisson(y_i. | e^beta_i) x Multinomial(y_i | pi(x_i)), which removes the
 alpha-x ridge, and the Jacobian is 1, so the (alpha, x) posterior is unchanged.
 The posterior factorizes by outlet, and run_chain moves each outlet by an
@@ -33,20 +33,18 @@ from .corpus import EVENT_ORDER, EnumField, EventType, FloatField, IdField, Inpu
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# the anchors z_j of the anti, neutral and pro narrative classes
+STANCES = (-1.0, 0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Fixed stance anchors and prior scales (standard deviations)."""
+    """Prior scales (standard deviations)."""
 
-    stances: tuple[float, float, float] = (-1.0, 0.0, 1.0)
     prior_sd_alpha: float = 15.0
     prior_sd_x: float = 1.0
 
     def __post_init__(self):
-        if len(self.stances) != 3 or not all(
-            a < b for a, b in zip(self.stances, self.stances[1:])
-        ):
-            raise ValueError("stances must be 3 strictly increasing values")
         if self.prior_sd_alpha <= 0 or self.prior_sd_x <= 0:
             raise InputError("prior standard deviations must be > 0")
 
@@ -181,8 +179,7 @@ def _check_counts(Y_k, n_params: int | None = None) -> np.ndarray:
 def log_likelihood(params: LatentParams, Y_k, consts: ModelConstants) -> float:
     """Poisson log likelihood, log(y!) included so values match pmf oracles."""
     Y = _check_counts(Y_k, params.alpha.shape[0])
-    z = np.asarray(consts.stances)
-    loglam = log_intensity(params.alpha[:, None], params.x[:, None], z)
+    loglam = log_intensity(params.alpha[:, None], params.x[:, None], np.asarray(STANCES))
     return float(np.sum(Y * loglam - np.exp(loglam) - gammaln(Y + 1.0)))
 
 
@@ -253,11 +250,11 @@ _CHUNK = 16384
 _GUIDE = 1024
 
 
-def _stance_terms(x: np.ndarray, Y: np.ndarray, totals: np.ndarray, z: np.ndarray):
+def _stance_terms(x: np.ndarray, Y: np.ndarray, totals: np.ndarray):
     """log S(x) and the multinomial log likelihood sum_j y_j log pi_j(x);
     x broadcasts against Y[..., j] and totals. The log rates are one array
     per anchor rather than a trailing axis of 3, which numpy reduces slowly."""
-    r0, r1, r2 = (log_intensity(0.0, x, z_j) for z_j in z.tolist())
+    r0, r1, r2 = (log_intensity(0.0, x, z_j) for z_j in STANCES)
     log_s = np.log(np.exp(r0) + np.exp(r1) + np.exp(r2))
     return log_s, Y[..., 0] * r0 + Y[..., 1] * r1 + Y[..., 2] * r2 - totals * log_s
 
@@ -273,7 +270,7 @@ def _log_ratio(beta, x, Y, totals, consts: ModelConstants):
     posterior with beta held there, so it is also the log shape of the x
     proposal. -inf where alpha exceeds the log-intensity cap.
     """
-    log_s, multinomial = _stance_terms(x, Y, totals, np.asarray(consts.stances))
+    log_s, multinomial = _stance_terms(x, Y, totals)
     alpha = beta - log_s
     remainder = np.where(totals > 0, alpha * alpha / (2.0 * consts.prior_sd_alpha**2),
                          np.exp(beta))
@@ -392,7 +389,6 @@ def run_chain(
     Y = _check_counts(Y_k)
     n = Y.shape[0]
     chains, iterations = config.chains, config.iterations
-    z = np.asarray(consts.stances)
     totals = Y.sum(axis=1)
     empty = np.nonzero(totals == 0)[0]
     rngs = [
@@ -410,7 +406,7 @@ def run_chain(
         proposal = _StanceProposal.of(Y, consts)
         x = np.empty((chains, n))
         x[0::2], x[1::2] = 0.5, -0.5
-        beta = _stance_terms(x, Y, totals, z)[0]
+        beta = _stance_terms(x, Y, totals)[0]
         w, alpha = _log_ratio(beta, x, Y, totals, consts)
         w -= proposal.log_pdf(x, proposal.locate(x, np.arange(n)))
 
@@ -436,7 +432,7 @@ def run_chain(
                 rng.standard_normal(out=normal[c])
             np.log(beta, out=beta)
             beta[..., empty] = consts.prior_sd_alpha * normal + _stance_terms(
-                stance[:, 1:, empty], Y[empty], totals[empty], z)[0]
+                stance[:, 1:, empty], Y[empty], totals[empty])[0]
             block_w = np.empty_like(bar)
             for c in range(chains):
                 for part in parts:
@@ -568,8 +564,7 @@ def simulate_counts(
 ) -> np.ndarray:
     """Draw an N x 3 count slice from the model at the given parameters."""
     params = LatentParams(np.asarray(alpha_true, float), np.asarray(x_true, float))
-    z = np.asarray(consts.stances)
-    loglam = log_intensity(params.alpha[:, None], params.x[:, None], z)
+    loglam = log_intensity(params.alpha[:, None], params.x[:, None], np.asarray(STANCES))
     return rng.poisson(np.exp(loglam)).astype(np.int64)
 
 
@@ -629,8 +624,7 @@ def grid_posterior_oracle(
         )
     alphas = np.arange(grid.alpha_range[0], grid.alpha_range[1] + grid.step / 2, grid.step)
     xs = np.arange(grid.x_range[0], grid.x_range[1] + grid.step / 2, grid.step)
-    z = np.asarray(consts.stances)
-    dist = np.abs(xs[:, None] - z[None, :])
+    dist = np.abs(xs[:, None] - np.asarray(STANCES)[None, :])
     loglam = alphas[:, None, None] - dist[None, :, :]
     loglik = (y * loglam).sum(axis=2) - np.exp(loglam).sum(axis=2) - gammaln(y + 1.0).sum()
     logpost = (

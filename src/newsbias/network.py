@@ -242,17 +242,16 @@ def _exact_mean(weights: np.ndarray) -> float:
 
 def threshold_graph(
     graph: AudienceGraph,
-    cutoff: float | None = None,
     strict: bool = True,
     drop_isolated: bool = True,
 ) -> AudienceGraph:
     """Drop 0-degree nodes, then edges below the mean weight.
 
-    The cutoff defaults to the mean weight of the edges that remain after the
-    first step; pass a recorded cutoff to re-apply a previous threshold. With
-    strict=True an edge is removed when weight < cutoff (edges exactly at the
-    cutoff survive); strict=False also removes weight == cutoff. Nodes left
-    isolated by edge removal are dropped unless drop_isolated=False.
+    The cutoff is the mean weight of the edges that remain after the first
+    step. With strict=True an edge is removed when weight < cutoff (edges
+    exactly at the cutoff survive); strict=False also removes weight ==
+    cutoff. Nodes left isolated by edge removal are dropped unless
+    drop_isolated=False.
     """
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
@@ -260,7 +259,7 @@ def threshold_graph(
     n_connected = int(connected.sum())
     # the mean is exact, so a graph whose edges all carry the same weight
     # keeps every edge under the strict cutoff
-    mean = cutoff if cutoff is not None else _exact_mean(graph.weight)
+    mean = _exact_mean(graph.weight)
     kept_edges = graph.weight >= mean if strict else graph.weight > mean
     src, dst = graph.src[kept_edges], graph.dst[kept_edges]
     touched = np.zeros(len(graph.nodes), dtype=bool)
@@ -486,7 +485,7 @@ def write_edges_csv(graph: AudienceGraph, stream: TextIO) -> None:
     names = list(graph.nodes)
     columns = [(graph.src, names), (graph.dst, names),
                (np.arange(graph.n_edges), graph.weight_text)]
-    _write_columns(EDGE_FIELDS, columns, stream)
+    _write_columns(EDGE_FIELDS, [columns], stream)
 
 
 def write_clusters_csv(partition: Mapping[str, int], stream: TextIO) -> None:

@@ -2,13 +2,16 @@
 
 Everything here recomputes results from first principles (dense arithmetic,
 exhaustive enumeration, one record at a time) without calling the code under
-test. The row-by-row parsers share only the package's row reader; they
-validate every value with their own checks, one row at a time, and apply
-each table's own rule after the row's fields. What they check is the
-package's columnar coding, its validation and its table rules.
+test. The row-by-row parsers read rows with their own reader (`read_rows`:
+csv.reader for CSV, json for JSONL), validate every value with their own
+checks, one row at a time, and apply each table's own rule after the row's
+fields. What they check is the package's block and row readers, its
+columnar coding, its validation and its table rules.
 """
 
+import csv
 import datetime
+import json
 import math
 from math import comb
 
@@ -114,6 +117,49 @@ def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:
     return (sum_nij - expected) / (max_index - expected)
 
 
+def read_rows(stream, format, fields, optional=()):
+    """Yield (line number, {field: value}) for each row of CSV with a header
+    row equal to `fields`, or of JSONL, one row at a time. Blank lines are
+    skipped; a JSONL object may omit only the `optional` fields (read as
+    None). A bad row raises the ParseError the package's readers raise."""
+    if format == "jsonl":
+        for line, raw in enumerate(stream, start=1):
+            if raw.strip():
+                yield line, _json_row(raw, fields, optional, line)
+        return
+    reader = csv.reader(stream)
+    try:
+        header = next(reader, None)
+        if header is not None and header != list(fields):
+            raise ParseError(f"bad header {header!r}, expected {','.join(fields)}", 1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(fields):
+                raise ParseError(
+                    f"malformed row: expected {len(fields)} fields, got {len(row)}",
+                    reader.line_num)
+            yield reader.line_num, dict(zip(fields, row))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+
+
+def _json_row(raw, fields, optional, line):
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError:
+        raise ParseError("malformed JSON object", line) from None
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object", line)
+    missing = [key for key in fields if key not in obj and key not in optional]
+    if missing:
+        raise ParseError(f"missing field '{missing[0]}'", line)
+    extra = [key for key in obj if key not in fields]
+    if extra:
+        raise ParseError(f"unexpected field '{extra[0]}'", line)
+    return {key: obj.get(key) for key in fields}
+
+
 def _enum(cls, value, what, line):
     try:
         return cls(value)
@@ -160,7 +206,7 @@ def _int(value, what, line, minimum=0):
 def parse_articles_by_row(stream, format="csv") -> list[ArticleRecord]:
     """Article records parsed one row at a time, in input order."""
     records = []
-    for line, row in corpus._iter_rows(stream, format, corpus.ARTICLE_FIELDS):
+    for line, row in read_rows(stream, format, corpus.ARTICLE_FIELDS):
         records.append(
             ArticleRecord(
                 outlet_id=_id(row["outlet_id"], "outlet_id", line),
@@ -177,7 +223,7 @@ def parse_articles_by_row(stream, format="csv") -> list[ArticleRecord]:
 def parse_outlets_by_row(stream, format="csv") -> list[OutletProfile]:
     """The registry one row at a time; a repeated outlet_id fails at its row."""
     records, seen = [], set()
-    for line, row in corpus._iter_rows(stream, format, corpus.OUTLET_FIELDS, ("kind",)):
+    for line, row in read_rows(stream, format, corpus.OUTLET_FIELDS, ("kind",)):
         kind = None if row["kind"] in (None, "") else row["kind"]
         record = OutletProfile(
             outlet_id=_id(row["outlet_id"], "outlet_id", line),
@@ -195,7 +241,7 @@ def parse_outlets_by_row(stream, format="csv") -> list[OutletProfile]:
 def parse_followers_by_row(stream, format="csv") -> list[FollowerRecord]:
     """Follower records one row at a time; the period check comes last."""
     records = []
-    for line, row in corpus._iter_rows(stream, format, corpus.FOLLOWER_FIELDS):
+    for line, row in read_rows(stream, format, corpus.FOLLOWER_FIELDS):
         outlet_id = _id(row["outlet_id"], "outlet_id", line)
         platform = _enum(Platform, row["platform"], "platform", line)
         start = _date(row["period_start"], "period_start", line)
@@ -211,7 +257,7 @@ def parse_retweets_by_row(stream, format="csv") -> list[RetweetRecord]:
     """Retweet counts one row at a time, each (user, outlet) pair summed into
     its first row; a running total beyond int64 fails at its row."""
     totals = {}
-    for line, row in corpus._iter_rows(stream, format, corpus.RETWEET_FIELDS):
+    for line, row in read_rows(stream, format, corpus.RETWEET_FIELDS):
         key = (_id(row["user_id"], "user_id", line), _id(row["outlet_id"], "outlet_id", line))
         totals[key] = totals.get(key, 0) + _int(row["count"], "count", line, minimum=1)
         if totals[key] > INT64_MAX:
@@ -226,7 +272,7 @@ def parse_retweets_by_row(stream, format="csv") -> list[RetweetRecord]:
 def read_count_tensor_by_row(stream) -> corpus.CountTensor:
     """A counts.csv tensor one row at a time; a repeated cell fails at its row."""
     index, cells = {}, {}
-    for line, row in corpus._iter_rows(stream, "csv", corpus.COUNT_FIELDS):
+    for line, row in read_rows(stream, "csv", corpus.COUNT_FIELDS):
         outlet = str(row["outlet_id"])
         narrative = _enum(Narrative, row["narrative"], "narrative label", line)
         event = _enum(EventType, row["event"], "event label", line)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,24 @@ class TestPipeline:
         q, r, total = rows
         assert int(q["contents"]) + int(r["contents"]) == int(total["contents"])
         assert total["contents_pct"] == "100.0"
+
+    def test_breakdown_text(self, tmp_path):
+        # a class with no contents gets 0.0 shares, the other 100.0
+        articles = tmp_path / "a.csv"
+        articles.write_text("outlet_id,platform,date,narrative,event,interactions\n"
+                            "r1,twitter,2021-01-01,pro,positive,5\n"
+                            "r1,twitter,2021-01-02,anti,adverse,7\n")
+        outlets = tmp_path / "o.csv"
+        outlets.write_text("outlet_id,name,reliability,kind\n"
+                           "q1,Q1,questionable,\nq2,Q2,questionable,tv\nr1,R,reliable,\n")
+        out = tmp_path / "out"
+        assert run("ingest", "--articles", articles, "--outlets", outlets, "--out", out) == 0
+        assert (out / "breakdown.csv").read_text() == (
+            "category,sources,sources_pct,contents,contents_pct,interactions,interactions_pct\n"
+            "questionable,2,66.7,0,0.0,0,0.0\n"
+            "reliable,1,33.3,2,100.0,12,100.0\n"
+            "total,3,100.0,2,100.0,12,100.0\n"
+        )
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = run("ingest", "--articles", tmp_path / "nope.csv",
@@ -682,20 +701,55 @@ def test_stage_cost_says_when_an_earlier_stage_set_the_peak(
     assert line.endswith(f" s wall, peak RSS 221.7 MB{suffix}")
 
 
-def test_draws_written_from_arrays_read_as_one_row_per_value():
+@pytest.mark.parametrize("block_rows, write_rows", [(4, 4), (13, 8192), (1024, 8192)])
+def test_draws_written_from_arrays_read_as_one_row_per_value(block_rows, write_rows,
+                                                             monkeypatch):
+    # blocks of one, two and all five iterations, a block of one iteration
+    # (six draws) joined in two slices of rows
+    monkeypatch.setattr(cli, "_DRAW_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(corpus, "_WRITE_ROWS", write_rows)
     rng = np.random.default_rng(4)
     chains, iterations, n = 2, 5, 3
-    draws = latent.ChainDraws(rng.normal(size=(chains, iterations, n)),
-                              rng.normal(size=(chains, iterations, n)), None, None)
+    alpha, x = rng.normal(size=(2, chains, iterations, n))
+    alpha[0, 1] = [-0.0, math.inf, -math.inf]
+    x[1, 4] = [5e-324, 1e16, 1e-7]
+    draws = latent.ChainDraws(alpha, x, None, None)
     buf = io.StringIO()
     cli._write_draws(draws, buf)
-    expected = ["chain,iter,param_index,value"] + [
-        f"{c},{h},{j},{values[j]!r}"
+    # the rows and spellings of the csv module's writer
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([cli._DRAW_FIELDS] + [
+        (c, h, j, value)
         for c in range(chains) for h in range(iterations)
-        for values in [draws.alpha[c, h].tolist() + draws.x[c, h].tolist()]
-        for j in range(2 * n)
-    ]
-    assert buf.getvalue() == "\n".join(expected) + "\n"
+        for j, value in enumerate(alpha[c, h].tolist() + x[c, h].tolist())
+    ])
+    assert buf.getvalue() == expected.getvalue()
+    assert "0,1,0,-0.0\n0,1,1,inf\n0,1,2,-inf\n" in buf.getvalue()
+    assert "1,4,3,5e-324\n1,4,4,1e+16\n1,4,5,1e-07\n" in buf.getvalue()
+
+
+def test_draws_writer_holds_one_block():
+    class Count(io.TextIOBase):
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+            return len(text)
+
+    n = 682
+    draws = latent.ChainDraws(np.full((2, 20, n), 0.1 + 0.2), np.full((2, 20, n), -1.5),
+                              None, None)
+    out = Count()
+    tracemalloc.start()
+    try:
+        cli._write_draws(draws, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 40 blocks of one iteration (1,364 draws) write 1.2 MB, and a block
+    # holds about 0.5 MB; blocks of six iterations held 2.4 MB
+    assert out.chars > 1_000_000
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("stage, name, column", [

@@ -815,7 +815,8 @@ class TestBlockReader:
 
         monkeypatch.setattr(corpus, "_BLOCK_CHARS", 4)
         text = "name\na\n\nb\n\n\nc\n"
-        rows = [tuple(row) for _, row in corpus._iter_values(io.StringIO(text), "csv", ["name"])]
+        by_row = oracle_helpers.read_rows(io.StringIO(text), "csv", ["name"])
+        rows = [(row["name"],) for _, row in by_row]
         assert rows == [("a",), ("b",), ("c",)]
         assert list(corpus._parse(io.StringIO(text), "csv", Names)) == rows
         with pytest.raises(ParseError, match="^duplicate name 'a' at line 8$"):
@@ -1181,6 +1182,29 @@ class TestBlockWriter:
         corpus._write(cls, records, out)
         assert out.getvalue() == csv_writer_text(cls, records)
         assert corpus._parse(io.StringIO(out.getvalue(), newline=""), "csv", cls) == records
+
+    def test_rows_give_the_same_bytes_in_any_blocks(self):
+        records = writer_records(40)[corpus.ArticleTable]
+        table = corpus.ArticleTable.from_records(records)
+        columns = [f.text(table) for f in corpus.ArticleTable.fields]
+
+        def written(blocks):
+            out = io.StringIO()
+            corpus._write_columns(corpus.ARTICLE_FIELDS, blocks, out)
+            return out.getvalue()
+
+        def shared(start, stop):  # rows start..stop-1, coded into the whole table's texts
+            return [(codes[start:stop], texts) for codes, texts in columns]
+
+        def own(start, stop):  # the same rows, each block with only its own texts
+            return [(np.arange(stop - start), [texts[i] for i in codes[start:stop]])
+                    for codes, texts in columns]
+
+        whole = written([columns])
+        assert whole == csv_writer_text(corpus.ArticleTable, records)
+        for rows in (shared, own):
+            assert written(rows(a, b) for a, b in [(0, 17), (17, 18), (18, 18), (18, 40)]) == whole
+        assert written([]) == ",".join(corpus.ARTICLE_FIELDS) + "\n"
 
     def test_table_larger_than_a_write_block(self):
         records = writer_records(corpus._WRITE_ROWS + 5)[corpus.ArticleTable]

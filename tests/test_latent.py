@@ -310,7 +310,7 @@ class TestRunChain:
         counts = rng.integers(0, 40, size=(5, 3)).astype(float)
         counts[0] = 0.0
         totals = counts.sum(axis=1)
-        z = np.asarray(CONSTS.stances)
+        z = np.asarray(latent.STANCES)
 
         def target(params):
             log_s = np.log(np.exp(-np.abs(params.x[:, None] - z)).sum(axis=1))
@@ -343,7 +343,7 @@ class TestRunChain:
         rows = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 7], [504, 234, 83], [369, 178, 72]],
                         dtype=float)
         proposal = latent._StanceProposal.of(rows, CONSTS)
-        z = np.asarray(CONSTS.stances)
+        z = np.asarray(latent.STANCES)
         for i, y in enumerate(rows):
             cells = proposal.cell_base[i] + np.arange(latent._CELLS)
             held = cells[np.diff(proposal.cdf[cells], prepend=0.0) >= 1e-6]
@@ -542,8 +542,6 @@ class TestGridOracle:
 
 class TestModelConstants:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ModelConstants(stances=(1.0, 0.0, -1.0))
         with pytest.raises(ValueError):
             ModelConstants(prior_sd_alpha=0.0)
         with pytest.raises(ValueError):

@@ -283,15 +283,6 @@ class TestThresholdGraph:
         expected = {e: w for e, w in graph.edges.items() if w >= mean}
         assert out.edges == expected
 
-    def test_idempotent_with_recorded_cutoff(self):
-        rng = np.random.default_rng(8)
-        graph = random_graph(rng, n=10, p=0.5)
-        mean = sum(graph.edges.values()) / len(graph.edges)
-        once = threshold_graph(graph)
-        twice = threshold_graph(once, cutoff=mean)
-        assert twice.edges == once.edges
-        assert twice.nodes == once.nodes
-
     def test_zero_degree_nodes_removed_first(self):
         graph = AudienceGraph(nodes=("a", "b", "lonely"), edges={("a", "b"): 0.5})
         out = threshold_graph(graph)
