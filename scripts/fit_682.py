@@ -1,12 +1,11 @@
 """The default fit at the paper's 682 outlets, in a process of its own.
 
-Runs `latent.run_chain` with the `ChainConfig()` defaults (4 chains x 5000
-iterations, burn-in 1000) at seed 5 on the paper-682 counts,
-synth.generate(682, 2, seed=1, alpha_loc=4.3) -> corpus.aggregate_counts, one
-fit per event type as `newsbias fit` runs it, and exits 1 if any event's max
-split R-hat passes RHAT_LIMIT or its min ESS falls below ESS_FLOOR. Prints
-each event's max R-hat, min ESS and seconds, then the total wall time and the
-process's peak RSS.
+Runs `latent.run_chain` with the `ChainConfig()` defaults at seed 5 on the
+paper-682 counts, synth.generate(682, 2, seed=1, alpha_loc=4.3) ->
+corpus.aggregate_counts, one fit per event type as `newsbias fit` runs it,
+and exits 1 if any event's max split R-hat passes RHAT_LIMIT or its min ESS
+falls below ESS_FLOOR. Prints each event's max R-hat, min ESS and seconds,
+then the config it ran, the total wall time and the process's peak RSS.
 
     PYTHONPATH=src python scripts/fit_682.py
 """

@@ -30,7 +30,7 @@ import math
 import resource
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 from typing import Callable
@@ -81,6 +81,10 @@ def _format(value: str) -> str:
     return value
 
 
+# the fit's defaults are the field defaults of its config classes
+_FIT_DEFAULTS = {f.name: f.default for cls in (latent.ChainConfig, latent.ModelConstants)
+                 for f in fields(cls)}
+
 # option name -> (cast for flag and config-file values, default, help)
 _OPTIONS: dict[str, tuple] = {
     "articles": (str, None, "articles file"),
@@ -91,11 +95,11 @@ _OPTIONS: dict[str, tuple] = {
     "to": (_date, None, "keep articles on/before this date"),
     "format": (_format, "csv", "input format: csv or jsonl"),
     "seed": (_seed, 0, "root random seed"),
-    "chains": (int, 4, "MCMC chains per event type"),
-    "iters": (int, 5000, "MCMC iterations per chain"),
-    "burnin": (int, 1000, "burn-in iterations per chain"),
-    "prior_alpha_sd": (float, 15.0, "prior sd of the intercepts"),
-    "prior_x_sd": (float, 1.0, "prior sd of the stances"),
+    "chains": (int, _FIT_DEFAULTS["chains"], "MCMC chains per event type"),
+    "iters": (int, _FIT_DEFAULTS["iterations"], "MCMC iterations per chain"),
+    "burnin": (int, _FIT_DEFAULTS["burn_in"], "burn-in iterations per chain"),
+    "prior_alpha_sd": (float, _FIT_DEFAULTS["prior_sd_alpha"], "prior sd of the intercepts"),
+    "prior_x_sd": (float, _FIT_DEFAULTS["prior_sd_x"], "prior sd of the stances"),
     "dump_draws": (_onoff, False, "also write raw draws per event type"),
     "theta": (float, math.pi / 4, "selection-index line angle in radians"),
     "duration_weighted": (_onoff, False, "weight follower averages by overlap days"),

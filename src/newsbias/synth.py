@@ -1,9 +1,16 @@
 """Synthetic corpus and audience generators with a ground-truth sidecar.
 
-Plants known latent parameters per outlet and event type, expands simulated
-counts into article records, and builds a retweet population with planted
-audience communities, so the whole pipeline can be exercised and checked
-against the truth it was generated from.
+Plants known latent parameters per outlet and event type, draws counts from
+the latent model and expands them into articles, and builds a retweet
+population with planted audience communities, so the whole pipeline can be
+exercised and checked against the truth it was generated from.
+
+`generate` draws each table as whole numpy columns and returns the tables
+the pipeline itself reads (`corpus.OutletTable`, `ArticleTable`,
+`FollowerTable` and `RetweetTable`). Each part of the corpus (registry,
+parameters, articles, followers, retweets) draws from its own child of
+`np.random.SeedSequence(seed)`, so a change to the draws of one part leaves
+the others as they were.
 """
 
 from __future__ import annotations
@@ -15,29 +22,29 @@ import numpy as np
 
 from .corpus import (
     EVENT_ORDER,
-    NARRATIVE_ORDER,
-    ArticleRecord,
-    FollowerRecord,
+    PLATFORMS,
+    ArticleTable,
+    EventType,
+    FollowerTable,
     InputError,
     OutletKind,
-    OutletProfile,
+    OutletTable,
     Platform,
     Reliability,
-    RetweetRecord,
+    RetweetTable,
 )
 from .latent import ModelConstants, simulate_counts
 
-_PLATFORM_CYCLE = (Platform.FACEBOOK, Platform.TWITTER, Platform.INSTAGRAM, Platform.YOUTUBE)
-_KIND_CYCLE = (OutletKind.NEWSPAPER, OutletKind.ONLINE, OutletKind.TV, OutletKind.RADIO)
+_PARTS = ("registry", "parameters", "articles", "followers", "retweets")
 _USERS_PER_CLUSTER = 40  # simulated retweeting users planted in each audience cluster
 
 
 @dataclass(frozen=True)
 class SyntheticData:
-    articles: list[ArticleRecord]
-    outlets: list[OutletProfile]
-    followers: list[FollowerRecord]
-    retweets: list[RetweetRecord]
+    articles: ArticleTable
+    outlets: OutletTable
+    followers: FollowerTable
+    retweets: RetweetTable
     truth: dict
 
 
@@ -53,121 +60,92 @@ def generate(
 ) -> SyntheticData:
     """Build a corpus with planted stances, propensities, and audiences.
 
-    Cluster 0 is seeded anti-leaning (negative stances, adverse-heavy
-    propensity, mostly questionable outlets); the last cluster is the
-    mirror image. Stances stay inside (-0.9, 0.9) where the latent model
-    is well identified.
+    Outlet i belongs to cluster i % n_clusters. Cluster 0 is seeded
+    anti-leaning (negative stances, adverse-heavy propensity, mostly
+    questionable outlets); the last cluster is the mirror image. Stances
+    are clipped to [-0.9, 0.9], where the latent model is well identified.
     """
     if n_outlets < n_clusters or n_clusters < 1:
         raise InputError("need at least one outlet per cluster")
     if window[0] > window[1]:
         raise InputError("window start must be <= window end")
-    rng = np.random.default_rng(seed)
+    rng = dict(zip(_PARTS, map(np.random.default_rng,
+                               np.random.SeedSequence(seed).spawn(len(_PARTS)))))
     start, end = window
-    n_days = (end - start).days + 1
+    outlet_ids = tuple(f"o{i:03d}" for i in range(n_outlets))
+    row = np.arange(n_outlets)
+    cluster = row % n_clusters
 
-    outlet_ids = [f"o{i:03d}" for i in range(n_outlets)]
-    cluster_of = {oid: i % n_clusters for i, oid in enumerate(outlet_ids)}
+    questionable = rng["registry"].random(n_outlets) < np.where(cluster == 0, 0.75, 0.15)
+    labels = tuple(Reliability)
+    reliability = np.where(questionable, labels.index(Reliability.QUESTIONABLE),
+                           labels.index(Reliability.RELIABLE))
+    kind = row % len(OutletKind)  # outlet i is of the (i mod 4)-th kind, in OutletKind's order
+    outlets = OutletTable(
+        [row, row, reliability, kind],
+        {"outlet_id": outlet_ids, "name": [f"Outlet {i}" for i in range(n_outlets)]},
+    )
 
-    outlets = []
-    for i, oid in enumerate(outlet_ids):
-        p_questionable = 0.75 if cluster_of[oid] == 0 else 0.15
-        outlets.append(
-            OutletProfile(
-                outlet_id=oid,
-                name=f"Outlet {i}",
-                reliability=(
-                    Reliability.QUESTIONABLE
-                    if rng.random() < p_questionable
-                    else Reliability.RELIABLE
-                ),
-                kind=_KIND_CYCLE[i % len(_KIND_CYCLE)],
-            )
-        )
+    # planted latent parameters, one row per event type, biased by cluster
+    alpha = rng["parameters"].normal(alpha_loc, 0.5, (len(EVENT_ORDER), n_outlets))
+    alpha[EVENT_ORDER.index(EventType.ADVERSE), cluster == 0] += 0.7
+    alpha[EVENT_ORDER.index(EventType.POSITIVE), cluster == n_clusters - 1] += 0.7
+    center = -0.5 + cluster / (n_clusters - 1) if n_clusters > 1 else np.zeros(n_outlets)
+    x = np.clip(rng["parameters"].normal(center, 0.3, alpha.shape), -0.9, 0.9)
 
-    # planted latent parameters, biased by cluster
-    def stance_center(cluster: int) -> float:
-        if n_clusters == 1:
-            return 0.0
-        return -0.5 + cluster / (n_clusters - 1)
-
-    alpha_true: dict[str, dict[str, float]] = {}
-    x_true: dict[str, dict[str, float]] = {}
-    for event in EVENT_ORDER:
-        alpha_true[event.value] = {}
-        x_true[event.value] = {}
-        for oid in outlet_ids:
-            g = cluster_of[oid]
-            a = rng.normal(alpha_loc, 0.5)
-            if g == 0 and event.value == "adverse":
-                a += 0.7
-            if g == n_clusters - 1 and event.value == "positive":
-                a += 0.7
-            x = float(np.clip(rng.normal(stance_center(g), 0.3), -0.9, 0.9))
-            alpha_true[event.value][oid] = float(a)
-            x_true[event.value][oid] = x
-
-    articles: list[ArticleRecord] = []
-    for event in EVENT_ORDER:
-        alphas = np.array([alpha_true[event.value][oid] for oid in outlet_ids])
-        stances = np.array([x_true[event.value][oid] for oid in outlet_ids])
-        counts = simulate_counts(alphas, stances, ModelConstants(), rng)
-        for i, oid in enumerate(outlet_ids):
+    # articles: event-major, then outlet, then narrative, as the cells count them
+    per_event = []
+    for k in range(len(EVENT_ORDER)):
+        counts = simulate_counts(alpha[k], x[k], ModelConstants(), rng["articles"])
+        cell = np.repeat(np.arange(counts.size), counts.ravel())
+        outlet, narrative = np.divmod(cell, counts.shape[1])
+        n = len(cell)
+        per_event.append([
+            outlet,
+            rng["articles"].integers(0, len(PLATFORMS), n),
+            start.toordinal() + rng["articles"].integers(0, (end - start).days + 1, n),
+            narrative,
+            np.full(n, k),
             # engagement grows with stance extremity, planting the U-shape
-            rate = 30.0 * (1.0 + 3.0 * stances[i] ** 2)
-            for j, narrative in enumerate(NARRATIVE_ORDER):
-                for _ in range(int(counts[i, j])):
-                    day = int(rng.integers(0, n_days))
-                    articles.append(
-                        ArticleRecord(
-                            outlet_id=oid,
-                            platform=_PLATFORM_CYCLE[int(rng.integers(0, 4))],
-                            date=start + datetime.timedelta(days=day),
-                            narrative=narrative,
-                            event=event,
-                            interactions=int(rng.poisson(rate)),
-                        )
-                    )
+            rng["articles"].poisson(30.0 * (1.0 + 3.0 * x[k][outlet] ** 2)),
+        ])
+    articles = ArticleTable([np.concatenate(c) for c in zip(*per_event)], {"outlet_id": outlet_ids})
 
-    followers = []
-    for oid in outlet_ids:
-        for platform in (Platform.FACEBOOK, Platform.TWITTER):
-            followers.append(
-                FollowerRecord(
-                    outlet_id=oid,
-                    platform=platform,
-                    period_start=start,
-                    period_end=end,
-                    followers=int(rng.integers(2_000, 100_000)),
-                )
-            )
+    # followers: a Facebook then a Twitter account per outlet, over the window
+    accounts = [PLATFORMS.index(p) for p in (Platform.FACEBOOK, Platform.TWITTER)]
+    n = len(accounts) * n_outlets
+    followers = FollowerTable(
+        [np.repeat(row, len(accounts)), np.tile(accounts, n_outlets),
+         np.full(n, start.toordinal()), np.full(n, end.toordinal()),
+         rng["followers"].integers(2_000, 100_000, n)],
+        {"outlet_id": outlet_ids},
+    )
 
-    by_cluster: dict[int, list[str]] = {}
-    for oid in outlet_ids:
-        by_cluster.setdefault(cluster_of[oid], []).append(oid)
-    retweets = []
-    user_no = 0
-    for g in sorted(by_cluster):
-        for _ in range(_USERS_PER_CLUSTER):
-            uid = f"u{user_no:04d}"
-            user_no += 1
-            for oid in outlet_ids:
-                if cluster_of[oid] == g:
-                    if rng.random() < 0.6:
-                        retweets.append(
-                            RetweetRecord(uid, oid, 1 + int(rng.poisson(2.0)))
-                        )
-                elif rng.random() < 0.03:
-                    retweets.append(RetweetRecord(uid, oid, 1))
+    # retweets: each cluster's users retweet its outlets often and others
+    # rarely; rows are user-major, outlets in registry order
+    per_cluster = []
+    for g in range(n_clusters):
+        member = cluster == g
+        hit = rng["retweets"].random((_USERS_PER_CLUSTER, n_outlets)) < np.where(member, 0.6, 0.03)
+        user, outlet = np.nonzero(hit)
+        count = np.ones(len(outlet), dtype=np.int64)
+        inside = member[outlet]
+        count[inside] += rng["retweets"].poisson(2.0, int(inside.sum()))
+        per_cluster.append([g * _USERS_PER_CLUSTER + user, outlet, count])
+    retweets = RetweetTable(
+        [np.concatenate(c) for c in zip(*per_cluster)],
+        {"user_id": [f"u{u:04d}" for u in range(n_clusters * _USERS_PER_CLUSTER)],
+         "outlet_id": outlet_ids},
+    )
 
     truth = {
         "seed": seed,
         "n_outlets": n_outlets,
         "n_clusters": n_clusters,
         "window": [start.isoformat(), end.isoformat()],
-        "alpha": alpha_true,
-        "x": x_true,
-        "outlet_clusters": cluster_of,
+        "alpha": {e.value: dict(zip(outlet_ids, a)) for e, a in zip(EVENT_ORDER, alpha.tolist())},
+        "x": {e.value: dict(zip(outlet_ids, s)) for e, s in zip(EVENT_ORDER, x.tolist())},
+        "outlet_clusters": dict(zip(outlet_ids, cluster.tolist())),
     }
     return SyntheticData(
         articles=articles,
