@@ -1,4 +1,4 @@
-"""Command-line pipeline: ingest -> fit -> bias -> engagement -> network -> report.
+"""Command-line pipeline: ingest; fit -> bias, engagement, network; report relates them.
 
 Every command is one entry of the `STAGES` table: the options it accepts, the
 artifacts it needs in the output directory (checked in order), the artifacts
@@ -11,9 +11,9 @@ logs the stage's wall time and the process's peak RSS as one INFO line on
 stderr. The argparse subcommands are built from the same table. Identical
 inputs and seed produce byte-identical outputs.
 
-Each artifact a later stage reads back has one Table schema, next to the
-records it carries, and is written with `corpus._write` and read with
-`corpus._parse`, as the input tables are.
+Each artifact a later stage reads back, and cluster_stats.csv, which no stage
+reads, has one Table schema next to the records it carries, and is written with
+`corpus._write` and read with `corpus._parse`, as the input tables are.
 
 Exit codes: 0 success, 2 input error (InputError, ParseError or OSError), 3
 missing upstream artifact, 1 internal (any other error, ValueError included).
@@ -352,14 +352,12 @@ def _engagement(opts: dict, out: Path) -> str:
         raise InputError("--from and --to must be given together")
     articles = _load(out / "articles.csv", corpus.parse_articles, "csv")
     followers = _load(out / "followers.csv", corpus.parse_followers, "csv")
-    bias = _read(out / "bias.csv", metrics.BiasTable)
 
     table = metrics.build_engagement_table(
         articles, followers, window=window, duration_weighted=opts["duration_weighted"]
     )
     _save(out / "engagement.csv", corpus._write, metrics.EngagementTable, table)
-    _write_json(out / "fits.json", metrics.engagement_bias_fits(bias, table))
-    return f"engagement: wrote engagement.csv ({len(table)} rows) and fits.json -> {out}"
+    return f"engagement: wrote engagement.csv ({len(table)} rows) -> {out}"
 
 
 def _network(opts: dict, out: Path) -> str:
@@ -367,7 +365,6 @@ def _network(opts: dict, out: Path) -> str:
     retweets = _load(out / "retweets.csv", corpus.parse_retweets, "csv")
     if not retweets:
         raise InputError("retweets.csv is empty; cannot build the audience network")
-    bias = _read(out / "bias.csv", metrics.BiasTable)
 
     matrix = network.build_matrix(retweets)
     graph = network.build_graph(matrix, registry.reliability_of())
@@ -380,21 +377,24 @@ def _network(opts: dict, out: Path) -> str:
     )
     partition = network.louvain(graph, seed=opts["seed"])
     graph = network.with_clusters(graph, partition)
-    stats = network.cluster_stats(partition, bias, registry)
 
     _save(out / "edges.csv", network.write_edges_csv, graph)
     _save(out / "graph.graphml", network.write_graphml, graph)
     _save(out / "clusters.csv", network.write_clusters_csv, partition)
-    _save(out / "cluster_stats.csv", network.write_cluster_stats_csv, stats)
     return (
         f"network: {len(graph.nodes)} nodes, {graph.n_edges} edges, "
-        f"{len(stats)} clusters -> {out}"
+        f"{len(set(partition.values()))} clusters -> {out}"
     )
 
 
 def _report(opts: dict, out: Path) -> str:
-    clusters = dict(_read(out / "clusters.csv", network.ClusterTable))
     bias = _read(out / "bias.csv", metrics.BiasTable)
+    engagement = _read(out / "engagement.csv", metrics.EngagementTable)
+    clusters = dict(_read(out / "clusters.csv", network.ClusterTable))
+    registry = _load(out / "outlets.csv", corpus.parse_outlets, "csv")
+    _write_json(out / "fits.json", metrics.engagement_bias_fits(bias, engagement))
+    stats = network.cluster_stats(clusters, bias, registry)
+    _save(out / "cluster_stats.csv", network.write_cluster_stats_csv, stats)
     outlets: dict[str, dict] = {}
     for row in bias:
         outlets[row.outlet_id] = {
@@ -403,15 +403,13 @@ def _report(opts: dict, out: Path) -> str:
             "cluster": clusters.get(row.outlet_id),
             "engagement": {},
         }
-    engagement = _read(out / "engagement.csv", metrics.EngagementTable)
     for rec in engagement:
         if rec.outlet_id in outlets:
             outlets[rec.outlet_id]["engagement"][rec.event.value] = {
                 f.name: getattr(rec, f.name) for f in engagement.fields[2:]
             }
-    cluster_rows = list(map(asdict, _read(out / "cluster_stats.csv", network.ClusterStatsTable)))
-    _write_json(out / "report.json", {"outlets": outlets, "clusters": cluster_rows})
-    return f"report: wrote report.json ({len(outlets)} outlets) -> {out}"
+    _write_json(out / "report.json", {"outlets": outlets, "clusters": list(map(asdict, stats))})
+    return f"report: wrote report.json ({len(outlets)} outlets, {len(stats)} clusters) -> {out}"
 
 
 def _simulate(opts: dict, out: Path) -> str:
@@ -473,24 +471,24 @@ STAGES: dict[str, Stage] = {
         run=_bias,
     ),
     "engagement": Stage(
-        "adjusted engagement and regressions",
+        "adjusted engagement per outlet and event type",
         options=("from", "to", "duration_weighted"),
-        requires=("articles.csv", "followers.csv", "bias.csv"),
-        produces=("engagement.csv", "fits.json"),
+        requires=("articles.csv", "followers.csv"),
+        produces=("engagement.csv",),
         run=_engagement,
     ),
     "network": Stage(
         "audience graph and Louvain clusters",
         options=("seed", "strict_threshold", "drop_isolates"),
-        requires=("retweets.csv", "bias.csv", "outlets.csv"),
-        produces=("edges.csv", "graph.graphml", "clusters.csv", "cluster_stats.csv"),
+        requires=("retweets.csv", "outlets.csv"),
+        produces=("edges.csv", "graph.graphml", "clusters.csv"),
         run=_network,
     ),
     "report": Stage(
-        "join stage outputs into report.json",
+        "relate bias to engagement and clusters: fits, cluster profiles, report.json",
         options=(),
-        requires=("bias.csv", "engagement.csv", "cluster_stats.csv", "clusters.csv"),
-        produces=("report.json",),
+        requires=("bias.csv", "engagement.csv", "clusters.csv", "outlets.csv"),
+        produces=("fits.json", "cluster_stats.csv", "report.json"),
         run=_report,
     ),
     "simulate": Stage(
@@ -550,7 +548,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=stage.help)
         p.add_argument("--config", help="flat key = value config file")
         for key in (*stage.options, "out"):
-            cast, _, help_text = _OPTIONS[key]
+            cast, default, help_text = _OPTIONS[key]
+            if default is not None:
+                help_text += f" (default: {('off', 'on')[default] if cast is _onoff else default})"
             p.add_argument("--" + key.replace("_", "-"), type=cast, default=None,
                            metavar=_METAVARS.get(cast), help=help_text)
     return parser

@@ -69,8 +69,8 @@ class LatentParams:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    iterations: int = 5000
-    burn_in: int = 1000
+    iterations: int = 1000
+    burn_in: int = 200
     chains: int = 4
     seed: int = 0
 

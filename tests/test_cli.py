@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsbias import cli, corpus, latent, metrics
+from newsbias import cli, corpus, latent, metrics, network
 from newsbias.cli import main
 
 
@@ -310,6 +310,20 @@ class TestConfigAndOptions:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["seed"] == 11
 
+    def test_help_names_the_defaults_a_run_resolves(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run("fit", "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        config = latent.ChainConfig()
+        assert f"MCMC chains per event type (default: {config.chains})" in text
+        assert f"MCMC iterations per chain (default: {config.iterations})" in text
+        assert f"burn-in iterations per chain (default: {config.burn_in})" in text
+        assert "also write raw draws per event type (default: off)" in text
+        with pytest.raises(SystemExit):
+            run("network", "--help")
+        assert "keep edges exactly at the mean weight (default: on)" in " ".join(
+            capsys.readouterr().out.split())
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"
         config.write_text("itters = 12\n")
@@ -416,13 +430,13 @@ REQUIRED = {
     "ingest": [],
     "fit": [("counts.csv", "ingest")],
     "bias": [("posterior.csv", "fit"), ("outlets.csv", "ingest")],
-    "engagement": [("articles.csv", "ingest"), ("followers.csv", "ingest"), ("bias.csv", "bias")],
-    "network": [("retweets.csv", "ingest"), ("bias.csv", "bias"), ("outlets.csv", "ingest")],
+    "engagement": [("articles.csv", "ingest"), ("followers.csv", "ingest")],
+    "network": [("retweets.csv", "ingest"), ("outlets.csv", "ingest")],
     "report": [
         ("bias.csv", "bias"),
         ("engagement.csv", "engagement"),
-        ("cluster_stats.csv", "network"),
         ("clusters.csv", "network"),
+        ("outlets.csv", "ingest"),
     ],
     "simulate": [],
 }
@@ -439,6 +453,39 @@ def full_run(tmp_path_factory):
     for stage in ("bias", "engagement", "network", "report"):
         assert run(stage, "--out", out) == 0
     return sim, out
+
+
+def test_cluster_stats_file_reads_back_as_the_report_clusters(full_run):
+    # report writes cluster_stats.csv and no stage reads it, so its schema is checked here
+    _, full = full_run
+    text = (full / "cluster_stats.csv").read_text()
+    table = corpus._parse(io.StringIO(text), "csv", network.ClusterStatsTable)
+    report = json.loads((full / "report.json").read_text())
+    assert len(table) >= 2
+    assert list(map(dataclasses.asdict, table)) == report["clusters"]
+    again = io.StringIO()
+    network.write_cluster_stats_csv(table, again)
+    assert again.getvalue() == text
+
+
+def test_analyses_run_in_any_order_after_ingest(full_run, tmp_path, capsys):
+    # engagement and network need no bias.csv; only report joins the analyses
+    sim, full = full_run
+    out = tmp_path / "run"
+    assert run(*ingest_args(sim, out)) == 0
+    assert run("engagement", "--out", out) == 0
+    assert run("network", "--out", out) == 0
+    capsys.readouterr()
+    assert run("report", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "'bias.csv'" in err and "'bias' stage" in err, err
+    assert fit_fast(out) == 0
+    assert run("bias", "--out", out) == 0
+    assert run("report", "--out", out) == 0
+    names = sorted(p.name for p in full.iterdir() if p.name != "run_manifest.json")
+    assert sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json") == names
+    for name in names:
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def accepted_options(command: str) -> set[str]:
@@ -486,23 +533,20 @@ class TestStageTable:
 
 @pytest.mark.parametrize("artifact, column, value, stage", [
     ("posterior.csv", "mean", "abc", "bias"),
-    ("bias.csv", "x_adv", "abc", "engagement"),
+    ("bias.csv", "x_adv", "abc", "report"),
     ("bias.csv", "adverse_lean", "True", "report"),
     ("bias.csv", "reliability", "garbage", "report"),
     ("engagement.csv", "contents", "abc", "report"),
     ("engagement.csv", "contents", " 1_000 ", "report"),
     ("engagement.csv", "interactions", "9223372036854775808", "report"),
-    ("cluster_stats.csv", "mean_x_adv", "abc", "report"),
     ("bias.csv", "x_adv", "nan", "report"),
     ("bias.csv", "x_pos", " 1_0.5 ", "report"),
     ("engagement.csv", "contents", " 7", "report"),
-    ("cluster_stats.csv", "size", " 3", "report"),
     ("clusters.csv", "cluster_id", "+1", "report"),
     ("posterior.csv", "event_type", "sideways", "bias"),
     ("posterior.csv", "param", "beta", "bias"),
     ("posterior.csv", "rhat", "NaN", "bias"),
     ("engagement.csv", "followers", "1e3", "report"),
-    ("cluster_stats.csv", "size", "", "report"),
 ])
 def test_bad_artifact_value_exits_2_naming_file_and_line(
     artifact, column, value, stage, full_run, tmp_path, capsys
@@ -571,8 +615,7 @@ ARTIFACT_MESSAGES = {
     ("posterior.csv", "bias", {"mean": "9.5"}, ("outlet_id", "event_type", "param")),
     ("engagement.csv", "report", {"engagement": "0.5"}, ("outlet_id", "event_type")),
     ("clusters.csv", "report", {"cluster_id": "7"}, ("outlet_id",)),
-    ("cluster_stats.csv", "report", {}, ("cluster_id",)),
-], ids=["bias", "posterior", "engagement", "clusters", "cluster_stats"])
+], ids=["bias", "posterior", "engagement", "clusters"])
 def test_repeated_artifact_key_exits_2(artifact, stage, change, key, full_run, tmp_path, capsys):
     # a repeated key once read as last-wins: a second bias.csv row could relabel an outlet
     _, full = full_run

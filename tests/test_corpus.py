@@ -1070,6 +1070,17 @@ class TestArtifactRoundTrips:
         assert text == again == buf.getvalue() and parsed == rows
         assert np.signbit(parsed[1].mean_x_adv)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,3,0.5,abc,0.1,0.2,0.5\n", "invalid mean_x_adv 'abc' at line 2"),
+        ("0, 3,0.5,0.1,0.1,0.2,0.5\n", "invalid size ' 3' at line 2"),
+        ("0,,0.5,0.1,0.1,0.2,0.5\n", "invalid size '' at line 2"),
+    ])
+    def test_bad_cluster_stats_value_rejected_at_its_line(self, text, message):
+        # no stage reads cluster_stats.csv back, so its schema is checked here alone
+        header = ",".join(network.CLUSTER_STATS_FIELDS) + "\n"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            corpus._parse(io.StringIO(header + text), "csv", network.ClusterStatsTable)
+
     @pytest.mark.parametrize("name, text, message", [
         ("posterior", "o1,adverse,alpha,1.0,1.0,1.0,1.0,1.0,1.0\no1,adverse,x,1.0,1.0,1.0,1.0,1.0,1.0\n"
          "o1,adverse,alpha,2.0,1.0,1.0,1.0,1.0,1.0\n",
