@@ -12,8 +12,8 @@ stderr. The argparse subcommands are built from the same table. Identical
 inputs and seed produce byte-identical outputs.
 
 Each artifact a later stage reads back, and cluster_stats.csv, which no stage
-reads, has one Table schema next to the records it carries, and is written with
-`corpus._write` and read with `corpus._parse`, as the input tables are.
+reads, has one Table schema, which also declares its row record, and is written
+with `corpus._write` and read with `corpus._parse`, as the input tables are.
 
 Exit codes: 0 success, 2 input error (InputError, ParseError or OSError), 3
 missing upstream artifact, 1 internal (any other error, ValueError included).
@@ -68,9 +68,12 @@ def _date(value: str) -> datetime.date:
 
 
 def _seed(value: str) -> int:
-    if int(value) < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got '{value}'")
-    return int(value)
+    try:
+        if int(value) >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got '{value}'")
 
 
 def _format(value: str) -> str:
@@ -405,7 +408,7 @@ def _report(opts: dict, out: Path) -> str:
         }
     for rec in engagement:
         if rec.outlet_id in outlets:
-            outlets[rec.outlet_id]["engagement"][rec.event.value] = {
+            outlets[rec.outlet_id]["engagement"][rec.event_type.value] = {
                 f.name: getattr(rec, f.name) for f in engagement.fields[2:]
             }
     _write_json(out / "report.json", {"outlets": outlets, "clusters": list(map(asdict, stats))})

@@ -1,12 +1,13 @@
 """Canonical records for the labeled news corpus and their file formats.
 
 Everything here is pure. Each input table and each read-back stage artifact
-has one schema, a tuple of typed fields, and one reader: `_parse` reads a
-character stream into a Table of numpy columns, dict-coded except for float
-fields, which are converted value by value (the input tables here, the
-artifact tables next to the records they carry), and `_write` spells a table
-back. Aggregation folds the article columns into an outlet x narrative x
-event count tensor with one bincount, and nothing mutates its inputs.
+has one schema, a tuple of typed fields from which its row record is built,
+and one reader: `_parse` reads a character stream into a Table of numpy
+columns, dict-coded except for float fields, which are converted value by
+value (the input tables here, the artifact tables in the modules that build
+them), and `_write` spells a table back. Aggregation folds the article
+columns into an outlet x narrative x event count tensor with one bincount,
+and nothing mutates its inputs.
 
 CSV is read and written a block at a time. `_parse` has two read paths, and
 the input picks one: a block of lines with no quote, CR, NUL or blank line,
@@ -23,6 +24,7 @@ it a table as one block, each distinct value of a column spelled once.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import itertools
 import json
@@ -33,7 +35,7 @@ import re
 from collections import abc
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -95,60 +97,6 @@ class ParseError(InputError):
         super().__init__(f"{message} at line {line}")
         self.reason = message
         self.line = line
-
-
-@dataclass(frozen=True)
-class ArticleRecord:
-    """One labeled content item published by an outlet."""
-
-    outlet_id: str
-    platform: Platform
-    date: datetime.date
-    narrative: Narrative
-    event: EventType
-    interactions: int
-
-    def __post_init__(self):
-        if self.interactions < 0:
-            raise ValueError("interactions must be >= 0")
-
-
-@dataclass(frozen=True)
-class OutletProfile:
-    outlet_id: str
-    name: str
-    reliability: Reliability
-    kind: OutletKind | None = None
-
-
-@dataclass(frozen=True)
-class FollowerRecord:
-    """Follower count of one outlet account over one observation period."""
-
-    outlet_id: str
-    platform: Platform
-    period_start: datetime.date
-    period_end: datetime.date
-    followers: int
-
-    def __post_init__(self):
-        if self.period_start > self.period_end:
-            raise ValueError("period_start must be <= period_end")
-        if self.followers < 0:
-            raise ValueError("followers must be >= 0")
-
-
-@dataclass(frozen=True)
-class RetweetRecord:
-    """How many times one user retweeted one outlet."""
-
-    user_id: str
-    outlet_id: str
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -255,23 +203,15 @@ def _csv_rows(lines: Iterable[str], fields: Sequence[str], header: bool, offset:
 def _json_key(value):
     """Dict key of a JSON or record value: equal keys parse to equal results.
 
-    Strings key as themselves, anything else by (type, repr), so `true`
-    never merges with `1`, nor `1.0` with `1`, nor `-0.0` with `0.0`.
+    Strings key as themselves, anything else by its type and itself, or by
+    its type and repr if a float (equal floats may spell apart) or a list or
+    dict (unhashable), so `true` never merges with `1`, nor `1.0` with `1`,
+    nor `-0.0` with `0.0`.
     """
-    return value if type(value) is str else (type(value), repr(value))
-
-
-def _record_keys(column: list) -> list:
-    """Dict keys of one record field, as `_json_key` would key them.
-
-    A column of one type other than float keys as itself; otherwise every
-    value is keyed by `_json_key`, so a `True` after a `1` is still checked
-    and `-0.0` stays apart from `0.0`.
-    """
-    kinds = set(map(type, column))
-    if len(kinds) <= 1 and float not in kinds:
-        return column
-    return list(map(_json_key, column))
+    kind = type(value)
+    if kind is str:
+        return value
+    return kind, repr(value) if kind is float or kind is list or kind is dict else value
 
 
 class _Coder:
@@ -560,7 +500,11 @@ class Table(abc.Sequence):
 
     The table is a read-only Sequence of `record`: length, iteration and
     indexing build records on demand, and it compares equal to a list of the
-    same records. `from_records` and `from_columns` convert record values.
+    same records. A subclass that names its record, as in
+    `class ArticleTable(Table, record="ArticleRecord")`, gets a frozen
+    dataclass of that name, one attribute per field in schema order, with
+    trailing optional fields defaulting to None; any other table's records
+    are tuples. `from_records` and `from_columns` convert record values.
     Parsed or converted, a table is built under its class's own rule
     (`_checked`), by default that no two rows share their `key` field values
     (a key of several fields names a cell).
@@ -569,6 +513,21 @@ class Table(abc.Sequence):
     fields: tuple[_Field, ...] = ()
     record: Callable = staticmethod(lambda *values: values)
     key: tuple[str, ...] = ()  # field names, in schema order
+
+    def __init_subclass__(cls, record: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if record is None:
+            return
+        names = [f.name for f in cls.fields]
+        required = len(names)
+        while required and cls.fields[required - 1].optional:
+            required -= 1
+        cls.record = dataclasses.make_dataclass(
+            record, [*names[:required], *((name, Any, None) for name in names[required:])],
+            frozen=True)
+        # set after creation: from Python 3.12 on, make_dataclass names the module
+        # that called it, and the record must pickle under its table's module
+        cls.record.__module__ = cls.__module__
 
     def __init__(self, columns: Sequence, ids: Mapping[str, Sequence[str]]):
         for field, values in zip(self.fields, columns, strict=True):
@@ -618,9 +577,12 @@ class Table(abc.Sequence):
         coders = [field.coder() for field in cls.fields]
         try:
             for coder, column in zip(coders, columns, strict=True):
-                failed = coder.add(_record_keys(column), column)
-                if failed is not None:
-                    raise ParseError(failed[1], failed[0])
+                # a chunk of keys at a time, freed while young, as _parse's are
+                for start in range(0, len(column), _CHUNK_ROWS):
+                    chunk = column[start : start + _CHUNK_ROWS]
+                    failed = coder.add(list(map(_json_key, chunk)), chunk)
+                    if failed is not None:
+                        raise ParseError(failed[1], start + failed[0])
             return cls._from_coders(coders, range(len(column)))
         except ParseError as exc:
             raise ValueError(f"record {exc.line}: {exc.reason}") from None
@@ -669,11 +631,12 @@ def _first_repeat(*columns: np.ndarray) -> int | None:
     return int(np.argmax(repeat)) if repeat.any() else None
 
 
-class ArticleTable(Table):
-    """Articles: article i was published by outlet_ids[outlet_id[i]] on
-    platform PLATFORMS[platform[i]], on the day with ordinal date[i], with
-    narrative NARRATIVE_ORDER[narrative[i]] about an event of type
-    EVENT_ORDER[event[i]], and drew interactions[i] interactions.
+class ArticleTable(Table, record="ArticleRecord"):
+    """Articles, each one labeled content item published by an outlet: article
+    i was published by outlet_ids[outlet_id[i]] on platform
+    PLATFORMS[platform[i]], on the day with ordinal date[i], with narrative
+    NARRATIVE_ORDER[narrative[i]] about an event of type EVENT_ORDER[event[i]],
+    and drew interactions[i] interactions.
     """
 
     fields = (
@@ -684,15 +647,15 @@ class ArticleTable(Table):
         EnumField("event", EVENT_ORDER, "event label"),
         CountField("interactions"),
     )
-    record = ArticleRecord
 
     def interaction_totals(self, groups: np.ndarray, n_groups: int) -> list[int]:
         """Exact interactions per group (`groups[i]` is row i's group); beyond int64 raises."""
         return [_int64_total(t) for t in exact_sums(self.interactions, groups, n_groups)]
 
 
-class OutletTable(Table):
-    """The outlet registry; its rule: outlet ids are unique."""
+class OutletTable(Table, record="OutletProfile"):
+    """The outlet registry, one profile per outlet, its kind None if not given;
+    its rule: outlet ids are unique."""
 
     fields = (
         IdField("outlet_id"),
@@ -700,7 +663,6 @@ class OutletTable(Table):
         EnumField("reliability", tuple(Reliability), "reliability label"),
         EnumField("kind", tuple(OutletKind), "outlet kind", optional=True),
     )
-    record = OutletProfile
     key = ("outlet_id",)
 
     def row_of(self) -> dict[str, int]:
@@ -713,8 +675,9 @@ class OutletTable(Table):
                         _lookup(tuple(Reliability), self.reliability)))
 
 
-class FollowerTable(Table):
-    """Follower counts; its rule: period_start <= period_end."""
+class FollowerTable(Table, record="FollowerRecord"):
+    """Follower counts, each of one outlet account over one observation period;
+    its rule: period_start <= period_end."""
 
     fields = (
         IdField("outlet_id"),
@@ -723,7 +686,6 @@ class FollowerTable(Table):
         DateField("period_end"),
         CountField("followers"),
     )
-    record = FollowerRecord
 
     def _checked(self, lines):
         reversed_rows = np.flatnonzero(self.period_start > self.period_end)
@@ -735,12 +697,12 @@ class FollowerTable(Table):
         return self
 
 
-class RetweetTable(Table):
-    """Retweet counts; its rule: duplicate (user, outlet) rows are summed
-    into the first, and the total must stay within int64."""
+class RetweetTable(Table, record="RetweetRecord"):
+    """Retweet counts, each how many times one user retweeted one outlet; its
+    rule: duplicate (user, outlet) rows are summed into the first, and the
+    total must stay within int64."""
 
     fields = (IdField("user_id"), IdField("outlet_id"), CountField("count", minimum=1))
-    record = RetweetRecord
 
     def _checked(self, lines):
         pair = self.user_id.astype(np.int64) * len(self.outlet_ids) + self.outlet_id
@@ -773,6 +735,9 @@ class _CountRows(Table):
     key = ("outlet_id", "narrative", "event")
 
 
+ArticleRecord, OutletProfile, FollowerRecord, RetweetRecord = (
+    table.record for table in (ArticleTable, OutletTable, FollowerTable, RetweetTable)
+)
 ARTICLE_FIELDS, OUTLET_FIELDS, FOLLOWER_FIELDS, RETWEET_FIELDS, COUNT_FIELDS = (
     tuple(f.name for f in table.fields)
     for table in (ArticleTable, OutletTable, FollowerTable, RetweetTable, _CountRows)
@@ -941,7 +906,10 @@ def filter_articles(
     date_from: datetime.date | None = None,
     date_to: datetime.date | None = None,
 ) -> ArticleTable:
-    """Keep articles inside the inclusive [date_from, date_to] window."""
+    """Keep articles inside the inclusive [date_from, date_to] window; a window
+    that ends before it starts raises InputError."""
+    if date_from is not None and date_to is not None and date_from > date_to:
+        raise InputError("window start must be <= window end")
     table = ArticleTable.from_records(articles)
     keep = np.ones(len(table), dtype=bool)
     if date_from is not None:

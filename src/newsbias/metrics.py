@@ -9,7 +9,6 @@ read back; both are built straight from columns, with no record per outlet.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import logging
 import math
@@ -18,9 +17,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (EVENT_ORDER, ArticleRecord, ArticleTable, CountField, EnumField, EventType,
-                     FlagField, FloatField, FollowerRecord, FollowerTable, IdField, InputError,
-                     Reliability, Table, filter_articles)
+from .corpus import (EVENT_ORDER, ArticleRecord, ArticleTable, CountField, EnumField, FlagField,
+                     FloatField, FollowerRecord, FollowerTable, IdField, InputError, Reliability,
+                     Table, filter_articles)
 from .latent import PARAMS, PosteriorTable
 
 log = logging.getLogger(__name__)
@@ -107,32 +106,20 @@ def quadratic_fit(xs: Sequence[float], ys: Sequence[float]) -> QuadFit:
     return QuadFit(c0=float(coef[0]), c1=float(coef[1]), c2=float(coef[2]), rss=rss)
 
 
-@dataclass(frozen=True)
-class BiasRow:
-    """One outlet's registry reliability label (None if the registry lacks it),
-    narrative-bias coordinates, propensity factors, and the selection index."""
-
-    outlet_id: str
-    reliability: Reliability | None
-    x_adv: float
-    x_neu: float
-    x_pos: float
-    pf_adv: float
-    pf_neu: float
-    pf_pos: float
-    selection_index: float
-    adverse_lean: bool
-
-
-class BiasTable(Table):
-    """bias.csv: one BiasRow per outlet, an unknown reliability written empty."""
+class BiasTable(Table, record="BiasRow"):
+    """bias.csv: per outlet, its registry reliability label (None if the
+    registry lacks it, written empty), narrative-bias coordinates, propensity
+    factors, and the selection index."""
 
     fields = (IdField("outlet_id"),
               EnumField("reliability", tuple(Reliability), "reliability label", optional=True),
-              *(FloatField(f.name) for f in dataclasses.fields(BiasRow)[2:-1]),
+              *map(FloatField, ("x_adv", "x_neu", "x_pos", "pf_adv", "pf_neu", "pf_pos",
+                                "selection_index")),
               FlagField("adverse_lean"))
-    record = BiasRow
     key = ("outlet_id",)
+
+
+BiasRow = BiasTable.record
 
 
 def build_bias_table(
@@ -181,30 +168,17 @@ def build_bias_table(
     return BiasTable(columns, {"outlet_id": kept_ids})
 
 
-@dataclass(frozen=True)
-class EngagementRecord:
-    """Adjusted engagement of one outlet for one event type over the window."""
-
-    outlet_id: str
-    event: EventType
-    contents: int
-    interactions: int
-    followers: float
-    engagement: float
-
-    @property
-    def event_type(self) -> EventType:  # `event`, named as its engagement.csv column
-        return self.event
-
-
-class EngagementTable(Table):
-    """engagement.csv: one EngagementRecord per (outlet, event type)."""
+class EngagementTable(Table, record="EngagementRecord"):
+    """engagement.csv: per (outlet, event type), the adjusted engagement of
+    the outlet's articles about that event type over the window."""
 
     fields = (IdField("outlet_id"), EnumField("event_type", EVENT_ORDER, "event label"),
               CountField("contents"), CountField("interactions"), FloatField("followers"),
               FloatField("engagement"))
-    record = EngagementRecord
     key = ("outlet_id", "event_type")
+
+
+EngagementRecord = EngagementTable.record
 
 
 def build_engagement_table(

@@ -9,7 +9,6 @@ cluster_stats.csv.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -401,19 +400,6 @@ def louvain(graph: AudienceGraph, seed: int = 0) -> dict[str, int]:
     return dict(zip(graph.nodes, np.argsort(np.argsort(first))[membership].tolist()))
 
 
-@dataclass(frozen=True)
-class ClusterStatsRow:
-    """Composition and mean bias profile of one audience cluster."""
-
-    cluster_id: int
-    size: int
-    frac_questionable: float | None
-    mean_x_adv: float | None
-    mean_x_pos: float | None
-    mean_selection: float | None
-    frac_adverse_lean: float | None
-
-
 # the BiasRow fields whose cluster means a ClusterStatsRow ends with, in its order
 _MEANS = tuple(map(attrgetter, ("x_adv", "x_pos", "selection_index", "adverse_lean")))
 
@@ -464,14 +450,19 @@ class ClusterTable(Table):
     key = ("outlet_id",)
 
 
-class ClusterStatsTable(Table):
-    """cluster_stats.csv: one ClusterStatsRow per cluster; a statistic that no
-    member has data for is None, written empty."""
+class ClusterStatsTable(Table, record="ClusterStatsRow"):
+    """cluster_stats.csv: per audience cluster, its size, questionable share and
+    mean bias profile; a statistic that no member has data for is None,
+    written empty."""
 
     fields = (CountField("cluster_id"), CountField("size"),
-              *(FloatField(f.name, optional=True) for f in dataclasses.fields(ClusterStatsRow)[2:]))
-    record = ClusterStatsRow
+              *(FloatField(name, optional=True) for name in (
+                  "frac_questionable", "mean_x_adv", "mean_x_pos", "mean_selection",
+                  "frac_adverse_lean")))
     key = ("cluster_id",)
+
+
+ClusterStatsRow = ClusterStatsTable.record
 
 
 EDGE_FIELDS = ("src", "dst", "weight")

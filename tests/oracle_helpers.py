@@ -391,7 +391,7 @@ def build_engagement_table_by_row(articles, follower_records, window=None,
                 continue
             c, i = contents[key], interactions[key]
             rows.append(metrics.EngagementRecord(
-                outlet_id=oid, event=event, contents=c, interactions=i, followers=f,
+                outlet_id=oid, event_type=event, contents=c, interactions=i, followers=f,
                 engagement=metrics.adjusted_engagement(i, c, f),
             ))
     return rows

@@ -658,20 +658,24 @@ def test_bad_option_value_exits_2(argv, message, full_run, tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stage", ["fit", "network", "simulate"])
-def test_negative_seed_exits_2(stage, full_run, tmp_path, capsys):
+@pytest.mark.parametrize("stage, seed", [
+    pytest.param(stage, seed, id=stage if seed == "-1" else f"{stage}-{seed}")
+    for seed in ("-1", "abc") for stage in ("fit", "network", "simulate")
+])
+def test_negative_seed_exits_2(stage, seed, full_run, tmp_path, capsys):
     _, full = full_run
     out = tmp_path / "run"
     shutil.copytree(full, out)
     config = tmp_path / "run.conf"
-    config.write_text("seed = -1\n")
+    config.write_text(f"seed = {seed}\n")
     capsys.readouterr()
     assert run(stage, "--config", config, "--out", out) == 2
     err = capsys.readouterr().err
-    assert "bad config value for 'seed': expected an integer >= 0, got '-1'" in err
+    assert f"bad config value for 'seed': expected an integer >= 0, got '{seed}'" in err
     with pytest.raises(SystemExit) as exc:
-        run(stage, "--out", out, "--seed", -1)
+        run(stage, "--out", out, "--seed", seed)
     assert exc.value.code == 2
+    assert f"argument --seed: expected an integer >= 0, got '{seed}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("articles, message", [
@@ -686,6 +690,17 @@ def test_articles_the_registry_cannot_count_exit_2(articles, message, tmp_path, 
     outlets.write_text("outlet_id,name,reliability,kind\no1,One,reliable,\n")
     assert run("ingest", "--articles", path, "--outlets", outlets, "--out", tmp_path / "out") == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_inverted_ingest_window_exits_2(tmp_path, capsys):
+    path = tmp_path / "articles.csv"
+    path.write_text("outlet_id,platform,date,narrative,event,interactions\n"
+                    "o1,twitter,2021-03-01,pro,adverse,1\n")
+    outlets = tmp_path / "outlets.csv"
+    outlets.write_text("outlet_id,name,reliability,kind\no1,One,reliable,\n")
+    assert run("ingest", "--articles", path, "--outlets", outlets, "--out", tmp_path / "out",
+               "--from", "2021-06-01", "--to", "2021-01-01") == 2
+    assert "error: window start must be <= window end" in capsys.readouterr().err
 
 
 def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import pickle
 import sys
 from collections import Counter
 
@@ -380,14 +381,36 @@ class TestFilterAndRoundTrips:
         assert corpus.parse_followers(buf, "csv") == records
 
 
-class TestRecordInvariants:
-    def test_negative_interactions(self):
-        with pytest.raises(ValueError):
-            make_article(interactions=-1)
+# each record name, where it is defined, its table, and the fields that default to None
+RECORDS = [
+    (corpus, "ArticleRecord", corpus.ArticleTable, ()),
+    (corpus, "OutletProfile", corpus.OutletTable, ("kind",)),
+    (corpus, "FollowerRecord", corpus.FollowerTable, ()),
+    (corpus, "RetweetRecord", corpus.RetweetTable, ()),
+    (metrics, "BiasRow", metrics.BiasTable, ()),
+    (metrics, "EngagementRecord", metrics.EngagementTable, ()),
+    (network, "ClusterStatsRow", network.ClusterStatsTable,
+     ("frac_questionable", "mean_x_adv", "mean_x_pos", "mean_selection", "frac_adverse_lean")),
+]
 
-    def test_retweet_count_positive(self):
-        with pytest.raises(ValueError):
-            corpus.RetweetRecord("u", "o", 0)
+
+class TestRecordInvariants:
+    @pytest.mark.parametrize("module, name, table, defaults", RECORDS,
+                             ids=[name for _, name, _, _ in RECORDS])
+    def test_record_is_built_from_its_table(self, module, name, table, defaults):
+        record = getattr(module, name)
+        assert record is table.record
+        assert (record.__module__, record.__qualname__) == (module.__name__, name)
+        assert [f.name for f in dataclasses.fields(record)] == [f.name for f in table.fields]
+        assert [f.name for f in dataclasses.fields(record) if f.default is None] == list(defaults)
+        values = [column[0] for column in sample_columns(table, ("o1",))]
+        row = record(*values)
+        assert pickle.loads(pickle.dumps(row)) == row
+        assert table.from_records([row]) == [row]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, table.fields[0].name, values[0])
+        short = record(*values[: len(values) - len(defaults)])
+        assert [getattr(short, field) for field in defaults] == [None] * len(defaults)
 
     def test_tensor_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
@@ -907,6 +930,11 @@ class TestInt64Bound:
                 io.StringIO(followers + f"o1,twitter,2020-01-01,2020-01-02,{top + 1}\n"), "csv")
 
     def test_record_values_are_checked_by_type(self):
+        # a record is checked by its table, not when it is built
+        with pytest.raises(ValueError, match="^record 0: interactions must be >= 0, got '-1'$"):
+            corpus.ArticleTable.from_records([make_article(interactions=-1)])
+        with pytest.raises(ValueError, match="^record 0: count must be >= 1, got '0'$"):
+            corpus.RetweetTable.from_records([corpus.RetweetRecord("u", "o", 0)])
         # True == 1 and hashes alike, so it must not reuse the code of an earlier 1
         with pytest.raises(ValueError, match="record 1: invalid interactions 'True'"):
             corpus.ArticleTable.from_records([make_article(interactions=1),

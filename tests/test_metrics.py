@@ -316,7 +316,7 @@ class TestEngagementTable:
         rows = build_engagement_table(articles, followers, window=WINDOW)
         assert len(rows) == 2
         adverse = rows[0]
-        assert adverse.event is EventType.ADVERSE
+        assert adverse.event_type is EventType.ADVERSE
         assert adverse.contents == 2
         assert adverse.interactions == 100
         assert adverse.engagement == pytest.approx(100 / (2 * 1000))
@@ -367,7 +367,7 @@ class TestEngagementBiasFits:
                 engagement.append(
                     metrics.EngagementRecord(
                         outlet_id=f"o{i:02d}",
-                        event=event,
+                        event_type=event,
                         contents=10,
                         interactions=100,
                         followers=1000.0,
