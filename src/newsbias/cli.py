@@ -186,11 +186,11 @@ def _json_value(value):
     return value
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict, inputs: list[Path]) -> None:
+def _write_manifest(out_dir: Path, command: str, resolved: dict, digests: dict) -> None:
     manifest = {
         "command": command,
         "config": {k: _json_value(v) for k, v in resolved.items()},
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": digests,
     }
     _write_json(out_dir / "run_manifest.json", manifest)
 
@@ -522,10 +522,13 @@ def _run_stage(args: argparse.Namespace) -> int:
                 f"missing artifact '{artifact}' in {out}; "
                 f"run the '{_producer(artifact)}' stage first"
             )
-    summary = stage.run(opts, out)
+    # hashed before the stage runs, which may overwrite an input in --out; a
+    # missing input is left to the stage to report, so no manifest is written
     inputs = [Path(opts[key]) for key in _INPUT_FILES if opts.get(key)]
     inputs += [out / artifact for artifact in stage.requires]
-    _write_manifest(out, args.command, opts, inputs)
+    digests = {str(p): _sha256(p) for p in inputs if p.is_file()}
+    summary = stage.run(opts, out)
+    _write_manifest(out, args.command, opts, digests)
     # wall time and peak RSS vary run to run, so they go to the log, never into --out;
     # the peak is the process's, so a mark an earlier stage set in it is named as such
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -242,12 +242,9 @@ _COARSE_HALF = 6.0
 _SUPPORT_DROP = 20.0
 _SUPPORT_PAD = 1.5
 _DEFENSIVE = 0.05
-# Values per array call when building grids and drawing and weighing
-# proposals: 128 KB of float64, so a call's temporaries stay in cache.
+# Values per array call when drawing and weighing proposals: 128 KB of
+# float64, so a call's temporaries stay in cache.
 _CHUNK = 16384
-# Buckets of the guide table that starts each cell search; a power of 2, so
-# that bucket edges and a uniform's bucket are exact.
-_GUIDE = 1024
 
 
 def _stance_terms(x: np.ndarray, Y: np.ndarray, totals: np.ndarray):
@@ -283,17 +280,14 @@ class _StanceProposal:
     """Per outlet i, _CELLS equal cells of `width[i]` from `lo[i]`. Outlets
     with equal counts share one grid: the flat (rows, _CELLS) arrays `cdf`,
     the cells' cumulative probabilities ending at 1, and `log_density`, the
-    log density of the grid part in each cell, and the (rows, _GUIDE + 1)
-    table `guide` of how many cells have cdf <= k / _GUIDE. `cell_base[i]` is
-    the flat index of outlet i's first cell, `guide_base[i]` its guide row's."""
+    log density of the grid part in each cell. `cell_base[i]` is the flat
+    index of outlet i's first cell."""
 
     cell_base: np.ndarray
-    guide_base: np.ndarray
     lo: np.ndarray
     width: np.ndarray
     cdf: np.ndarray
     log_density: np.ndarray
-    guide: np.ndarray
     sd: float
 
     @classmethod
@@ -310,46 +304,28 @@ class _StanceProposal:
         hi = coarse[-1 - kept[:, ::-1].argmax(axis=1)] + _SUPPORT_PAD * step
         width = (hi - lo) / _CELLS
 
-        rows = len(counts)
-        cdf = np.empty((rows, _CELLS))
-        log_density = np.empty_like(cdf)
-        for i in range(0, rows, _CHUNK // _CELLS):
-            block = slice(i, i + _CHUNK // _CELLS)
-            mid = lo[block, None] + (np.arange(_CELLS) + 0.5) * width[block, None]
-            shape = _log_ratio(log_t[block], mid, counts[block], totals[block], consts)[0]
-            p = np.cumsum(np.exp(shape - shape.max(axis=1, keepdims=True)), axis=1)
-            p /= p[:, -1:]
-            p[:, -1] = 1.0
-            cdf[block] = p
-            # cells whose probability underflows get log density -inf
-            with np.errstate(divide="ignore"):
-                log_density[block] = np.log(np.diff(p, axis=1, prepend=0.0)) + np.log(
-                    (1.0 - _DEFENSIVE) / width[block, None])
-        # cdf <= k / _GUIDE exactly when ceil(cdf * _GUIDE) <= k, so a row of
-        # the guide holds c from bucket ceil(cdf[c - 1] * _GUIDE) up to ceil(cdf[c] * _GUIDE)
-        spans = np.diff(np.ceil(cdf * _GUIDE).astype(np.intp), axis=1, prepend=0,
-                        append=_GUIDE + 1)
-        guide = np.repeat(np.tile(np.arange(_CELLS + 1, dtype=np.uint8), rows), spans.ravel())
+        mid = lo[:, None] + (np.arange(_CELLS) + 0.5) * width[:, None]
+        shape = _log_ratio(log_t, mid, counts, totals, consts)[0]
+        cdf = np.cumsum(np.exp(shape - shape.max(axis=1, keepdims=True)), axis=1)
+        cdf /= cdf[:, -1:]
+        cdf[:, -1] = 1.0
+        # cells whose probability underflows get log density -inf
+        with np.errstate(divide="ignore"):
+            log_density = np.log(np.diff(cdf, axis=1, prepend=0.0)) + np.log(
+                (1.0 - _DEFENSIVE) / width[:, None])
         row = row.reshape(-1)
-        return cls(row * _CELLS, row * (_GUIDE + 1), lo[row], width[row], cdf.ravel(),
-                   log_density.ravel(), guide, consts.prior_sd_x)
+        return cls(row * _CELLS, lo[row], width[row], cdf.ravel(), log_density.ravel(),
+                   consts.prior_sd_x)
 
     def draw(self, u: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Stances from uniforms u (3, ..., N), plus the flat index of each
         one's cell (or of where it would lie): u[0] picks the defensive part,
         u[1] the cell by inverse cdf and u[2] the point in the cell; defensive
         stances take normals from rng."""
-        # u[1]'s cell lies between the guide counts at the edges of its bucket
-        at = self.guide_base + (u[1] * _GUIDE).astype(np.intp)
-        first = self.guide.take(at)
-        cell = self.cell_base + first
-        split = np.flatnonzero(first != self.guide.take(at + 1))
-        if split.size:  # a bucket holding cell edges: binary search in the cdf row
-            v = u[1].ravel()[split]
-            found = self.cell_base[split % len(self.cell_base)]
-            for half in (64, 32, 16, 8, 4, 2, 1):
-                found += half * (self.cdf.take(found + (half - 1)) <= v)
-            cell.ravel()[split] = found
+        # u[1]'s cell: binary search for how many of the row's cdf entries are <= u[1]
+        cell = np.broadcast_to(self.cell_base, u[1].shape).copy()
+        for half in (64, 32, 16, 8, 4, 2, 1):
+            cell += half * (self.cdf.take(cell + (half - 1)) <= u[1])
         x = self.lo + (cell - self.cell_base + u[2]) * self.width
         defensive = u[0] < _DEFENSIVE
         x[defensive] = self.sd * rng.standard_normal(np.count_nonzero(defensive))

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -375,6 +376,21 @@ class TestConfigAndOptions:
         assert manifest["command"] == "fit"
         (digest,) = manifest["inputs"].values()
         assert len(digest) == 64
+
+    def test_manifest_hashes_inputs_that_ingest_rewrites(self, tmp_path):
+        # ingest writes its canonical articles.csv and outlets.csv over these
+        # quoted inputs in the same directory; the manifest holds what it read
+        articles = tmp_path / "articles.csv"
+        articles.write_text('outlet_id,platform,date,narrative,event,interactions\n'
+                            '"o1",twitter,2021-01-01,pro,adverse,1\n')
+        outlets = tmp_path / "outlets.csv"
+        outlets.write_text('outlet_id,name,reliability,kind\n"o1",One,reliable,\n')
+        original = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (articles, outlets)}
+        assert run("ingest", "--articles", articles, "--outlets", outlets, "--out", tmp_path) == 0
+        assert hashlib.sha256(articles.read_bytes()).hexdigest() != original[str(articles)]
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["inputs"] == original
 
 
 class TestQuoting:

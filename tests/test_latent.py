@@ -358,6 +358,23 @@ class TestRunChain:
             gap = proposal.log_density[held] - target
             assert len(held) > 10 and np.ptp(gap) < 1e-6, (y, np.ptp(gap))
 
+    def test_stance_proposal_draws_the_cell_its_cdf_row_names(self):
+        # the grid part's cell is the count of the outlet's cdf entries <= u[1],
+        # exactly: every cdf entry below 1 (ties), 0 and random uniforms. Tail
+        # entries of 1 are left out, as rng.random never returns 1
+        rows = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 7], [504, 234, 83], [369, 178, 72]],
+                        dtype=float)
+        proposal = latent._StanceProposal.of(rows, CONSTS)
+        rng = np.random.default_rng(12)
+        v = np.concatenate([proposal.cdf[proposal.cdf < 1.0], [0.0], rng.random(2000)])
+        u = np.full((3, len(v), len(rows)), 0.5)
+        u[1] = v[:, None]
+        _, cell = proposal.draw(u, rng)
+        for i in range(len(rows)):
+            row = proposal.cdf[proposal.cell_base[i] + np.arange(latent._CELLS)]
+            expected = proposal.cell_base[i] + np.searchsorted(row, v, side="right")
+            np.testing.assert_array_equal(cell[:, i], expected)
+
     def test_balanced_outlet_has_small_selection_index(self):
         # equal planted propensity for both polar event types must land the
         # outlet near the balance line after independent fits
