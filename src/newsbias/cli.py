@@ -9,7 +9,9 @@ stage when a required artifact is absent, runs the stage, and records the
 resolved configuration plus input-file digests in run_manifest.json, then
 logs the stage's wall time and the process's peak RSS as one INFO line on
 stderr. The argparse subcommands are built from the same table. Identical
-inputs and seed produce byte-identical outputs.
+inputs and seed produce byte-identical outputs. `report` reads only what the
+analyses wrote: bias.csv (with each outlet's registry label), engagement.csv
+and clusters.csv.
 
 Each artifact a later stage reads back, and cluster_stats.csv, which no stage
 reads, has one Table schema, which also declares its row record, and is written
@@ -375,9 +377,13 @@ def _network(opts: dict, out: Path) -> str:
         raise InputError(
             "retweets.csv: no two outlets share a retweeter; cannot build the audience network"
         )
-    graph = network.threshold_graph(
+    kept = network.threshold_graph(
         graph, strict=opts["strict_threshold"], drop_isolated=opts["drop_isolates"]
     )
+    if not kept.nodes:  # every edge weighs the exact mean, and a non-strict cutoff drops it
+        raise InputError(f"retweets.csv: every edge weighs the mean weight {graph.weight[0]}, "
+                         "which --strict-threshold off drops; cannot build the audience network")
+    graph = kept
     partition = network.louvain(graph, seed=opts["seed"])
     graph = network.with_clusters(graph, partition)
 
@@ -394,9 +400,8 @@ def _report(opts: dict, out: Path) -> str:
     bias = _read(out / "bias.csv", metrics.BiasTable)
     engagement = _read(out / "engagement.csv", metrics.EngagementTable)
     clusters = dict(_read(out / "clusters.csv", network.ClusterTable))
-    registry = _load(out / "outlets.csv", corpus.parse_outlets, "csv")
     _write_json(out / "fits.json", metrics.engagement_bias_fits(bias, engagement))
-    stats = network.cluster_stats(clusters, bias, registry)
+    stats = network.cluster_stats(clusters, bias)
     _save(out / "cluster_stats.csv", network.write_cluster_stats_csv, stats)
     outlets: dict[str, dict] = {}
     for row in bias:
@@ -490,7 +495,7 @@ STAGES: dict[str, Stage] = {
     "report": Stage(
         "relate bias to engagement and clusters: fits, cluster profiles, report.json",
         options=(),
-        requires=("bias.csv", "engagement.csv", "clusters.csv", "outlets.csv"),
+        requires=("bias.csv", "engagement.csv", "clusters.csv"),
         produces=("fits.json", "cluster_stats.csv", "report.json"),
         run=_report,
     ),

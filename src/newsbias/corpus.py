@@ -665,10 +665,6 @@ class OutletTable(Table, record="OutletProfile"):
     )
     key = ("outlet_id",)
 
-    def row_of(self) -> dict[str, int]:
-        """{outlet id: its row}, in row order."""
-        return {oid: row for row, oid in enumerate(_lookup(self.outlet_ids, self.outlet_id))}
-
     def reliability_of(self) -> dict[str, Reliability]:
         """{outlet id: its reliability label}, in row order."""
         return dict(zip(_lookup(self.outlet_ids, self.outlet_id),
@@ -919,10 +915,15 @@ def filter_articles(
     return table.take(keep)
 
 
-def _registered(table: ArticleTable, code_of: Mapping[str, int]) -> np.ndarray:
-    """`code_of[outlet id]` for every article; raises on an unregistered outlet."""
-    codes = np.array([code_of.get(oid, -1) for oid in table.outlet_ids], dtype=np.intp)
-    rows = codes[table.outlet_id]
+def rows_of(outlet_ids: Iterable[str], table: Table) -> np.ndarray:
+    """For each id, its row in `table`, a table keyed by `outlet_id`, or -1 where absent."""
+    row = dict(zip(_lookup(table.outlet_ids, table.outlet_id), range(len(table))))
+    return np.array([row.get(oid, -1) for oid in outlet_ids], dtype=np.intp)
+
+
+def _registered(table: ArticleTable, outlets: OutletTable) -> np.ndarray:
+    """Each article's row in `outlets`; raises on an unregistered outlet."""
+    rows = rows_of(table.outlet_ids, outlets)[table.outlet_id]
     if (rows < 0).any():
         oid = table.outlet_ids[table.outlet_id[np.argmax(rows < 0)]]
         raise InputError(f"article references unregistered outlet '{oid}'")
@@ -933,11 +934,12 @@ def aggregate_counts(
     articles: Iterable[ArticleRecord], registry: Iterable[OutletProfile]
 ) -> CountTensor:
     """Count articles into an N x 3 x 3 tensor, outlets ordered as in registry."""
-    row_of = OutletTable.from_records(registry).row_of()
+    outlets = OutletTable.from_records(registry)
     table = ArticleTable.from_records(articles)
-    cells = (_registered(table, row_of) * 3 + table.narrative) * 3 + table.event
-    counts = np.bincount(cells, minlength=9 * len(row_of)).reshape(len(row_of), 3, 3)
-    return CountTensor(tuple(row_of), counts.astype(np.int64, copy=False))
+    cells = (_registered(table, outlets) * 3 + table.narrative) * 3 + table.event
+    counts = np.bincount(cells, minlength=9 * len(outlets)).reshape(len(outlets), 3, 3)
+    return CountTensor(tuple(_lookup(outlets.outlet_ids, outlets.outlet_id)),
+                       counts.astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -977,7 +979,7 @@ def dataset_breakdown(
     if not len(table):
         raise InputError("no articles")
     # class 0 is questionable, 1 reliable: the reliability column's order
-    classes = outlets.reliability[_registered(table, outlets.row_of())]
+    classes = outlets.reliability[_registered(table, outlets)]
     sources = np.bincount(outlets.reliability, minlength=2).tolist()
     contents = np.bincount(classes, minlength=2).tolist()
     interactions = table.interaction_totals(classes, 2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import (EVENT_ORDER, ArticleRecord, ArticleTable, CountField, EnumField, FlagField,
                      FloatField, FollowerRecord, FollowerTable, IdField, InputError, Reliability,
-                     Table, filter_articles)
+                     Table, filter_articles, rows_of)
 from .latent import PARAMS, PosteriorTable
 
 log = logging.getLogger(__name__)
@@ -249,9 +249,7 @@ def engagement_bias_fits(
     """
     bias = BiasTable.from_records(bias)
     engagement = EngagementTable.from_records(engagement)
-    row_of = {bias.outlet_ids[code]: row for row, code in enumerate(bias.outlet_id.tolist())}
-    bias_row = np.array([row_of.get(oid, -1) for oid in engagement.outlet_ids], dtype=np.intp)
-    bias_row = bias_row[engagement.outlet_id]
+    bias_row = rows_of(engagement.outlet_ids, bias)[engagement.outlet_id]
     out: dict = {"narrative": {}, "selection": {}}
     for k, event in enumerate(EVENT_ORDER):
         panel = (engagement.event_type == k) & (bias_row >= 0)

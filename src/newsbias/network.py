@@ -12,8 +12,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, reduce
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TextIO
 from xml.sax.saxutils import escape, quoteattr
@@ -22,10 +22,10 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import (
-    CountField, FloatField, IdField, OutletProfile, OutletTable, Reliability, RetweetRecord,
-    RetweetTable, Table, _write, _write_columns, exact_sums,
+    CountField, FloatField, IdField, Reliability, RetweetRecord, RetweetTable, Table, _write,
+    _write_columns, exact_sums, rows_of,
 )
-from .metrics import BiasRow
+from .metrics import BiasRow, BiasTable
 
 log = logging.getLogger(__name__)
 
@@ -377,9 +377,11 @@ def louvain(graph: AudienceGraph, seed: int = 0) -> dict[str, int]:
         # sorted column indices: each node's neighbours in ascending index order
         adj.sort_indices()
         bounds, cols, weights = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
-        strengths = [sum(weights[a:b]) + s for a, b, s in zip(bounds, bounds[1:], loops.tolist())]
+        # bincount and the fold add left to right; sum() compensates from Python 3.12 on
+        row = np.repeat(np.arange(len(loops)), np.diff(adj.indptr))
+        strengths = (np.bincount(row, adj.data, len(loops)) + loops).tolist()
         if two_m is None:
-            two_m = sum(strengths)
+            two_m = reduce(add, strengths, 0.0)
         if two_m == 0.0:
             break
         comm = _local_moves(bounds, cols, weights, strengths, two_m, rng.permutation(len(loops)))
@@ -400,47 +402,39 @@ def louvain(graph: AudienceGraph, seed: int = 0) -> dict[str, int]:
     return dict(zip(graph.nodes, np.argsort(np.argsort(first))[membership].tolist()))
 
 
-# the BiasRow fields whose cluster means a ClusterStatsRow ends with, in its order
-_MEANS = tuple(map(attrgetter, ("x_adv", "x_pos", "selection_index", "adverse_lean")))
+# the BiasTable columns whose cluster means a ClusterStatsRow ends with, in its order
+_MEANS = ("x_adv", "x_pos", "selection_index", "adverse_lean")
+_QUESTIONABLE = tuple(Reliability).index(Reliability.QUESTIONABLE)  # a BiasTable reliability code
 
 
-def cluster_stats(
-    partition: Mapping[str, int],
-    bias_rows: Sequence[BiasRow],
-    registry: Sequence[OutletProfile],
-) -> list[ClusterStatsRow]:
-    """Per-cluster size, questionable share, and mean bias statistics.
+def cluster_stats(partition: Mapping[str, int], bias_rows: Iterable[BiasRow]) -> ClusterStatsTable:
+    """Per-cluster size, questionable share, and mean bias statistics, by cluster id.
 
-    Means are plain (unweighted) over cluster members. Members missing from
-    the registry or the bias table are excluded from the affected statistic
-    only; the exclusion counts are logged. The registry is read under the
-    OutletTable rule, so an outlet listed twice raises.
+    The questionable share is over the members whose bias row carries a label;
+    each mean is plain, over the members with a bias row, summed left to right
+    in partition order. Members without a bias row are logged. A statistic no
+    member has data for is None. `bias_rows` is read under the BiasTable rule,
+    so an outlet listed twice raises.
     """
-    reliability = OutletTable.from_records(registry).reliability_of()
-    bias = {row.outlet_id: row for row in bias_rows}
-    members: dict[int, list[str]] = {}
-    for node, c in partition.items():
-        members.setdefault(c, []).append(node)
-    missing_rel = sorted(n for n in partition if n not in reliability)
-    missing_bias = sorted(n for n in partition if n not in bias)
-    if missing_rel:
-        log.warning("%d clustered outlet(s) not in registry: %s",
-                    len(missing_rel), ", ".join(missing_rel))
-    if missing_bias:
+    bias = BiasTable.from_records(bias_rows)
+    rows = rows_of(partition, bias)
+    missing = sorted(n for n, row in zip(partition, rows.tolist()) if row < 0)
+    if missing:
         log.warning("%d clustered outlet(s) without bias rows: %s",
-                    len(missing_bias), ", ".join(missing_bias))
-
-    rows = []
-    for c in sorted(members):
-        nodes = members[c]
-        rel = [reliability[n] for n in nodes if n in reliability]
-        brows = [bias[n] for n in nodes if n in bias]
-        frac_q = (
-            sum(r is Reliability.QUESTIONABLE for r in rel) / len(rel) if rel else None
-        )
-        means = (sum(map(get, brows)) / len(brows) if brows else None for get in _MEANS)
-        rows.append(ClusterStatsRow(c, len(nodes), frac_q, *means))
-    return rows
+                    len(missing), ", ".join(missing))
+    ids, codes = np.unique(list(partition.values()), return_inverse=True)
+    columns = [ids.tolist(), np.bincount(codes, minlength=len(ids)).tolist()]
+    codes, rows = codes[rows >= 0], rows[rows >= 0]
+    label = bias.reliability[rows]
+    labelled = label < len(Reliability)
+    statistics = [(codes[labelled], label[labelled] == _QUESTIONABLE),
+                  *((codes, getattr(bias, name)[rows]) for name in _MEANS)]
+    for members, values in statistics:
+        n = np.bincount(members, minlength=len(ids))
+        with np.errstate(invalid="ignore"):  # 0/0 where no member has data
+            means = np.bincount(members, values, len(ids)) / n
+        columns.append([mean if k else None for mean, k in zip(means.tolist(), n.tolist())])
+    return ClusterStatsTable.from_columns(columns)
 
 
 class ClusterTable(Table):

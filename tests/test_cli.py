@@ -196,6 +196,22 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "retweets.csv" in err and "share a retweeter" in err
 
+    def test_network_with_no_edge_above_a_non_strict_cutoff_exits_2(self, pipeline_dirs, capsys):
+        # two outlets sharing one retweeter: one edge, at the mean weight 1.0
+        _, out = pipeline_dirs
+        with open(out / "outlets.csv", newline="") as handle:
+            a, b = sorted(corpus.parse_outlets(handle).outlet_ids)[:2]
+        with open(out / "retweets.csv", "w", newline="") as handle:
+            corpus.write_retweets([corpus.RetweetRecord("u1", o, 1) for o in (a, b)], handle)
+        capsys.readouterr()
+        assert run("network", "--out", out, "--strict-threshold", "off") == 2
+        err = capsys.readouterr().err
+        assert "every edge weighs the mean weight 1.0" in err and "internal" not in err
+        assert run("network", "--out", out, "--strict-threshold", "off",
+                   "--drop-isolates", "off") == 0
+        assert read_rows(out / "clusters.csv") == [
+            {"outlet_id": a, "cluster_id": "0"}, {"outlet_id": b, "cluster_id": "1"}]
+
     def test_fit_with_too_few_draws_per_chain_exits_2(self, pipeline_dirs, capsys):
         _, out = pipeline_dirs
         capsys.readouterr()
@@ -452,7 +468,6 @@ REQUIRED = {
         ("bias.csv", "bias"),
         ("engagement.csv", "engagement"),
         ("clusters.csv", "network"),
-        ("outlets.csv", "ingest"),
     ],
     "simulate": [],
 }

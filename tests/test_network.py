@@ -3,6 +3,8 @@ import math
 import statistics
 import tracemalloc
 import xml.etree.ElementTree as ET
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from oracle_helpers import brute_force_best_partition, dense_modularity
 
 from newsbias import corpus, network, synth
-from newsbias.corpus import OutletProfile, Reliability, RetweetRecord
+from newsbias.corpus import Reliability, RetweetRecord
 from newsbias.metrics import BiasRow
 from newsbias.network import (
     AudienceGraph,
@@ -498,6 +500,26 @@ class TestLouvain:
             singletons = {n: i for i, n in enumerate(graph.nodes)}
             assert modularity(graph, partition) >= modularity(graph, singletons) - 1e-12
 
+    def test_strengths_sum_left_to_right(self, monkeypatch):
+        # node a's weights 1.0 then ten 1e-16 sum to 1.0 left to right, and
+        # to 1.000000000000001 under a compensated sum
+        nodes = ("a", "b", *(f"c{i}" for i in range(10)))
+        edges = {("a", "b"): 1.0, **{("a", c): 1e-16 for c in nodes[2:]}}
+        levels = []
+        local_moves = network._local_moves
+
+        def record(bounds, cols, weights, strengths, two_m, order):
+            levels.append((bounds, weights, strengths, two_m))
+            return local_moves(bounds, cols, weights, strengths, two_m, order)
+
+        monkeypatch.setattr(network, "_local_moves", record)
+        louvain(AudienceGraph(nodes=nodes, edges=edges), seed=0)
+        bounds, weights, strengths, two_m = levels[0]
+        rows = [weights[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert strengths == [reduce(add, row, 0.0) for row in rows]
+        assert strengths[0] == 1.0
+        assert two_m == reduce(add, strengths) == 2.0
+
 
 class TestModularity:
     def two_triangles(self):
@@ -584,10 +606,10 @@ class TestNetworkxCrossCheck:
         )
 
 
-def bias_row(outlet, x_adv=0.0, x_pos=0.0, selection=0.0, lean=False):
+def bias_row(outlet, x_adv=0.0, x_pos=0.0, selection=0.0, lean=False, reliability=None):
     return BiasRow(
         outlet_id=outlet,
-        reliability=None,
+        reliability=reliability,
         x_adv=x_adv,
         x_neu=0.0,
         x_pos=x_pos,
@@ -599,25 +621,17 @@ def bias_row(outlet, x_adv=0.0, x_pos=0.0, selection=0.0, lean=False):
     )
 
 
-def profile(outlet, reliability):
-    return OutletProfile(outlet, outlet, reliability)
-
-
 class TestClusterStats:
     def test_single_questionable_cluster(self):
-        stats = cluster_stats(
-            {"o1": 0},
-            [bias_row("o1")],
-            [profile("o1", Reliability.QUESTIONABLE)],
-        )
+        stats = cluster_stats({"o1": 0}, [bias_row("o1", reliability=Reliability.QUESTIONABLE)])
         assert stats[0].size == 1
         assert stats[0].frac_questionable == 1.0
 
     def test_mean_of_opposite_biases_is_zero(self):
         stats = cluster_stats(
             {"o1": 0, "o2": 0},
-            [bias_row("o1", x_adv=0.2), bias_row("o2", x_adv=-0.2)],
-            [profile("o1", Reliability.RELIABLE), profile("o2", Reliability.RELIABLE)],
+            [bias_row("o1", x_adv=0.2, reliability=Reliability.RELIABLE),
+             bias_row("o2", x_adv=-0.2, reliability=Reliability.RELIABLE)],
         )
         assert stats[0].mean_x_adv == pytest.approx(0.0, abs=1e-15)
 
@@ -626,33 +640,46 @@ class TestClusterStats:
         outlets = [f"o{i}" for i in range(30)]
         partition = {o: int(rng.integers(0, 4)) for o in outlets}
         bias_rows = [
-            bias_row(o, x_adv=float(rng.normal()), selection=float(rng.uniform(0, 2)))
+            bias_row(o, x_adv=float(rng.normal()), selection=float(rng.uniform(0, 2)),
+                     reliability=Reliability.QUESTIONABLE if rng.random() < 0.3
+                     else Reliability.RELIABLE)
             for o in outlets
         ]
-        registry = [
-            profile(o, Reliability.QUESTIONABLE if rng.random() < 0.3 else Reliability.RELIABLE)
-            for o in outlets
-        ]
-        stats = cluster_stats(partition, bias_rows, registry)
+        stats = cluster_stats(partition, bias_rows)
         assert sum(s.size for s in stats) == len(outlets)
         total_x = sum(s.mean_x_adv * s.size for s in stats)
         assert total_x == pytest.approx(sum(r.x_adv for r in bias_rows), abs=1e-9)
+        questionable = sum(s.frac_questionable * s.size for s in stats)
+        assert questionable == pytest.approx(
+            sum(r.reliability is Reliability.QUESTIONABLE for r in bias_rows))
 
     def test_members_missing_data_excluded_from_stats(self, caplog):
         with caplog.at_level("WARNING"):
             stats = cluster_stats(
-                {"o1": 0, "ghost": 0},
-                [bias_row("o1", x_adv=0.4)],
-                [profile("o1", Reliability.RELIABLE)],
+                {"o1": 0, "ghost": 0, "o2": 1, "ghost2": 5},
+                [bias_row("o1", x_adv=0.4, reliability=Reliability.RELIABLE),
+                 bias_row("o2", x_adv=0.1, lean=True)],
             )
-        assert stats[0].size == 2
-        assert stats[0].mean_x_adv == pytest.approx(0.4)
-        assert "ghost" in caplog.text
+        assert isinstance(stats, network.ClusterStatsTable)
+        assert stats == [
+            network.ClusterStatsRow(0, 2, 0.0, 0.4, 0.0, 0.0, 0.0),
+            network.ClusterStatsRow(1, 1, None, 0.1, 0.0, 0.0, 1.0),
+            network.ClusterStatsRow(5, 1, None, None, None, None, None),
+        ]
+        assert "ghost, ghost2" in caplog.text
 
-    def test_duplicated_registry_outlet_raises(self):
-        registry = [profile("o1", Reliability.RELIABLE), profile("o1", Reliability.QUESTIONABLE)]
+    def test_means_sum_left_to_right_in_partition_order(self):
+        # ((1 + 1e100) + 1) - 1e100 is 0.0, where a compensated sum gives 2.0
+        values = [1.0, 1e100, 1.0, -1e100]
+        outlets = [f"o{i}" for i in range(len(values))]
+        stats = cluster_stats(dict.fromkeys(outlets, 0),
+                              [bias_row(o, x_adv=v) for o, v in zip(outlets, values)])
+        assert stats[0].mean_x_adv == reduce(add, values) / len(values) == 0.0
+
+    def test_duplicated_bias_row_raises(self):
+        rows = [bias_row("o1"), bias_row("o1", x_adv=1.0)]
         with pytest.raises(ValueError, match="record 1: duplicate outlet_id 'o1'"):
-            cluster_stats({"o1": 0}, [bias_row("o1")], registry)
+            cluster_stats({"o1": 0}, rows)
 
 
 class TestExports:
