@@ -505,9 +505,11 @@ class Table(abc.Sequence):
     dataclass of that name, one attribute per field in schema order, with
     trailing optional fields defaulting to None; any other table's records
     are tuples. `from_records` and `from_columns` convert record values.
-    Parsed or converted, a table is built under its class's own rule
-    (`_checked`), by default that no two rows share their `key` field values
-    (a key of several fields names a cell).
+    However it is built, a table holds its class's own rule (`_rule`), by
+    default that no two rows share their `key` field values (a key of several
+    fields names a cell). A break raises ParseError at `lines[row]` if the
+    table is built with input `lines` (parsing builds it so), else
+    ValueError("record <row>: ...").
     """
 
     fields: tuple[_Field, ...] = ()
@@ -529,11 +531,10 @@ class Table(abc.Sequence):
         # that called it, and the record must pickle under its table's module
         cls.record.__module__ = cls.__module__
 
-    def __init__(self, columns: Sequence, ids: Mapping[str, Sequence[str]]):
+    def __init__(self, columns: Sequence, ids: Mapping[str, Sequence[str]],
+                 lines: Sequence[int] | None = None):
         for field, values in zip(self.fields, columns, strict=True):
-            column = np.asarray(values, dtype=field.dtype).view()  # the caller's array stays writable
-            column.flags.writeable = False
-            setattr(self, field.name, column)
+            setattr(self, field.name, np.asarray(values, dtype=field.dtype).view())
         for name, distinct in ids.items():
             distinct = tuple(distinct)
             if len(set(distinct)) != len(distinct):
@@ -541,6 +542,14 @@ class Table(abc.Sequence):
             setattr(self, name + "s", distinct)
         if len({len(c) for c in self._columns()}) > 1:
             raise ValueError("columns differ in length")
+        try:
+            self._rule()
+        except ParseError as exc:  # at its row
+            if lines is None:
+                raise ValueError(f"record {exc.line}: {exc.reason}") from None
+            raise ParseError(exc.reason, lines[exc.line]) from None
+        for column in self._columns():  # views: the caller's arrays stay writable
+            column.flags.writeable = False
 
     def _columns(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in self.fields]
@@ -558,7 +567,7 @@ class Table(abc.Sequence):
             columns.append(column)
             if distinct is not None:
                 ids[field.name] = distinct
-        return cls(columns, ids)._checked(lines)
+        return cls(columns, ids, lines)
 
     @classmethod
     def from_records(cls, records: Iterable) -> Table:
@@ -587,16 +596,15 @@ class Table(abc.Sequence):
         except ParseError as exc:
             raise ValueError(f"record {exc.line}: {exc.reason}") from None
 
-    def _checked(self, lines: Sequence[int]) -> Table:
-        """The table under its own rule; raises ParseError at `lines[row]` of the first bad row."""
+    def _rule(self) -> None:
+        """Raise ParseError at the first row that breaks the class's rule, here a repeated key."""
         row = _first_repeat(*(getattr(self, name) for name in self.key)) if self.key else None
         if row is not None:
             one = self.take([row])
             key = ", ".join(f"'{texts[codes[0]]}'" for codes, texts in
                             (f.text(one) for f in self.fields if f.name in self.key))
             key = f"{self.key[0]} {key}" if len(self.key) == 1 else f"cell ({key})"
-            raise ParseError(f"duplicate {key}", lines[row])
-        return self
+            raise ParseError(f"duplicate {key}", row)
 
     def take(self, rows) -> Table:
         """The rows selected by a boolean mask, index array or slice."""
@@ -683,14 +691,13 @@ class FollowerTable(Table, record="FollowerRecord"):
         CountField("followers"),
     )
 
-    def _checked(self, lines):
+    def _rule(self):
         reversed_rows = np.flatnonzero(self.period_start > self.period_end)
         if len(reversed_rows):
             row = int(reversed_rows[0])
             start, end = (datetime.date.fromordinal(int(c[row]))
                           for c in (self.period_start, self.period_end))
-            raise ParseError(f"period_start {start} after period_end {end}", lines[row])
-        return self
+            raise ParseError(f"period_start {start} after period_end {end}", row)
 
 
 class RetweetTable(Table, record="RetweetRecord"):
@@ -700,8 +707,10 @@ class RetweetTable(Table, record="RetweetRecord"):
 
     fields = (IdField("user_id"), IdField("outlet_id"), CountField("count", minimum=1))
 
-    def _checked(self, lines):
+    def _rule(self):
         pair = self.user_id.astype(np.int64) * len(self.outlet_ids) + self.outlet_id
+        if (np.diff(np.sort(pair)) != 0).all():  # no pair repeats
+            return
         _, first, group = np.unique(pair, return_index=True, return_inverse=True)
         totals = exact_sums(self.count, group, len(first))
         over = np.isin(group, [g for g, total in enumerate(totals) if total > INT64_MAX])
@@ -712,11 +721,11 @@ class RetweetTable(Table, record="RetweetRecord"):
             if running[g] > INT64_MAX:
                 rec = self[row]
                 raise ParseError(f"count total {running[g]} of user '{rec.user_id}' and outlet "
-                                 f"'{rec.outlet_id}' exceeds {INT64_MAX}", lines[row])
+                                 f"'{rec.outlet_id}' exceeds {INT64_MAX}", row)
         order = np.argsort(first)  # pairs by first appearance
         keep = first[order]
-        totals = np.array(totals, dtype=np.int64)[order]
-        return RetweetTable([self.user_id[keep], self.outlet_id[keep], totals], self._ids())
+        self.user_id, self.outlet_id = self.user_id[keep], self.outlet_id[keep]
+        self.count = np.array(totals, dtype=np.int64)[order]
 
 
 class _CountRows(Table):

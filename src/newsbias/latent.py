@@ -45,8 +45,8 @@ class ModelConstants:
     prior_sd_x: float = 1.0
 
     def __post_init__(self):
-        if self.prior_sd_alpha <= 0 or self.prior_sd_x <= 0:
-            raise InputError("prior standard deviations must be > 0")
+        if not (0 < self.prior_sd_alpha < math.inf and 0 < self.prior_sd_x < math.inf):
+            raise InputError("prior standard deviations must be > 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -413,8 +413,8 @@ def cluster_stats(partition: Mapping[str, int], bias_rows: Iterable[BiasRow]) ->
     The questionable share is over the members whose bias row carries a label;
     each mean is plain, over the members with a bias row, summed left to right
     in partition order. Members without a bias row are logged. A statistic no
-    member has data for is None. `bias_rows` is read under the BiasTable rule,
-    so an outlet listed twice raises.
+    member has data for is None, held as NaN. `bias_rows` is read under the
+    BiasTable rule, so an outlet listed twice raises.
     """
     bias = BiasTable.from_records(bias_rows)
     rows = rows_of(partition, bias)
@@ -423,18 +423,17 @@ def cluster_stats(partition: Mapping[str, int], bias_rows: Iterable[BiasRow]) ->
         log.warning("%d clustered outlet(s) without bias rows: %s",
                     len(missing), ", ".join(missing))
     ids, codes = np.unique(list(partition.values()), return_inverse=True)
-    columns = [ids.tolist(), np.bincount(codes, minlength=len(ids)).tolist()]
+    columns = [ids, np.bincount(codes, minlength=len(ids))]
     codes, rows = codes[rows >= 0], rows[rows >= 0]
     label = bias.reliability[rows]
     labelled = label < len(Reliability)
     statistics = [(codes[labelled], label[labelled] == _QUESTIONABLE),
                   *((codes, getattr(bias, name)[rows]) for name in _MEANS)]
     for members, values in statistics:
-        n = np.bincount(members, minlength=len(ids))
-        with np.errstate(invalid="ignore"):  # 0/0 where no member has data
-            means = np.bincount(members, values, len(ids)) / n
-        columns.append([mean if k else None for mean, k in zip(means.tolist(), n.tolist())])
-    return ClusterStatsTable.from_columns(columns)
+        with np.errstate(invalid="ignore"):  # 0/0, a NaN, where no member has data
+            columns.append(np.bincount(members, values, len(ids))
+                           / np.bincount(members, minlength=len(ids)))
+    return ClusterStatsTable(columns, {})
 
 
 class ClusterTable(Table):
@@ -476,8 +475,8 @@ def write_edges_csv(graph: AudienceGraph, stream: TextIO) -> None:
 def write_clusters_csv(partition: Mapping[str, int], stream: TextIO) -> None:
     """clusters.csv, outlets sorted by id."""
     outlets = sorted(partition)
-    table = ClusterTable.from_columns([outlets, [partition[o] for o in outlets]])
-    _write(ClusterTable, table, stream)
+    columns = [range(len(outlets)), [partition[o] for o in outlets]]
+    _write(ClusterTable, ClusterTable(columns, {"outlet_id": outlets}), stream)
 
 
 def write_cluster_stats_csv(rows: Sequence[ClusterStatsRow], stream: TextIO) -> None:

@@ -671,6 +671,8 @@ def test_repeated_artifact_key_exits_2(artifact, stage, change, key, full_run, t
     (["fit", "--chains", 0], "chains must be >= 1"),
     (["fit", "--prior-alpha-sd", 0], "prior standard deviations must be > 0"),
     (["fit", "--prior-x-sd", -1], "prior standard deviations must be > 0"),
+    *((["fit", option, value], "prior standard deviations must be > 0")
+      for option in ("--prior-alpha-sd", "--prior-x-sd") for value in ("nan", "inf")),
     (["bias", "--theta", math.pi / 2], "theta must lie in (0, pi/2)"),
     (["bias", "--theta", "nan"], "theta must lie in (0, pi/2)"),
     (["engagement", "--from", "2021-06-01", "--to", "2021-01-01"],
@@ -678,7 +680,9 @@ def test_repeated_artifact_key_exits_2(artifact, stage, change, key, full_run, t
     (["simulate", "--from", "2022-01-01"], "window start must be <= window end"),
     (["simulate", "--n-outlets", 2, "--clusters", 3], "need at least one outlet per cluster"),
     (["simulate", "--clusters", 0], "need at least one outlet per cluster"),
-], ids=["iters", "burnin", "chains", "prior-alpha-sd", "prior-x-sd", "theta", "theta-nan",
+], ids=["iters", "burnin", "chains", "prior-alpha-sd", "prior-x-sd",
+        "prior-alpha-sd-nan", "prior-alpha-sd-inf", "prior-x-sd-nan", "prior-x-sd-inf",
+        "theta", "theta-nan",
         "engagement-window", "simulate-window", "clusters-above-outlets", "no-clusters"])
 def test_bad_option_value_exits_2(argv, message, full_run, tmp_path, capsys):
     _, full = full_run

@@ -1128,6 +1128,97 @@ class TestArtifactRoundTrips:
         with pytest.raises(ParseError, match=f"^{message}$"):
             corpus._parse(io.StringIO(header + text), "csv", cls)
 
+    @pytest.mark.parametrize("cls, key", [
+        (corpus.OutletTable, "outlet_id 'o1'"),
+        (corpus._CountRows, r"cell \('o1', 'neutral', 'positive'\)"),
+        (latent.PosteriorTable, r"cell \('o1', 'neutral', 'alpha'\)"),
+        (metrics.BiasTable, "outlet_id 'o1'"),
+        (metrics.EngagementTable, r"cell \('o1', 'neutral'\)"),
+        (network.ClusterTable, "outlet_id 'o1'"),
+        (network.ClusterStatsTable, "cluster_id '0'"),
+    ], ids=["outlets", "counts", "posterior", "bias", "engagement", "clusters", "cluster_stats"])
+    def test_repeated_key_rejected_when_built(self, cls, key):
+        # a table built from columns holds the rule its parser applies, so no
+        # writer can write a file that its own parser rejects
+        table = cls.from_columns(sample_columns(cls, ("o1", "o2")))
+        with pytest.raises(ValueError, match=f"^record 1: duplicate {key}$"):
+            cls([column[[0, 0]] for column in table._columns()], table._ids())
+        with pytest.raises(ValueError, match=f"^record 1: duplicate {key}$"):
+            table.take([0, 0])
+
+    def test_repeated_outlet_rejected_when_built(self):
+        with pytest.raises(ValueError, match="^record 1: duplicate outlet_id 'o1'$"):
+            corpus.OutletTable([[0, 0], [0, 1], [1, 1], [0, 0]],
+                               {"outlet_id": ["o1"], "name": ["A", "B"]})
+
+    def test_reversed_period_rejected_when_built(self):
+        jan, feb, mar = (datetime.date(2021, m, 1).toordinal() for m in (1, 2, 3))
+        with pytest.raises(ValueError, match="^record 1: period_start 2021-03-01 after "
+                                             "period_end 2021-02-01$"):
+            corpus.FollowerTable([[0, 0], [0, 0], [jan, mar], [feb, feb], [5, 5]],
+                                 {"outlet_id": ["o1"]})
+
+    def test_repeated_retweet_pair_summed_when_built(self):
+        # a repeated pair is summed into the first, as parsing reads it back
+        table = corpus.RetweetTable([[0, 1, 0], [0, 0, 0], [2, 1, 3]],
+                                    {"user_id": ["u1", "u2"], "outlet_id": ["o1"]})
+        assert list(table) == [corpus.RetweetRecord("u1", "o1", 5),
+                               corpus.RetweetRecord("u2", "o1", 1)]
+        with pytest.raises(ValueError):
+            table.count[0] = 1
+        assert _round_trip(corpus.RetweetTable, table)[0] == table
+        top = corpus.INT64_MAX
+        with pytest.raises(ValueError, match=rf"^record 1: count total {top + 1} of user 'u1' "
+                                             rf"and outlet 'o1' exceeds {top}$"):
+            corpus.RetweetTable([[0, 0], [0, 0], [top, 1]],
+                                {"user_id": ["u1"], "outlet_id": ["o1"]})
+
+    # PosteriorTable.of's table is covered by test_posterior
+    @pytest.mark.parametrize("name", ["bias", "engagement", "cluster_stats", "clusters", "counts"])
+    def test_built_table_reads_back_as_built(self, name, built_tables):
+        cls, text, rows = built_tables[name]
+        parsed = corpus._parse(io.StringIO(text), "csv", cls)
+        again = io.StringIO()
+        corpus._write(cls, parsed, again)
+        assert len(parsed) > 0 and parsed == rows and again.getvalue() == text
+
+
+@pytest.fixture(scope="module")
+def built_tables():
+    """Per table that a pipeline stage builds from a small synthetic corpus:
+    (its class, its CSV text as the stage writes it, the rows it was built with)."""
+    data = synth.generate(n_outlets=12, n_clusters=2, seed=3)
+    outlets = tuple(o.outlet_id for o in data.outlets)
+    rng = np.random.default_rng(5)
+    summaries = {event: latent.ParamSummary(
+        *(latent.ParamStats(*rng.normal(size=(6, len(outlets)))) for _ in latent.PARAMS),
+        n_draws=10) for event in EVENT_ORDER}
+    posterior = latent.PosteriorTable.of(outlets, summaries)
+    bias = metrics.build_bias_table(posterior, data.outlets.reliability_of())
+    # an outlet without a bias row, alone in its cluster, leaves that cluster's statistics None
+    partition = {**data.truth["outlet_clusters"], "extra": 5}
+    tables = {
+        "bias": (metrics.BiasTable, bias),
+        "engagement": (metrics.EngagementTable,
+                       metrics.build_engagement_table(data.articles, data.followers)),
+        "cluster_stats": (network.ClusterStatsTable, network.cluster_stats(partition, bias)),
+    }
+    out = {}
+    for name, (cls, table) in tables.items():
+        text = io.StringIO()
+        corpus._write(cls, table, text)
+        out[name] = cls, text.getvalue(), table
+    text = io.StringIO()
+    network.write_clusters_csv(partition, text)
+    out["clusters"] = network.ClusterTable, text.getvalue(), sorted(partition.items())
+    tensor = corpus.aggregate_counts(data.articles, data.outlets)
+    text = io.StringIO()
+    corpus.write_count_tensor(tensor, text)
+    out["counts"] = corpus._CountRows, text.getvalue(), [
+        (outlets[i], NARRATIVE_ORDER[j], EVENT_ORDER[k], count)
+        for (i, j, k), count in np.ndenumerate(tensor.counts)]
+    return out
+
 
 def spell(value) -> str:
     """A record value as its CSV field, spelled independently of the writer."""
