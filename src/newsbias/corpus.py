@@ -344,7 +344,11 @@ class IdField(_Field):
     def convert(self, value, line: int) -> str:
         if value is None:
             raise ParseError(f"null {self.name}", line)
-        return str(value)
+        text = str(value)
+        # graph.graphml carries ids, so they keep to XML 1.0's characters
+        if re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", text):
+            raise ParseError(f"{self.name} {text!r} holds a character XML cannot carry", line)
+        return text
 
     def decode(self, values):
         index: dict[str, int] = {}

@@ -353,9 +353,9 @@ def run_chain(
     _StanceProposal, then beta' given x' (see _log_ratio); it is accepted
     with probability min(1, exp(w' - w)), w the importance weight _log_ratio
     less the proposal's log q(x), and alpha = beta - log S(x) is recorded.
-    Proposals do not depend on the state, so each block of _BLOCK iterations
-    draws and weighs its proposals at once, and a per-iteration loop only
-    accepts or rejects.
+    Proposals do not depend on the state, so in each block of _BLOCK
+    iterations each chain draws and weighs its proposals in one pass, and
+    then a per-iteration loop only accepts or rejects.
     Chain c draws from default_rng(SeedSequence([config.seed, event_index, c])),
     so each (seed, event type, chain) has its own stream. Chains start at
     alpha = 0 and x = +0.5 / -0.5 (alternating by chain index, so multi-chain
@@ -392,41 +392,40 @@ def run_chain(
             stance = np.empty((chains, size + 1, n))
             alpha_all = np.empty_like(stance)
             stance[:, 0], alpha_all[:, 0] = x, alpha
-            u = np.empty((3, size, n))
             bar = np.empty((chains, size, n))  # -log u of each accept test
-            cell = np.empty(bar.shape, dtype=np.intp)
-            # e^beta; zero-count outlets take a Gamma(1) placeholder, replaced below
-            beta = np.empty_like(bar)
-            normal = np.empty((chains, size, len(empty)))
+            block_w = np.empty_like(bar)
+            # one chain's scratch: its uniforms, cells, e^beta (then beta) and normals
+            u = np.empty((3, size, n))
+            cell = np.empty((size, n), dtype=np.intp)
+            beta = np.empty((size, n))
+            normal = np.empty((size, len(empty)))
             parts = [slice(i, i + rows) for i in range(0, size, rows)]
             for c, rng in enumerate(rngs):
+                proposed = stance[c, 1:]
                 rng.random(out=u)
                 rng.standard_exponential(out=bar[c])
                 for part in parts:
-                    stance[c, 1:][part], cell[c, part] = proposal.draw(u[:, part], rng)
-                rng.standard_gamma(np.maximum(totals, 1.0), out=beta[c])
-                rng.standard_normal(out=normal[c])
-            np.log(beta, out=beta)
-            beta[..., empty] = consts.prior_sd_alpha * normal + _stance_terms(
-                stance[:, 1:, empty], Y[empty], totals[empty])[0]
-            block_w = np.empty_like(bar)
-            for c in range(chains):
+                    proposed[part], cell[part] = proposal.draw(u[:, part], rng)
+                # zero-count outlets take a Gamma(1) placeholder, replaced by their prior beta
+                rng.standard_gamma(np.maximum(totals, 1.0), out=beta)
+                rng.standard_normal(out=normal)
+                np.log(beta, out=beta)
+                beta[:, empty] = consts.prior_sd_alpha * normal + _stance_terms(
+                    proposed[:, empty], Y[empty], totals[empty])[0]
                 for part in parts:
-                    x_new = stance[c, 1:][part]
                     ratio, alpha_all[c, 1:][part] = _log_ratio(
-                        beta[c, part], x_new, Y, totals, consts)
-                    block_w[c, part] = ratio - proposal.log_pdf(x_new, cell[c, part])
+                        beta[part], proposed[part], Y, totals, consts)
+                    block_w[c, part] = ratio - proposal.log_pdf(proposed[part], cell[part])
 
             # accept iff log u < w' - w, i.e. w' - log u > w
             bar += block_w
-            slot = np.zeros((chains, n), dtype=np.intp)
-            picks = np.empty((chains, size, n), dtype=np.intp)
+            took = np.empty(bar.shape, dtype=bool)  # whether each move was accepted
             for h in range(size):
-                ok = bar[:, h] > w
-                np.copyto(w, block_w[:, h], where=ok)
-                np.copyto(slot, h + 1, where=ok)
-                picks[:, h] = slot
-            accepted += (picks == np.arange(1, size + 1)[:, None]).sum(axis=1)
+                np.greater(bar[:, h], w, out=took[:, h])
+                np.copyto(w, block_w[:, h], where=took[:, h])
+            accepted += took.sum(axis=1)
+            # each iteration's state is the one in its latest accepted slot, or slot 0
+            picks = np.maximum.accumulate(took * np.arange(1, size + 1)[:, None], axis=1)
             out_a[:, start : start + size] = np.take_along_axis(alpha_all, picks, axis=1)
             out_x[:, start : start + size] = np.take_along_axis(stance, picks, axis=1)
             alpha, x = out_a[:, start + size - 1], out_x[:, start + size - 1]

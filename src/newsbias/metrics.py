@@ -37,13 +37,14 @@ def selection_index(pf_adv, pf_pos, theta: float = math.pi / 4):
     return abs(math.sin(theta) * pf_adv - math.cos(theta) * pf_pos)
 
 
-def adjusted_engagement(interactions: int, contents: int, followers: float) -> float:
-    """Interactions per article per follower: I / (C * F)."""
-    if contents < 1:
+def adjusted_engagement(interactions, contents, followers):
+    """Interactions per article per follower: I / (C * F). Numbers give a
+    number; arrays broadcast, and one bad element raises."""
+    if np.any(contents < 1):
         raise ValueError("engagement undefined: no content published")
-    if followers <= 0:
+    if np.any(followers <= 0):
         raise ValueError("followers must be > 0")
-    if interactions < 0:
+    if np.any(interactions < 0):
         raise ValueError("interactions must be >= 0")
     return interactions / (contents * followers)
 
@@ -229,7 +230,8 @@ def build_engagement_table(
     c = contents[outlets, events]
     i = interactions[outlets, events]
     f = average[outlets]
-    return EngagementTable([outlets, events, c, i, f, i / (c * f)], {"outlet_id": ids})
+    return EngagementTable([outlets, events, c, i, f, adjusted_engagement(i, c, f)],
+                           {"outlet_id": ids})
 
 
 # the BiasTable stance column of each event type, in EVENT_ORDER

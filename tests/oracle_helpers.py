@@ -180,9 +180,16 @@ def _date(value, what, line):
 
 
 def _id(value, what, line):
+    """An id of characters XML 1.0 allows: TAB, LF, CR and U+0020 on, less the
+    surrogates, U+FFFE and U+FFFF."""
     if value is None:
         raise ParseError(f"null {what}", line)
-    return str(value)
+    text = str(value)
+    for char in text:
+        if ((char < " " and char not in "\t\n\r") or "\ud800" <= char <= "\udfff"
+                or char in "\ufffe\uffff"):
+            raise ParseError(f"{what} {text!r} holds a character XML cannot carry", line)
+    return text
 
 
 def _int(value, what, line, minimum=0):

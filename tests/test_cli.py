@@ -129,6 +129,22 @@ class TestPipeline:
         assert code == 2
         assert f"{articles}: unknown narrative label 'provax' at line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("char", ["\x01", "\x0b", "\x1f", "\ufffe"])
+    def test_id_that_xml_cannot_carry_exits_2(self, tmp_path, capsys, char):
+        # such an id once passed every stage, and graph.graphml did not parse
+        articles = tmp_path / "articles.csv"
+        articles.write_text(
+            "outlet_id,platform,date,narrative,event,interactions\n"
+            "o1\tx,twitter,2021-01-01,pro,adverse,1\n"
+            f"o1{char}x,twitter,2021-01-01,pro,adverse,1\n"
+        )
+        outlets = tmp_path / "outlets.csv"
+        outlets.write_text("outlet_id,name,reliability,kind\no1\tx,One,reliable,\n")
+        code = run("ingest", "--articles", articles, "--outlets", outlets, "--out", tmp_path)
+        assert code == 2
+        assert (f"{articles}: outlet_id {f'o1{char}x'!r} holds a character XML cannot carry"
+                " at line 3") in capsys.readouterr().err
+
     def test_interactions_with_whitespace_exit_2(self, tmp_path, capsys):
         articles = tmp_path / "articles.csv"
         articles.write_text(

@@ -180,6 +180,27 @@ class TestRunChain:
         assert (first.x == second.x).all()
         assert (first.accepted_alpha == second.accepted_alpha).all()
 
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_accept_counts_are_the_moves_in_the_draws(self, chains):
+        # 130 outlets split each block into several parts, 600 iterations make
+        # three blocks, and every seventh row counts nothing. A move is
+        # accepted where x differs from the draw before it, the start (+0.5 or
+        # -0.5, alternating by chain) before the first; alpha, which starts at
+        # 0, moves with x
+        rng = np.random.default_rng(3)
+        counts = rng.poisson(3.0, size=(130, 3))
+        counts[::7] = 0
+        assert latent._CHUNK // len(counts) < latent._BLOCK
+        draws = run_chain(counts, ChainConfig(iterations=600, burn_in=100, chains=chains,
+                                              seed=2), CONSTS)
+        starts = np.empty((chains, 1, len(counts)))
+        starts[0::2], starts[1::2] = 0.5, -0.5
+        moved = np.diff(draws.x, axis=1, prepend=starts) != 0
+        np.testing.assert_array_equal(draws.accepted_x, moved.sum(axis=1))
+        np.testing.assert_array_equal(draws.accepted_alpha, draws.accepted_x)
+        np.testing.assert_array_equal(np.diff(draws.alpha, axis=1, prepend=0.0) != 0, moved)
+        assert 0 < moved.mean() < 1
+
     def test_overdispersed_starts_alternate(self):
         counts = np.ones((2, 3), dtype=int)
         config = ChainConfig(iterations=5, burn_in=1, chains=2, seed=9)

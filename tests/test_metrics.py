@@ -75,6 +75,9 @@ class TestAdjustedEngagement:
         assert adjusted_engagement(333, 7, 2500.0) == pytest.approx(
             333 / 17500, abs=1e-15
         )
+        # arrays broadcast, element by element as the scalar formula
+        out = adjusted_engagement(np.array([100, 0, 333]), np.array([10, 5, 7]), 2500.0)
+        assert out.tolist() == [100 / 25000, 0.0, 333 / 17500]
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no content"):
@@ -83,6 +86,8 @@ class TestAdjustedEngagement:
             adjusted_engagement(10, 1, 0.0)
         with pytest.raises(ValueError, match="interactions"):
             adjusted_engagement(-1, 1, 10.0)
+        with pytest.raises(ValueError, match="no content"):
+            adjusted_engagement(np.array([10, 10]), np.array([1, 0]), 100.0)
 
     def test_scaling_laws(self):
         rng = np.random.default_rng(3)
