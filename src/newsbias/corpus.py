@@ -333,6 +333,23 @@ class _Field:
         return _distinct(getattr(table, self.name), str)
 
 
+# a character XML 1.0 cannot carry: graph.graphml carries ids, so they keep to
+# TAB, LF, CR and U+0020 on, less the surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def check_ids(name: str, ids: Iterable[str]) -> tuple[str, ...]:
+    """`ids` as a tuple, if they are distinct and keep to XML 1.0's characters;
+    else ValueError. One search covers every id, and only a hit looks for its id."""
+    ids = tuple(ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate {name} ids")
+    if _NOT_XML.search("".join(ids)):
+        bad = next(i for i in ids if _NOT_XML.search(i))
+        raise ValueError(f"{name} {bad!r} holds a character XML cannot carry")
+    return ids
+
+
 @dataclass(frozen=True)
 class IdField(_Field):
     """A string id, not null; its column holds codes into the table's distinct
@@ -345,8 +362,7 @@ class IdField(_Field):
         if value is None:
             raise ParseError(f"null {self.name}", line)
         text = str(value)
-        # graph.graphml carries ids, so they keep to XML 1.0's characters
-        if re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", text):
+        if _NOT_XML.search(text):
             raise ParseError(f"{self.name} {text!r} holds a character XML cannot carry", line)
         return text
 
@@ -499,7 +515,9 @@ class Table(abc.Sequence):
     """One input table as read-only numpy columns, one entry per row in order.
 
     `fields` is the table's schema; each field's column is the attribute of
-    its name. An IdField's ids are distinct but may include ids no row uses.
+    its name. An IdField's ids may include ids no row uses; however the table
+    is built, they are distinct and keep to XML 1.0's characters (`check_ids`,
+    ValueError).
     A field named like a Sequence method (a retweet `count`) hides it.
 
     The table is a read-only Sequence of `record`: length, iteration and
@@ -540,10 +558,7 @@ class Table(abc.Sequence):
         for field, values in zip(self.fields, columns, strict=True):
             setattr(self, field.name, np.asarray(values, dtype=field.dtype).view())
         for name, distinct in ids.items():
-            distinct = tuple(distinct)
-            if len(set(distinct)) != len(distinct):
-                raise ValueError(f"duplicate {name} ids")
-            setattr(self, name + "s", distinct)
+            setattr(self, name + "s", check_ids(name, distinct))
         if len({len(c) for c in self._columns()}) > 1:
             raise ValueError("columns differ in length")
         try:

@@ -23,7 +23,7 @@ from scipy import sparse
 
 from .corpus import (
     CountField, FloatField, IdField, Reliability, RetweetRecord, RetweetTable, Table, _write,
-    _write_columns, exact_sums, rows_of,
+    _write_columns, check_ids, exact_sums, rows_of,
 )
 from .metrics import BiasRow, BiasTable
 
@@ -78,60 +78,85 @@ def cosine_weight(col_h, col_k) -> float:
 class AudienceGraph:
     """Undirected weighted outlet graph stored as edge arrays over `nodes`.
 
-    Edge i joins nodes[src[i]] and nodes[dst[i]] with float64 weight[i] in
-    (0, 1]. Its ids are ordered nodes[src[i]] < nodes[dst[i]] and edges are
-    sorted by that id pair, which for sorted nodes (as `build_graph` gives)
-    is row-major upper-triangle order; memory is linear in the edge count.
-    `AudienceGraph(nodes, edges={(u, v): w})` builds and checks a graph from
-    a dict, and `edges` is a read-only view of that form, built on first use
-    for tests and small callers. `reliability` may label outlets that are not
-    nodes; only the nodes' labels are written.
+    Edge i joins nodes[src[i]] and nodes[dst[i]] with float64 weight[i].
+    However it is built, the graph holds one rule, else ValueError: its nodes
+    are distinct ids that keep to XML 1.0's characters (`corpus.check_ids`);
+    `src` and `dst` index `nodes`; each edge's ids are ordered nodes[src[i]] <
+    nodes[dst[i]]; edges strictly increase by that id pair, so none repeats,
+    and for sorted nodes (as `build_graph` gives) that is row-major
+    upper-triangle order; each weight is in (0, 1]. The edges are checked in
+    chunks of `_GRAM_BLOCK`, so memory stays linear in the edge count.
+    `from_edges(nodes, {(u, v): w})` builds a graph from a dict, and `edges`
+    is a read-only view of that form, built on first use for tests and small
+    callers. `reliability` may label outlets that are not nodes; only the
+    nodes' labels are written.
     """
 
     def __init__(
         self,
         nodes: Sequence[str],
-        edges: Mapping[tuple[str, str], float] | None = None,
-        reliability: dict[str, Reliability] | None = None,
-        clusters: dict[str, int] | None = None,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weight: np.ndarray,
+        reliability: Mapping[str, Reliability] | None = None,
+        clusters: Mapping[str, int] | None = None,
     ):
-        nodes = tuple(nodes)
-        index = {n: i for i, n in enumerate(nodes)}
-        if len(index) != len(nodes):
-            raise ValueError("duplicate node ids")
-        edges = edges or {}
-        keys = list(edges)
-        src = np.array([index.get(u, -1) for u, _ in keys], dtype=np.int64)
-        dst = np.array([index.get(v, -1) for _, v in keys], dtype=np.int64)
-        weight = np.array([edges[k] for k in keys], dtype=np.float64)
-        rank = np.empty(len(nodes), dtype=np.int64)
-        rank[sorted(range(len(nodes)), key=nodes.__getitem__)] = np.arange(len(nodes))
-        bad = (src < 0) | (dst < 0)
-        if bad.any():
-            u, v = keys[int(np.argmax(bad))]
-            raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-        bad = rank[src] >= rank[dst]
-        if bad.any():
-            u, v = keys[int(np.argmax(bad))]
-            raise ValueError(f"edge key ({u!r}, {v!r}) must be ordered u < v")
-        bad = ~((weight > 0.0) & (weight <= 1.0))
-        if bad.any():
-            raise ValueError(f"edge weight {edges[keys[int(np.argmax(bad))]]} outside (0, 1]")
-        order = np.lexsort((rank[dst], rank[src]))
-        self.nodes = nodes
-        self.src, self.dst, self.weight = src[order], dst[order], weight[order]
+        self.nodes = nodes = check_ids("node", nodes)
+        self.src, self.dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+        self.weight = np.asarray(weight, np.float64)
         self.reliability = reliability
         self.clusters = clusters
+        if not len(self.src) == len(self.dst) == len(self.weight):
+            raise ValueError("edge arrays differ in length")
+        if not self.n_edges:
+            return
+        # whole-array reductions, which allocate nothing
+        n = len(nodes)
+        low, high = min(self.src.min(), self.dst.min()), max(self.src.max(), self.dst.max())
+        if low < 0 or high >= n:
+            raise ValueError(f"edge node index {low if low < 0 else high} is not in [0, {n})")
+        low, high = self.weight.min(), self.weight.max()
+        if not (low > 0.0 and high <= 1.0):  # min and max return a NaN, which fails both
+            raise ValueError(f"edge weight {high if low > 0.0 else low} outside (0, 1]")
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=nodes.__getitem__)] = np.arange(n)
+        last = -1  # the id pair of the edge before the chunk, as rank u * n + rank v
+        for start in range(0, self.n_edges, _GRAM_BLOCK):
+            pair = rank[self.src[start:start + _GRAM_BLOCK]]
+            v = rank[self.dst[start:start + _GRAM_BLOCK]]
+            unordered = pair >= v
+            if unordered.any():
+                raise ValueError(f"edge {self._ends(start + np.argmax(unordered))} "
+                                 "must be ordered u < v")
+            pair *= n
+            pair += v
+            behind = pair[1:] <= pair[:-1]
+            if pair[0] <= last or behind.any():
+                i = start if pair[0] <= last else start + 1 + np.argmax(behind)
+                raise ValueError(f"edge {self._ends(i)} repeats or is out of (u, v) order")
+            last = pair[-1]
 
     @classmethod
-    def _from_arrays(cls, nodes, src, dst, weight, reliability=None, clusters=None):
-        """Graph from edge arrays already in the class's order; not re-checked."""
-        graph = cls.__new__(cls)
-        graph.nodes = nodes
-        graph.src, graph.dst, graph.weight = src, dst, weight
-        graph.reliability = reliability
-        graph.clusters = clusters
-        return graph
+    def from_edges(
+        cls,
+        nodes: Sequence[str],
+        edges: Mapping[tuple[str, str], float],
+        reliability: Mapping[str, Reliability] | None = None,
+        clusters: Mapping[str, int] | None = None,
+    ) -> AudienceGraph:
+        """The graph of {(u, v): weight} over `nodes`, the keys in any order."""
+        nodes = tuple(nodes)
+        index = {n: i for i, n in enumerate(nodes)}
+        for u, v in edges:
+            if u not in index or v not in index:
+                raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
+        keys = sorted(edges)
+        src = np.array([index[u] for u, _ in keys], dtype=np.int64)
+        dst = np.array([index[v] for _, v in keys], dtype=np.int64)
+        return cls(nodes, src, dst, [edges[k] for k in keys], reliability, clusters)
+
+    def _ends(self, i: int) -> str:
+        return repr((self.nodes[self.src[i]], self.nodes[self.dst[i]]))
 
     def __repr__(self) -> str:
         return f"AudienceGraph({len(self.nodes)} nodes, {self.n_edges} edges)"
@@ -217,7 +242,7 @@ def build_graph(
             out.resize(len(out) + kept, refcheck=False)
             np.compress(positive, values, out=out[len(out) - kept:])
         a = b
-    return AudienceGraph._from_arrays(nodes, src, dst, weight, reliability=reliability)
+    return AudienceGraph(nodes, src, dst, weight, reliability)
 
 
 def _exact_mean(weights: np.ndarray) -> float:
@@ -278,7 +303,7 @@ def threshold_graph(
     )
     kept_nodes = tuple(n for n, k in zip(graph.nodes, kept.tolist()) if k)
     new_index = np.cumsum(kept) - 1
-    return AudienceGraph._from_arrays(
+    return AudienceGraph(
         kept_nodes, new_index[src], new_index[dst], graph.weight[kept_edges], graph.reliability
     )
 
@@ -519,7 +544,7 @@ def write_graphml(graph: AudienceGraph, stream: TextIO) -> None:
 
 def with_clusters(graph: AudienceGraph, partition: Mapping[str, int]) -> AudienceGraph:
     """Copy of the graph with cluster assignments attached."""
-    return AudienceGraph._from_arrays(
+    return AudienceGraph(
         graph.nodes, graph.src, graph.dst, graph.weight, graph.reliability,
-        clusters={n: partition[n] for n in graph.nodes},
+        {n: partition[n] for n in graph.nodes},
     )

@@ -280,7 +280,7 @@ def read_count_tensor_by_row(stream) -> corpus.CountTensor:
     """A counts.csv tensor one row at a time; a repeated cell fails at its row."""
     index, cells = {}, {}
     for line, row in read_rows(stream, "csv", corpus.COUNT_FIELDS):
-        outlet = str(row["outlet_id"])
+        outlet = _id(row["outlet_id"], "outlet_id", line)
         narrative = _enum(Narrative, row["narrative"], "narrative label", line)
         event = _enum(EventType, row["event"], "event label", line)
         count = _int(row["count"], "count", line)

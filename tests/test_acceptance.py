@@ -172,7 +172,7 @@ def _clique_pair(k: int, bridge: float) -> network.AudienceGraph:
             edges[(nodes[a], nodes[b])] = 1.0
             edges[(nodes[k + a], nodes[k + b])] = 1.0
     edges[(nodes[k - 1], nodes[k])] = bridge
-    return network.AudienceGraph(nodes=nodes, edges=edges)
+    return network.AudienceGraph.from_edges(nodes=nodes, edges=edges)
 
 
 def _random_fixture(n: int, p: float, seed: int) -> network.AudienceGraph:
@@ -183,7 +183,7 @@ def _random_fixture(n: int, p: float, seed: int) -> network.AudienceGraph:
         for b in range(a + 1, n):
             if rng.random() < p:
                 edges[(nodes[a], nodes[b])] = float(rng.uniform(0.1, 1.0))
-    return network.AudienceGraph(nodes=nodes, edges=edges)
+    return network.AudienceGraph.from_edges(nodes=nodes, edges=edges)
 
 
 def test_c07_louvain_matches_brute_force_on_fixtures():
@@ -214,7 +214,7 @@ def test_c07_louvain_matches_brute_force_on_fixtures():
 
 
 def test_c08_modularity_identities():
-    triangles = network.AudienceGraph(
+    triangles = network.AudienceGraph.from_edges(
         nodes=("a", "b", "c", "d", "e", "f"),
         edges={
             ("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0,

@@ -733,6 +733,13 @@ class TestParserParity:
         with pytest.raises(ParseError, match="invalid interactions 'True' at line 6"):
             corpus.parse_articles(io.StringIO(bad), "jsonl")
 
+    def test_counts_id_that_xml_cannot_carry_matches_reference(self):
+        text = ("outlet_id,narrative,event,count\n"
+                "o1,anti,adverse,1\no\x01,anti,adverse,2\no2,pro,neutral,3\n")
+        expected = ("error", "outlet_id 'o\\x01' holds a character XML cannot carry at line 3", 3)
+        assert outcome(_counts, text, "csv") == expected
+        assert outcome(TABLES["counts"][1], text, "csv") == expected
+
 
 def article_rows(n):
     return [f"o{i % 3},twitter,2021-03-0{i % 9 + 1},anti,adverse,{i}" for i in range(n)]
@@ -754,7 +761,7 @@ QUOTED = '"a,""b""\nc",twitter,2021-03-01,pro,neutral,3'
 TAIL = ",twitter,2021-03-01,pro,neutral,1"  # a row's fields after its outlet id
 BAD, SHORT, LONG = "o1,twitter,2021-03-01,bogus,adverse,1", "o1,twitter", "o1" + TAIL + ",x"
 LIMIT = csv.field_size_limit()
-# name -> (text, outcome when read as opened with newline="", None where the Python version decides)
+# name -> (text, outcome when read as opened with newline="")
 BLOCK_CASES = {
     "quoted comma, quote and line break in a later block":
         (article_text(rows_with(14, {7: QUOTED})), "ok"),
@@ -767,8 +774,9 @@ BLOCK_CASES = {
     "lone cr inside a field": (article_text(rows_with(12, {8: "o\r8" + TAIL})), "error"),
     "blank lines at block edges": (article_text(rows_with(12, {3: "", 4: "", 10: ""}), final="\n\n"), "ok"),
     "no final line break": (article_text(article_rows(12), final=""), "ok"),
-    # csv.reader reads a NUL as text from Python 3.11 on, and rejects it before
-    "nul byte": (article_text(rows_with(12, {6: "o\x006" + TAIL})), None),
+    # csv.reader rejects a NUL before Python 3.11; from 3.11 on it reads the NUL
+    # as text, and the id rule rejects an id holding it
+    "nul byte": (article_text(rows_with(12, {6: "o\x006" + TAIL})), "error"),
     "field at the size limit": (article_text(rows_with(8, {5: "x" * LIMIT + TAIL})), "ok"),
     "field past the size limit": (article_text(rows_with(8, {5: "x" * (LIMIT + 1) + TAIL})), "error"),
     "short row at a block edge": (article_text(rows_with(12, {5: SHORT})), "error"),
@@ -796,7 +804,7 @@ class TestBlockReader:
         for newline in ("", "\n"):  # as the CLI opens files, and as io.StringIO splits lines
             expected = outcome(oracle_helpers.parse_articles_by_row, text, "csv", newline)
             assert outcome(corpus.parse_articles, text, "csv", newline) == expected, newline
-            if newline == "" and kind is not None:
+            if newline == "":
                 assert expected[0] == kind
 
     def test_random_texts_match_row_by_row_reference(self, monkeypatch):
@@ -1351,7 +1359,7 @@ class TestBlockWriter:
         monkeypatch.setattr(corpus, "_WRITE_ROWS", 4)
         nodes = sorted(WRITER_IDS)
         weights = itertools.cycle([0.1 + 0.2, 1.0, 5e-324, 0.5])
-        graph = network.AudienceGraph(
+        graph = network.AudienceGraph.from_edges(
             nodes, {pair: next(weights) for pair in itertools.combinations(nodes, 2)})
         out, expected = io.StringIO(), io.StringIO()
         network.write_edges_csv(graph, out)
@@ -1383,9 +1391,19 @@ class TestCarriageReturnIds:
             corpus._write(cls, parsed, again)
             assert again.getvalue() == text
 
+    @pytest.mark.parametrize("cls", ID_TABLES, ids=lambda cls: cls.__name__)
+    def test_built_id_that_xml_cannot_carry_raises(self, cls):
+        # parsing rejects such an id at its line; a table built from columns
+        # holds the same rule
+        table = cls.from_columns(sample_columns(cls, ("o1", "o2")))
+        columns, ids = table._columns(), table._ids()
+        with pytest.raises(ValueError, match=r"^outlet_id 'o\\x01' holds a character XML"):
+            cls(columns, {**ids, "outlet_id": ("o\x01", "o2")})
+        assert cls(columns, {**ids, "outlet_id": ("o\t1", "o2")}).outlet_ids == ("o\t1", "o2")
+
     def test_edges_read_back_by_csv_reader(self):
         nodes = sorted(CR_IDS)
-        graph = network.AudienceGraph(
+        graph = network.AudienceGraph.from_edges(
             nodes, {pair: 0.25 for pair in itertools.combinations(nodes, 2)})
         out = io.StringIO()
         network.write_edges_csv(graph, out)

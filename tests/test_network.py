@@ -34,7 +34,7 @@ def clique_pair_graph(k=5, bridge=0.01) -> AudienceGraph:
             edges[(nodes[a], nodes[b])] = 1.0
             edges[(nodes[k + a], nodes[k + b])] = 1.0
     edges[(nodes[k - 1], nodes[k])] = bridge
-    return AudienceGraph(nodes=nodes, edges=edges)
+    return AudienceGraph.from_edges(nodes=nodes, edges=edges)
 
 
 def random_graph(rng, n=8, p=0.5) -> AudienceGraph:
@@ -46,7 +46,7 @@ def random_graph(rng, n=8, p=0.5) -> AudienceGraph:
                 edges[(nodes[a], nodes[b])] = float(rng.uniform(0.05, 1.0))
     if not edges:
         edges[(nodes[0], nodes[1])] = 0.5
-    return AudienceGraph(nodes=nodes, edges=edges)
+    return AudienceGraph.from_edges(nodes=nodes, edges=edges)
 
 
 class TestBuildMatrix:
@@ -245,7 +245,7 @@ def graph_edges(graph: AudienceGraph) -> list[tuple[str, str, float]]:
 
 class TestThresholdGraph:
     def test_equal_weights_nothing_removed(self):
-        graph = AudienceGraph(
+        graph = AudienceGraph.from_edges(
             nodes=("a", "b", "c"),
             edges={("a", "b"): 0.4, ("b", "c"): 0.4, ("a", "c"): 0.4},
         )
@@ -254,7 +254,7 @@ class TestThresholdGraph:
         assert out.nodes == graph.nodes
 
     def test_low_edge_removed(self):
-        graph = AudienceGraph(
+        graph = AudienceGraph.from_edges(
             nodes=("a", "b", "c"), edges={("a", "b"): 0.1, ("b", "c"): 0.9}
         )
         out = threshold_graph(graph)
@@ -262,14 +262,14 @@ class TestThresholdGraph:
         assert out.nodes == ("b", "c")
 
     def test_keep_isolates_toggle(self):
-        graph = AudienceGraph(
+        graph = AudienceGraph.from_edges(
             nodes=("a", "b", "c"), edges={("a", "b"): 0.1, ("b", "c"): 0.9}
         )
         out = threshold_graph(graph, drop_isolated=False)
         assert out.nodes == ("a", "b", "c")
 
     def test_inclusive_cutoff_removes_edge_at_mean(self):
-        graph = AudienceGraph(
+        graph = AudienceGraph.from_edges(
             nodes=("a", "b", "c"),
             edges={("a", "b"): 0.4, ("b", "c"): 0.4, ("a", "c"): 0.4},
         )
@@ -286,19 +286,19 @@ class TestThresholdGraph:
         assert out.edges == expected
 
     def test_zero_degree_nodes_removed_first(self):
-        graph = AudienceGraph(nodes=("a", "b", "lonely"), edges={("a", "b"): 0.5})
+        graph = AudienceGraph.from_edges(nodes=("a", "b", "lonely"), edges={("a", "b"): 0.5})
         out = threshold_graph(graph)
         assert out.nodes == ("a", "b")
 
     def test_edgeless_graph_errors(self):
         with pytest.raises(ValueError, match="no edges"):
-            threshold_graph(AudienceGraph(nodes=("a",), edges={}))
+            threshold_graph(AudienceGraph.from_edges(nodes=("a",), edges={}))
 
 
 def path_graph(weights) -> AudienceGraph:
     """Path n000 - n001 - ... whose i-th edge carries weights[i]."""
     nodes = tuple(f"n{i:03d}" for i in range(len(weights) + 1))
-    return AudienceGraph(
+    return AudienceGraph.from_edges(
         nodes=nodes, edges={(nodes[i], nodes[i + 1]): w for i, w in enumerate(weights)}
     )
 
@@ -409,7 +409,7 @@ def pinned_graph(k: int) -> AudienceGraph:
                 edges[nodes[a], nodes[b]] = (
                     (0.25, 0.5, 1.0)[int(rng.integers(0, 3))] if k % 2 else 1.0 - rng.random()
                 )
-    return AudienceGraph(nodes=nodes, edges=edges)
+    return AudienceGraph.from_edges(nodes=nodes, edges=edges)
 
 
 # louvain(pinned_graph(k), seed=s) as recorded before levels were aggregated
@@ -457,11 +457,11 @@ class TestLouvain:
         edges = {
             (u, v): 1.0 for i, u in enumerate(nodes) for v in nodes[i + 1 :]
         }
-        partition = louvain(AudienceGraph(nodes=nodes, edges=edges), seed=0)
+        partition = louvain(AudienceGraph.from_edges(nodes=nodes, edges=edges), seed=0)
         assert set(partition.values()) == {0}
 
     def test_edgeless_nodes_singletons(self):
-        graph = AudienceGraph(nodes=("a", "b", "c"), edges={})
+        graph = AudienceGraph.from_edges(nodes=("a", "b", "c"), edges={})
         assert louvain(graph, seed=1) == {"a": 0, "b": 1, "c": 2}
 
     @pytest.mark.filterwarnings("error")
@@ -513,7 +513,7 @@ class TestLouvain:
             return local_moves(bounds, cols, weights, strengths, two_m, order)
 
         monkeypatch.setattr(network, "_local_moves", record)
-        louvain(AudienceGraph(nodes=nodes, edges=edges), seed=0)
+        louvain(AudienceGraph.from_edges(nodes=nodes, edges=edges), seed=0)
         bounds, weights, strengths, two_m = levels[0]
         rows = [weights[a:b] for a, b in zip(bounds, bounds[1:])]
         assert strengths == [reduce(add, row, 0.0) for row in rows]
@@ -523,7 +523,7 @@ class TestLouvain:
 
 class TestModularity:
     def two_triangles(self):
-        return AudienceGraph(
+        return AudienceGraph.from_edges(
             nodes=("a", "b", "c", "d", "e", "f"),
             edges={
                 ("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0,
@@ -567,7 +567,7 @@ class TestModularity:
         with pytest.raises(ValueError, match="cover"):
             modularity(graph, {"a": 0})
         with pytest.raises(ValueError, match="zero total weight"):
-            modularity(AudienceGraph(nodes=("a",), edges={}), {"a": 0})
+            modularity(AudienceGraph.from_edges(nodes=("a",), edges={}), {"a": 0})
 
 
 class TestNetworkxCrossCheck:
@@ -684,7 +684,7 @@ class TestClusterStats:
 
 class TestExports:
     def graph(self):
-        return AudienceGraph(
+        return AudienceGraph.from_edges(
             nodes=("a", "b"),
             edges={("a", "b"): 0.5},
             reliability={"a": Reliability.RELIABLE, "b": Reliability.QUESTIONABLE},
@@ -717,7 +717,7 @@ class TestExports:
     def test_graphml_labels_only_its_own_nodes(self):
         graph = self.graph()
         labels = {**graph.reliability, "z": Reliability.RELIABLE}
-        extra = AudienceGraph(graph.nodes, graph.edges, labels, graph.clusters)
+        extra = AudienceGraph.from_edges(graph.nodes, graph.edges, labels, graph.clusters)
         written = []
         for g in (graph, extra):
             buf = io.StringIO()
@@ -726,7 +726,7 @@ class TestExports:
         assert written[0] == written[1]
 
     def test_dict_graph_written_in_id_order(self):
-        graph = AudienceGraph(
+        graph = AudienceGraph.from_edges(
             nodes=("c", "a", "b"),
             edges={("b", "c"): 0.25, ("a", "c"): 0.5, ("a", "b"): 1.0},
         )
@@ -737,19 +737,47 @@ class TestExports:
         assert graph.degrees().tolist() == [2, 2, 2]
         assert graph.strengths().tolist() == [0.75, 1.5, 1.25]
 
-    def test_graph_invariants_enforced(self):
+    @pytest.mark.parametrize("budget", [1, 2, network._GRAM_BLOCK])
+    def test_graph_invariants_enforced(self, budget, monkeypatch):
         with pytest.raises(ValueError, match="ordered"):
-            AudienceGraph(nodes=("a", "b"), edges={("b", "a"): 0.5})
+            AudienceGraph.from_edges(nodes=("a", "b"), edges={("b", "a"): 0.5})
         with pytest.raises(ValueError, match="weight"):
-            AudienceGraph(nodes=("a", "b"), edges={("a", "b"): 1.5})
+            AudienceGraph.from_edges(nodes=("a", "b"), edges={("a", "b"): 1.5})
         with pytest.raises(ValueError, match="unknown node"):
-            AudienceGraph(nodes=("a",), edges={("a", "z"): 0.5})
+            AudienceGraph.from_edges(nodes=("a",), edges={("a", "z"): 0.5})
+        # the constructor's own rule, whichever chunk of edges breaks it
+        monkeypatch.setattr(network, "_GRAM_BLOCK", budget)
+        nodes = ("c", "a", "b", "d")  # sorted ids a, b, c, d are indices 1, 2, 0, 3
+        good = ([1, 1, 1, 2, 0], [2, 0, 3, 0, 3], [0.5, 1.0, 0.25, 0.75, 1e-9])
+        assert AudienceGraph(nodes, *good).n_edges == 5
+        for src, dst, weight, message in (
+            ([1, 1, 1, 2, 0], [2, 0, 3, 0, 4], good[2], r"index 4 is not in \[0, 4\)"),
+            ([1, -1, 1, 2, 0], good[1], good[2], "index -1 is not in"),
+            ([1, 1, 1, 0, 0], [2, 0, 3, 2, 3], good[2], r"\('c', 'b'\) must be ordered"),
+            ([1, 1, 1, 2, 3], [2, 0, 3, 0, 3], good[2], r"\('d', 'd'\) must be ordered"),
+            ([1, 1, 1, 2, 2], [2, 0, 3, 0, 0], good[2], r"\('b', 'c'\) repeats"),
+            ([1, 1, 1, 2, 0], [2, 2, 3, 0, 3], good[2], r"\('a', 'b'\) repeats"),
+            ([1, 1, 1, 0, 2], [2, 0, 3, 3, 0], good[2], r"\('b', 'c'\) repeats or is out of"),
+            ([1, 1, 1, 2, 0], [0, 2, 3, 0, 3], good[2], r"\('a', 'b'\) repeats or is out of"),
+            (*good[:2], [0.5, 1.0, 0.0, 0.75, 1e-9], r"weight 0.0 outside"),
+            (*good[:2], [0.5, 1.5, 0.25, 0.75, 1e-9], r"weight 1.5 outside"),
+            (*good[:2], [0.5, 1.0, 0.25, 0.75, math.nan], r"weight nan outside"),
+            (*good[:2], [0.5, 1.0, 0.25, 0.75], "differ in length"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                AudienceGraph(nodes, src, dst, weight)
+        with pytest.raises(ValueError, match="duplicate node ids"):
+            AudienceGraph(("a", "b", "a"), [0], [1], [0.5])
+        with pytest.raises(ValueError, match=r"^node 'a\\x01' holds a character XML cannot carry$"):
+            AudienceGraph(("a\x01", "b"), [0], [1], [0.5])
+        with pytest.raises(ValueError, match=r"^node 'a\\x01' holds"):
+            AudienceGraph.from_edges(("a\x01", "b"), {("a\x01", "b"): 0.5})
 
     def test_both_writers_share_one_weight_formatting(self):
         rng = np.random.default_rng(4)
         weights = rng.uniform(1e-9, 1.0, 40)
         names = [f"n{i:02d}" for i in range(41)]
-        graph = AudienceGraph(
+        graph = AudienceGraph.from_edges(
             nodes=names, edges={(names[i], names[i + 1]): w for i, w in enumerate(weights)}
         )
         assert graph.weight_text == [repr(float(w)) for w in weights]
