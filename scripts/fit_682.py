@@ -1,10 +1,11 @@
 """The default fit at the paper's 682 outlets, in a process of its own.
 
-Runs `latent.run_chain` with the `ChainConfig()` defaults at seed 5 on the
-paper-682 counts, synth.generate(682, 2, seed=1, alpha_loc=4.3) ->
-corpus.aggregate_counts, one fit per event type as `newsbias fit` runs it,
-and exits 1 if any event's max split R-hat passes RHAT_LIMIT or its min ESS
-falls below ESS_FLOOR. Prints each event's max R-hat, min ESS and seconds,
+Runs `latent.fit_event`, the per-event fit that `newsbias fit` runs, with the
+`ChainConfig()` defaults at seed 5 on the paper-682 counts,
+synth.generate(682, 2, seed=1, alpha_loc=4.3) -> corpus.aggregate_counts,
+once per event type, keeping only each event's summary. Exits 1 if any
+event's max split R-hat passes RHAT_LIMIT or its min ESS falls below
+ESS_FLOOR. Prints each event's max R-hat, min ESS and seconds,
 then the config it ran, the total wall time and the process's peak RSS.
 
     PYTHONPATH=src python scripts/fit_682.py
@@ -33,11 +34,8 @@ def main() -> int:
     start = time.perf_counter()
     for k, event in enumerate(corpus.EVENT_ORDER):
         t0 = time.perf_counter()
-        draws = latent.run_chain(tensor.event_slice(event), config, consts, event_index=k)
-        summary = latent.posterior_summary(draws, config.burn_in)
-        del draws
-        rhat = max(float(summary.alpha.rhat.max()), float(summary.x.rhat.max()))
-        ess = min(float(summary.alpha.ess.min()), float(summary.x.ess.min()))
+        summary = latent.fit_event(tensor.event_slice(event), config, consts, k).summary
+        rhat, ess = summary.max_rhat, summary.min_ess
         worst, fewest = max(worst, rhat), min(fewest, ess)
         print(f"{event.value}: max R-hat {rhat:.4f}, min ESS {ess:.0f}, "
               f"{time.perf_counter() - t0:.2f} s")

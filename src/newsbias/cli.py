@@ -313,29 +313,26 @@ def _fit(opts: dict, out: Path) -> str:
         if slice_.sum() == 0:
             log.warning("no articles for event type '%s'; slice skipped", event.value)
             continue
-        totals = slice_.sum(axis=1)
-        zero = [o for o, t in zip(tensor.outlets, totals) if t == 0]
-        if zero:
+        fit = latent.fit_event(slice_, config, consts, event_index=k)
+        if fit.empty.size:
             log.warning(
                 "event '%s': %d outlet(s) with 0 articles, estimates are "
                 "prior-driven: %s",
                 event.value,
-                len(zero),
-                ", ".join(zero),
+                fit.empty.size,
+                ", ".join(tensor.outlets[i] for i in fit.empty),
             )
-        draws = latent.run_chain(slice_, config, consts, event_index=k)
-        summary = latent.posterior_summary(draws, config.burn_in)
-        worst = max(float(summary.alpha.rhat.max()), float(summary.x.rhat.max()))
-        if worst > 1.05:
+        if fit.summary.max_rhat > 1.05:
             log.warning(
                 "event '%s': max split R-hat %.3f exceeds 1.05; consider more "
                 "iterations",
                 event.value,
-                worst,
+                fit.summary.max_rhat,
             )
-        summaries[event] = summary
+        summaries[event] = fit.summary
         if opts["dump_draws"]:
-            _save(out / f"draws_{event.value}.csv", _write_draws, draws)
+            _save(out / f"draws_{event.value}.csv", _write_draws, fit.draws)
+        del fit  # the next event samples without this one's draws alive
     posterior = latent.PosteriorTable.of(tensor.outlets, summaries)
     _save(out / "posterior.csv", corpus._write, latent.PosteriorTable, posterior)
     return f"fit: wrote posterior.csv ({len(posterior)} rows) -> {out}"

@@ -15,7 +15,9 @@ alpha-x ridge, and the Jacobian is 1, so the (alpha, x) posterior is unchanged.
 The posterior factorizes by outlet, and run_chain moves each outlet by an
 independence Metropolis-Hastings kernel whose proposal follows that outlet's
 own posterior, every outlet of every chain in one array step.
-PosteriorTable is the schema of posterior.csv.
+fit_event is the per-event fit that `newsbias fit` runs on each event type's
+slice: run_chain, then posterior_summary. PosteriorTable is the schema of
+posterior.csv.
 """
 
 from __future__ import annotations
@@ -125,6 +127,16 @@ class ParamSummary:
     alpha: ParamStats
     x: ParamStats
     n_draws: int
+
+    @property
+    def max_rhat(self) -> float:
+        """The largest split R-hat over alpha and x."""
+        return max(float(self.alpha.rhat.max()), float(self.x.rhat.max()))
+
+    @property
+    def min_ess(self) -> float:
+        """The smallest effective sample size over alpha and x."""
+        return min(float(self.alpha.ess.min()), float(self.x.ess.min()))
 
 
 PARAMS = ("alpha", "x")
@@ -532,6 +544,26 @@ def posterior_summary(draws: ChainDraws, burn_in: int) -> ParamSummary:
     return ParamSummary(
         alpha=_stats(alpha), x=_stats(x), n_draws=kept * draws.n_chains
     )
+
+
+@dataclass(frozen=True)
+class EventFit:
+    """One event type's fit: its draws, their summary, and `empty`, the rows
+    of the outlets with no articles, whose estimates are prior-driven."""
+
+    draws: ChainDraws
+    summary: ParamSummary
+    empty: np.ndarray
+
+
+def fit_event(Y_k, config: ChainConfig, consts: ModelConstants, event_index: int = 0) -> EventFit:
+    """Fit one event type's N x 3 count slice: run_chain on the streams of
+    `event_index`, then posterior_summary of the post-burn-in draws. Both are
+    looked up in this module at call time, so a wrapper installed on
+    `latent.run_chain` or `latent.posterior_summary` sees the calls."""
+    draws = run_chain(Y_k, config, consts, event_index=event_index)
+    empty = np.flatnonzero(np.asarray(Y_k).sum(axis=1) == 0)
+    return EventFit(draws, posterior_summary(draws, config.burn_in), empty)
 
 
 def simulate_counts(

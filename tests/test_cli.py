@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import math
 import re
 import shutil
@@ -263,6 +264,62 @@ class TestPipeline:
         monkeypatch.setattr(latent, "run_chain", nan_chain)
         assert fit_fast(out) == 1
         assert "quantiles out of order" in caplog.text
+
+    def test_fit_logs_zero_count_outlets_and_high_rhat_in_event_order(self, pipeline_dirs, caplog):
+        # a 2 x 12 fit is too short to mix, so every event trips the R-hat warning
+        _, out = pipeline_dirs
+        with open(out / "counts.csv", newline="") as handle:
+            tensor = corpus.read_count_tensor(handle)
+        tensor.counts[[1, 4], :, 0] = 0
+        tensor.counts[7, :, 2] = 0
+        with open(out / "counts.csv", "w", newline="") as handle:
+            corpus.write_count_tensor(tensor, handle)
+        config = latent.ChainConfig(iterations=12, burn_in=2, chains=2, seed=3)
+        expected = []
+        for k, event in enumerate(corpus.EVENT_ORDER):
+            slice_ = tensor.event_slice(event)
+            zero = [tensor.outlets[i] for i in np.flatnonzero(slice_.sum(axis=1) == 0)]
+            if zero:
+                expected.append(f"event '{event.value}': {len(zero)} outlet(s) with 0 articles, "
+                                f"estimates are prior-driven: {', '.join(zero)}")
+            draws = latent.run_chain(slice_, config, latent.ModelConstants(), event_index=k)
+            summary = latent.posterior_summary(draws, config.burn_in)
+            rhat = max(summary.alpha.rhat.max(), summary.x.rhat.max())
+            assert rhat > 1.05
+            expected.append(f"event '{event.value}': max split R-hat {rhat:.3f} exceeds 1.05; "
+                            "consider more iterations")
+        assert len(expected) >= 5
+        caplog.clear()
+        assert run("fit", "--out", out, "--seed", config.seed, "--iters", config.iterations,
+                   "--burnin", config.burn_in, "--chains", config.chains) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == expected
+
+    def test_fit_holds_one_events_draws_at_a_time(self, tmp_path):
+        # three non-empty events: the fit's traced peak beyond that of one
+        # event's fit_event is the tensor and the summaries, not the draws of
+        # the event before
+        n, config = 300, latent.ChainConfig(iterations=400, burn_in=100, chains=2, seed=3)
+        rng = np.random.default_rng(8)
+        tensor = corpus.CountTensor(tuple(f"o{i:03d}" for i in range(n)),
+                                    rng.poisson(4.0, (n, 3, 3)))
+        with open(tmp_path / "counts.csv", "w", newline="") as handle:
+            corpus.write_count_tensor(tensor, handle)
+
+        def peak(call) -> int:
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: latent.fit_event(tensor.event_slice(corpus.EventType.ADVERSE),
+                                            config, latent.ModelConstants()))
+        whole = peak(lambda: run("fit", "--out", tmp_path, "--seed", config.seed, "--iters",
+                                 config.iterations, "--burnin", config.burn_in,
+                                 "--chains", config.chains))
+        draws = 2 * config.chains * config.iterations * n * 8  # alpha and x, float64
+        assert whole - one < draws / 2
 
 
 class TestWindowAndFormats:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -186,13 +187,13 @@ class TestRunChain:
         # three blocks, and every seventh row counts nothing. A move is
         # accepted where x differs from the draw before it, the start (+0.5 or
         # -0.5, alternating by chain) before the first; alpha, which starts at
-        # 0, moves with x
+        # 0, moves with x. fit_event is run_chain, then posterior_summary
         rng = np.random.default_rng(3)
         counts = rng.poisson(3.0, size=(130, 3))
         counts[::7] = 0
         assert latent._CHUNK // len(counts) < latent._BLOCK
-        draws = run_chain(counts, ChainConfig(iterations=600, burn_in=100, chains=chains,
-                                              seed=2), CONSTS)
+        config = ChainConfig(iterations=600, burn_in=100, chains=chains, seed=2)
+        draws = run_chain(counts, config, CONSTS)
         starts = np.empty((chains, 1, len(counts)))
         starts[0::2], starts[1::2] = 0.5, -0.5
         moved = np.diff(draws.x, axis=1, prepend=starts) != 0
@@ -200,6 +201,18 @@ class TestRunChain:
         np.testing.assert_array_equal(draws.accepted_alpha, draws.accepted_x)
         np.testing.assert_array_equal(np.diff(draws.alpha, axis=1, prepend=0.0) != 0, moved)
         assert 0 < moved.mean() < 1
+
+        fit = latent.fit_event(counts, config, CONSTS)
+        summary = posterior_summary(draws, config.burn_in)
+        for name in ("alpha", "x", "accepted_alpha", "accepted_x"):
+            np.testing.assert_array_equal(getattr(fit.draws, name), getattr(draws, name))
+        for param, stat in product(("alpha", "x"), ("mean", "sd", "q05", "q95", "rhat", "ess")):
+            np.testing.assert_array_equal(getattr(getattr(fit.summary, param), stat),
+                                          getattr(getattr(summary, param), stat))
+        assert fit.summary.n_draws == summary.n_draws == chains * 500
+        np.testing.assert_array_equal(fit.empty, np.arange(0, 130, 7))
+        assert fit.summary.max_rhat == max(summary.alpha.rhat.max(), summary.x.rhat.max())
+        assert fit.summary.min_ess == min(summary.alpha.ess.min(), summary.x.ess.min())
 
     def test_overdispersed_starts_alternate(self):
         counts = np.ones((2, 3), dtype=int)
