@@ -5,9 +5,11 @@ has one schema, a tuple of typed fields from which its row record is built,
 and one reader: `_parse` reads a character stream into a Table of numpy
 columns, dict-coded except for float fields, which are converted value by
 value (the input tables here, the artifact tables in the modules that build
-them), and `_write` spells a table back. Aggregation folds the article
-columns into an outlet x narrative x event count tensor with one bincount,
-and nothing mutates its inputs.
+them), and `_write` spells a table back. `Table.from_records` builds a table
+from records by the same coding loop (`_build`), so records are checked as a
+parse of the same rows is. Aggregation folds the article columns into an
+outlet x narrative x event count tensor with one bincount, and nothing
+mutates its inputs.
 
 CSV is read and written a block at a time. `_parse` has two read paths, and
 the input picks one: a block of lines with no quote, CR, NUL or blank line,
@@ -35,7 +37,7 @@ import re
 from collections import abc
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -75,13 +77,6 @@ class OutletKind(str, Enum):
 
 NARRATIVE_ORDER = (Narrative.ANTI, Narrative.NEUTRAL, Narrative.PRO)
 EVENT_ORDER = (EventType.ADVERSE, EventType.NEUTRAL, EventType.POSITIVE)
-
-_EVENT_INDEX = {e: i for i, e in enumerate(EVENT_ORDER)}
-
-
-def event_index(event: EventType) -> int:
-    return _EVENT_INDEX[event]
-
 
 class InputError(ValueError):
     """Bad or missing user-supplied input (the CLI exits 2 on it), as opposed
@@ -129,7 +124,7 @@ class CountTensor:
 
     def event_slice(self, event: EventType) -> np.ndarray:
         """N x 3 count slice for one event type (rows: outlets, cols: narratives)."""
-        return self.counts[:, :, event_index(event)]
+        return self.counts[:, :, EVENT_ORDER.index(event)]
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -526,7 +521,8 @@ class Table(abc.Sequence):
     `class ArticleTable(Table, record="ArticleRecord")`, gets a frozen
     dataclass of that name, one attribute per field in schema order, with
     trailing optional fields defaulting to None; any other table's records
-    are tuples. `from_records` and `from_columns` convert record values.
+    are tuples. `from_records` builds a table from records or tuples, and
+    `_parse` from input rows, by one coding loop (`_build`).
     However it is built, a table holds its class's own rule (`_rule`), by
     default that no two rows share their `key` field values (a key of several
     fields names a cell). A break raises ParseError at `lines[row]` if the
@@ -577,41 +573,24 @@ class Table(abc.Sequence):
         return {f.name: getattr(self, f.name + "s") for f in self.fields if isinstance(f, IdField)}
 
     @classmethod
-    def _from_coders(cls, coders: Sequence[_Coder | _Converter], lines: Sequence[int]) -> Table:
-        """The table of the first len(lines) coded rows under the class's rule;
-        `lines[i]` is row i's input line, which a broken rule is reported at."""
-        columns, ids = [], {}
-        for field, coder in zip(cls.fields, coders):
-            column, distinct = coder.column(field, len(lines))
-            columns.append(column)
-            if distinct is not None:
-                ids[field.name] = distinct
-        return cls(columns, ids, lines)
-
-    @classmethod
     def from_records(cls, records: Iterable) -> Table:
-        """The table of `records` in order, checked as a parsed table is; a table of
-        this class is returned as is. A fault raises ValueError("record i: ...")."""
+        """The table of `records` in order, checked as a parse of the same rows is;
+        a table of this class is returned as is. A record is read by field name,
+        or by position if a tuple. A fault raises ValueError("record i: ...")."""
         if isinstance(records, cls):
             return records
-        records = records if isinstance(records, (list, tuple)) else list(records)
-        # one column at a time, so only one field's values are held
-        return cls.from_columns(list(map(operator.attrgetter(f.name), records)) for f in cls.fields)
+        names = [f.name for f in cls.fields]
 
-    @classmethod
-    def from_columns(cls, columns: Iterable[list]) -> Table:
-        """The table whose field j holds the record values of the j-th column,
-        checked as `from_records` checks records."""
-        coders = [field.coder() for field in cls.fields]
+        def rows():
+            for i, record in enumerate(records):
+                if not isinstance(record, tuple):
+                    record = [getattr(record, name) for name in names]
+                elif len(record) != len(names):
+                    raise ParseError(f"expected {len(names)} fields, got {len(record)}", i)
+                yield i, record
+
         try:
-            for coder, column in zip(coders, columns, strict=True):
-                # a chunk of keys at a time, freed while young, as _parse's are
-                for start in range(0, len(column), _CHUNK_ROWS):
-                    chunk = column[start : start + _CHUNK_ROWS]
-                    failed = coder.add(list(map(_json_key, chunk)), chunk)
-                    if failed is not None:
-                        raise ParseError(failed[1], start + failed[0])
-            return cls._from_coders(coders, range(len(column)))
+            return _build(cls, _row_chunks(rows()), _json_key)
         except ParseError as exc:
             raise ValueError(f"record {exc.line}: {exc.reason}") from None
 
@@ -855,30 +834,18 @@ def _csv_chunks(stream: TextIO, fields: Sequence[str]):
     yield from _row_chunks(_csv_rows(itertools.chain(lines, stream), fields, not done, done))
 
 
-def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
-    """Parse CSV (with header) or JSONL into a `cls` table, order preserved.
+def _build(cls: type[Table], chunks: Iterator, key: Callable | None) -> Table:
+    """The `cls` table of the rows `chunks` yields as (line numbers, columns),
+    each raw value keyed by `key` (or by itself if None) for its field's coder.
 
-    CSV is read a block of lines at a time, and a block of plain rows (no
-    quotes, CR, NUL or blank line, and each line's field count right) is
-    split into its columns as one string; the first block that is not, and
-    every block after it, is read by csv.reader, as is JSONL by json, in
-    chunks of _CHUNK_ROWS rows. Every field but a float field is dict-coded
-    as it is read and each distinct value is converted once (JSONL values
-    keyed by type and value); a float field converts each value (see
-    _Converter). A bad input raises the ParseError a row-by-row parse would
-    raise first: the earliest row, and in it the first field in schema
-    order, with a bad value, the table's own rule counting as the row's last
-    field, unless a row before it is malformed.
+    Every field but a float field is dict-coded chunk by chunk and each
+    distinct key is converted once; a float field converts each value (see
+    _Converter). A fault raises the ParseError a row-by-row build would raise
+    first: the earliest row, and in it the first field in schema order, with
+    a bad value, the table's own rule counting as the row's last field,
+    unless a row before it is malformed (a ValueError from `chunks`).
     """
     coders = [field.coder() for field in cls.fields]
-    names = [field.name for field in cls.fields]
-    if format == "csv":
-        chunks, key = _csv_chunks(stream, names), None
-    elif format == "jsonl":
-        optional = [field.name for field in cls.fields if field.optional]
-        chunks, key = _row_chunks(_jsonl_rows(stream, names, optional)), _json_key
-    else:
-        raise ValueError(f"unknown format '{format}', expected 'csv' or 'jsonl'")
     lines = []  # each chunk's line numbers
     fault = None
     while fault is None:
@@ -900,10 +867,32 @@ def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
         lines.append(chunk_lines)
     # the rule sees only rows before the fault, so a rule error is earlier
     lines = np.concatenate([np.zeros(0, np.int64), *(np.asarray(c, np.int64) for c in lines)])
-    table = cls._from_coders(coders, lines)
+    built = [coder.column(field, len(lines)) for field, coder in zip(cls.fields, coders)]
+    ids = {f.name: distinct for f, (_, distinct) in zip(cls.fields, built) if distinct is not None}
+    table = cls([column for column, _ in built], ids, lines)
     if fault is not None:
         raise fault
     return table
+
+
+def _parse(stream: TextIO, format: str, cls: type[Table]) -> Table:
+    """Parse CSV (with header) or JSONL into a `cls` table, order preserved;
+    a bad input raises its ParseError as _build does.
+
+    CSV is read a block of lines at a time, and a block of plain rows (no
+    quotes, CR, NUL or blank line, and each line's field count right) is
+    split into its columns as one string; the first block that is not, and
+    every block after it, is read by csv.reader, as is JSONL by json, in
+    chunks of _CHUNK_ROWS rows. JSONL values are keyed by type and value
+    (see _json_key).
+    """
+    names = [field.name for field in cls.fields]
+    if format == "csv":
+        return _build(cls, _csv_chunks(stream, names), None)
+    if format == "jsonl":
+        optional = [field.name for field in cls.fields if field.optional]
+        return _build(cls, _row_chunks(_jsonl_rows(stream, names, optional)), _json_key)
+    raise ValueError(f"unknown format '{format}', expected 'csv' or 'jsonl'")
 
 
 def parse_articles(stream: TextIO, format: str = "csv") -> ArticleTable:

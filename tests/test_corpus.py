@@ -506,6 +506,29 @@ def outcome(parse, text, fmt, newline=""):
     return "ok", list(result)
 
 
+def records_match_parse(cls, by_row, text) -> bool:
+    """Whether the objects of the JSONL `text` all hold `cls`'s fields (an
+    optional one may be left out); if so, check that `cls.from_records` on
+    them, as tuples in schema order, gives what a row-by-row parse of the
+    same objects gives, a fault at line n being one at record n - 1."""
+    names = [f.name for f in cls.fields]
+    objs = [json.loads(line) for line in text.split("\n") if line.strip()]
+    if not all(set(obj) <= set(names) and all(f.optional or f.name in obj for f in cls.fields)
+               for obj in objs):
+        return False
+    try:
+        stream = io.StringIO("".join(json.dumps(obj) + "\n" for obj in objs))
+        expected = "ok", list(by_row(stream, "jsonl"))
+    except ParseError as exc:
+        expected = "error", f"record {exc.line - 1}: {exc.reason}"
+    try:
+        got = "ok", list(cls.from_records(tuple(obj.get(n) for n in names) for obj in objs))
+    except ValueError as exc:
+        got = "error", str(exc)
+    assert got == expected, text
+    return True
+
+
 # ids that need quoting or span lines, and JSON values that read back as ids
 ODD_IDS = ("a,b", 'say "hi"', "two\nlines", "", " pad ")
 JSON_IDS = (7, 7.0, True, -0.0, "7")
@@ -623,11 +646,14 @@ TABLES = {
                corpus.COUNT_FIELDS, count_rows),
 }
 
+TABLE_CLASSES = {"outlets": corpus.OutletTable, "followers": corpus.FollowerTable,
+                 "retweets": corpus.RetweetTable}
+
 
 class TestParserParity:
     def test_random_inputs_match_row_by_row_reference(self):
         rng = np.random.default_rng(2024)
-        errors = 0
+        errors, records = 0, Counter()
         for _ in range(300):
             for fmt, outlets in (("csv", CSV_OUTLETS), ("jsonl", JSON_OUTLETS)):
                 rows = [random_values(rng, outlets) for _ in range(rng.integers(0, 40))]
@@ -636,13 +662,18 @@ class TestParserParity:
                 expected = outcome(oracle_helpers.parse_articles_by_row, text, fmt)
                 assert outcome(corpus.parse_articles, text, fmt) == expected, text
                 errors += expected[0] == "error"
+                if fmt == "jsonl" and records_match_parse(
+                        corpus.ArticleTable, oracle_helpers.parse_articles_by_row, text):
+                    records[expected[0]] += 1
         assert 150 < errors < 450  # both outcomes are exercised
+        assert records["ok"] > 50 and records["error"] > 30  # from_records too
 
     @pytest.mark.parametrize("table", TABLES)
     def test_every_table_matches_row_by_row_reference(self, table):
         parse, by_row, fields, make_rows = TABLES[table]
         rng = np.random.default_rng(list(TABLES).index(table))
         errors = runs = 0
+        records = Counter()
         for _ in range(150):
             for fmt in ("csv",) if table == "counts" else ("csv", "jsonl"):
                 rows = make_rows(rng, int(rng.integers(0, 30)), fmt)
@@ -653,7 +684,10 @@ class TestParserParity:
                 assert outcome(parse, text, fmt) == expected, text
                 errors += expected[0] == "error"
                 runs += 1
+                if fmt == "jsonl" and records_match_parse(TABLE_CLASSES[table], by_row, text):
+                    records[expected[0]] += 1
         assert 0.3 * runs < errors < 0.8 * runs  # both outcomes are exercised
+        assert table == "counts" or min(records["ok"], records["error"]) > 20  # from_records too
 
     def test_basic_format_date_matches_reference(self):
         # date.fromisoformat reads the first two from Python 3.11 on; only
@@ -954,6 +988,9 @@ class TestInt64Bound:
             [make_article(outlet=oid) for oid in (1, True, 1.0, 0.0, -0.0)]
         )
         assert table.outlet_ids == ("1", "True", "1.0", "0.0", "-0.0")
+        # a tuple is read by position, so it must hold every field
+        with pytest.raises(ValueError, match="^record 1: expected 3 fields, got 2$"):
+            corpus.RetweetTable.from_records([("u", "o", 1), ("u", "o")])
 
     def test_exact_sums_match_python_ints(self):
         rng = np.random.default_rng(5)
@@ -1148,7 +1185,7 @@ class TestArtifactRoundTrips:
     def test_repeated_key_rejected_when_built(self, cls, key):
         # a table built from columns holds the rule its parser applies, so no
         # writer can write a file that its own parser rejects
-        table = cls.from_columns(sample_columns(cls, ("o1", "o2")))
+        table = cls.from_records(zip(*sample_columns(cls, ("o1", "o2"))))
         with pytest.raises(ValueError, match=f"^record 1: duplicate {key}$"):
             cls([column[[0, 0]] for column in table._columns()], table._ids())
         with pytest.raises(ValueError, match=f"^record 1: duplicate {key}$"):
@@ -1158,6 +1195,13 @@ class TestArtifactRoundTrips:
         with pytest.raises(ValueError, match="^record 1: duplicate outlet_id 'o1'$"):
             corpus.OutletTable([[0, 0], [0, 1], [1, 1], [0, 0]],
                                {"outlet_id": ["o1"], "name": ["A", "B"]})
+        # the repeat at record 1 comes before the bad label at record 2, as
+        # a parse of the same rows reports it
+        rows = [("o1", "A", "reliable", None), ("o1", "B", "reliable", None),
+                ("o3", "C", "bogus", None)]
+        for records in (rows, [OutletProfile(*row) for row in rows]):
+            with pytest.raises(ValueError, match="^record 1: duplicate outlet_id 'o1'$"):
+                corpus.OutletTable.from_records(records)
 
     def test_reversed_period_rejected_when_built(self):
         jan, feb, mar = (datetime.date(2021, m, 1).toordinal() for m in (1, 2, 3))
@@ -1379,7 +1423,8 @@ class TestCarriageReturnIds:
 
     @pytest.mark.parametrize("cls", ID_TABLES, ids=lambda cls: cls.__name__)
     def test_round_trip(self, cls):
-        table = cls.from_columns(sample_columns(cls, CR_IDS))
+        table = cls.from_records(zip(*sample_columns(cls, CR_IDS)))
+        assert cls.from_records(list(table)) == table
         out = io.StringIO()
         corpus._write(cls, table, out)
         text = out.getvalue()
@@ -1395,7 +1440,7 @@ class TestCarriageReturnIds:
     def test_built_id_that_xml_cannot_carry_raises(self, cls):
         # parsing rejects such an id at its line; a table built from columns
         # holds the same rule
-        table = cls.from_columns(sample_columns(cls, ("o1", "o2")))
+        table = cls.from_records(zip(*sample_columns(cls, ("o1", "o2"))))
         columns, ids = table._columns(), table._ids()
         with pytest.raises(ValueError, match=r"^outlet_id 'o\\x01' holds a character XML"):
             cls(columns, {**ids, "outlet_id": ("o\x01", "o2")})

@@ -210,7 +210,7 @@ def posterior_for(rows: dict[str, tuple[float, float, float, float, float, float
              for k, event in enumerate(EVENT_ORDER) for j, param in enumerate(latent.PARAMS)
              if (o, event, param) not in drop]
     columns = [list(c) for c in zip(*cells)] or [[], [], [], []]
-    return latent.PosteriorTable.from_columns([*columns, *[[1.0] * len(cells)] * 5])
+    return latent.PosteriorTable.from_records(zip(*[*columns, *[[1.0] * len(cells)] * 5]))
 
 
 class TestBuildBiasTable:
